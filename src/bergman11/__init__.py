@@ -3,7 +3,6 @@ the first-order operator theory of the SU(1,1) discrete series."""
 
 from .weights import (
     CoeffVector,
-    TruncationPolicy,
     WeightParam,
     basis_to_taylor,
     bergman_norm_sq,

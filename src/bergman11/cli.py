@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import reporting
 from .operators import FirstOrderOp, classify_symmetric, to_rep
 from .quadrature import KernelPoint
 from .uncertainty import soltani_up
-from .verification import RunConfig, SUITES, run_suites
+from .verification import VERIFY_XI_MAX, RunConfig, SUITES, run_suites
 from .weights import CoeffVector, WeightParam
 from .weightshift import ShiftOp, frame_constants, kernel_shift_residual
 
@@ -25,16 +25,32 @@ class UsageError(Exception):
     pass
 
 
+_HELP = {
+    "xi": f"weight parameter (-1 < xi <= {VERIFY_XI_MAX:g})",
+    "trunc": "working truncation degree (>= 1)",
+    "quad_r": "radial quadrature points",
+    "quad_m": "angular quadrature points",
+    "out": "output path (default stdout)",
+}
+
+
+def _cast(field):
+    """The type of a RunConfig field, read from its default (str for None)."""
+    return str if field.default is None else type(field.default)
+
+
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--xi", type=float, default=0.0, help="weight parameter (> -1)")
-    p.add_argument("--trunc", type=int, default=24, help="working truncation degree")
-    p.add_argument("--quad-r", type=int, default=64, help="radial quadrature points")
-    p.add_argument("--quad-m", type=int, default=256, help="angular quadrature points")
-    p.add_argument("--seed", type=int, default=20240901)
-    p.add_argument("--tol-exact", type=float, default=1e-10)
-    p.add_argument("--tol-quad", type=float, default=1e-6)
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    """One flag per RunConfig field, with the field's default."""
+    for f in fields(RunConfig):
+        flag = "--format" if f.name == "fmt" else "--" + f.name.replace("_", "-")
+        p.add_argument(
+            flag,
+            dest=f.name,
+            type=_cast(f),
+            default=f.default,
+            choices=("json", "csv") if f.name == "fmt" else None,
+            help=_HELP.get(f.name),
+        )
     p.add_argument(
         "--config",
         default=None,
@@ -81,17 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: str) -> dict:
     overrides = {}
-    casts = {
-        "xi": float,
-        "trunc": int,
-        "quad_r": int,
-        "quad_m": int,
-        "seed": int,
-        "tol_exact": float,
-        "tol_quad": float,
-        "fmt": str,
-        "out": str,
-    }
+    casts = {f.name: _cast(f) for f in fields(RunConfig)}
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -108,11 +114,14 @@ def _load_config_file(path: str) -> dict:
 
 
 def _emit(text: str, out):
-    if out:
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {out}: {e.strerror}")
 
 
 def _read_json_file(path: str):
@@ -134,6 +143,13 @@ def _coeff_vector(data) -> CoeffVector:
         raise UsageError(f"bad coefficient data: {e}")
 
 
+def _real_field(data: dict, key: str) -> float:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{key!r}: expected a real number, got {value!r}")
+    return float(value)
+
+
 def _complex_field(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
@@ -143,19 +159,16 @@ def _complex_field(value) -> complex:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig(
-        xi=args.xi,
-        trunc=args.trunc,
-        quad_r=args.quad_r,
-        quad_m=args.quad_m,
-        seed=args.seed,
-        tol_exact=args.tol_exact,
-        tol_quad=args.tol_quad,
-        fmt=args.fmt,
-        out=args.out,
-    )
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     if args.config:
         cfg = replace(cfg, **_load_config_file(args.config))
+    if not -1.0 < cfg.xi <= VERIFY_XI_MAX:
+        raise UsageError(
+            f"--xi must satisfy -1 < xi <= {VERIFY_XI_MAX:g} for verify "
+            f"(shift_iso uses the weight xi+2), got {cfg.xi:g}"
+        )
+    if cfg.trunc < 1:
+        raise UsageError(f"--trunc must be >= 1, got {cfg.trunc}")
     try:
         report = run_suites(cfg, args.suite)
     except ValueError as e:
@@ -187,7 +200,13 @@ def cmd_classify(args) -> int:
     if not isinstance(data, dict) or "f" not in data or "g" not in data:
         raise UsageError(f'{args.op_file}: expected {{"f": [...], "g": [...]}}')
     op = FirstOrderOp(_coeff_vector(data["f"]), _coeff_vector(data["g"]))
-    print(classify_symmetric(op, WeightParam(args.xi), args.tol).to_json())
+    verdict = classify_symmetric(op, WeightParam(args.xi), args.tol)
+    if verdict.symmetric:
+        a0 = complex(verdict.form.a0)
+        result = {"symmetric": True, "a0": [a0.real, a0.imag], "a1": verdict.form.a1, "b0": verdict.form.b0}
+    else:
+        result = {"symmetric": False, "violation": verdict.violation}
+    print(reporting.dumps(result))
     return 0
 
 
@@ -195,12 +214,15 @@ def cmd_rep(args) -> int:
     data = _read_json_file(args.abc_file)
     if not isinstance(data, dict) or not {"a", "b", "c"} <= set(data):
         raise UsageError(f'{args.abc_file}: expected {{"a": .., "b": .., "c": ..}}')
-    dec = to_rep(float(data["a"]), float(data["b"]), _complex_field(data["c"]), WeightParam(args.xi))
-    print(dec.to_json())
+    dec = to_rep(_real_field(data, "a"), _real_field(data, "b"), _complex_field(data["c"]), WeightParam(args.xi))
+    c = dec.coords
+    print(reporting.dumps({"sigma": c.sigma, "tau": c.tau, "lambda": c.lam, "d": dec.d}))
     return 0
 
 
 def cmd_shift(args) -> int:
+    if args.k_range < 0:
+        raise UsageError(f"k_range must be >= 0, got {args.k_range}")
     op = ShiftOp(complex(args.c_re, args.c_im))
     fc = frame_constants(op, WeightParam(args.xi), args.k_range)
     print("xi,c_re,c_im,k_range,m,M")
@@ -209,6 +231,8 @@ def cmd_shift(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    if args.trunc < 1:
+        raise UsageError(f"--trunc must be >= 1, got {args.trunc}")
     wp = WeightParam(args.xi)
     w = KernelPoint(args.w)
     derived = 1.0 / (wp.xi + 2.0)

@@ -8,14 +8,13 @@ commutators, and the scalar-commutator impossibility scan.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .su11 import BasisCoords, LieElement, bracket, coords, from_coords
-from .weights import CoeffVector, WeightParam, basis_scales, monomial_norms_sq
+from .weights import CoeffVector, WeightParam, basis_scales
 
 
 @dataclass(frozen=True)
@@ -24,22 +23,6 @@ class FirstOrderOp:
 
     fcoeffs: CoeffVector
     gcoeffs: CoeffVector
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "f": [[c.real, c.imag] for c in self.fcoeffs.coeffs],
-                "g": [[c.real, c.imag] for c in self.gcoeffs.coeffs],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FirstOrderOp":
-        d = json.loads(text)
-        return cls(
-            CoeffVector.from_json(json.dumps(d["f"])),
-            CoeffVector.from_json(json.dumps(d["g"])),
-        )
 
     def __add__(self, other: "FirstOrderOp") -> "FirstOrderOp":
         return FirstOrderOp(self.fcoeffs + other.fcoeffs, self.gcoeffs + other.gcoeffs)
@@ -111,19 +94,6 @@ class ClassifyVerdict:
     symmetric: bool
     form: Optional[SymmetricForm]
     violation: Optional[str]
-
-    def to_json(self) -> str:
-        if self.symmetric:
-            a0 = complex(self.form.a0)
-            return json.dumps(
-                {
-                    "symmetric": True,
-                    "a0": [a0.real, a0.imag],
-                    "a1": self.form.a1,
-                    "b0": self.form.b0,
-                }
-            )
-        return json.dumps({"symmetric": False, "violation": self.violation})
 
 
 def classify_symmetric(op: FirstOrderOp, xi: WeightParam, tol: float = 1e-10) -> ClassifyVerdict:
@@ -205,16 +175,6 @@ class RepDecomposition:
     coords: BasisCoords
     d: float
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "sigma": self.coords.sigma,
-                "tau": self.coords.tau,
-                "lambda": self.coords.lam,
-                "d": self.d,
-            }
-        )
-
 
 def to_rep(a: float, b: float, c: complex, xi: WeightParam) -> RepDecomposition:
     """Decompose L = (c z^2 + a z + conj(c)) d/dz + ((xi+2) c z + b).
@@ -291,18 +251,6 @@ class ZhuScanReport:
     max_scalar_magnitude: float
     min_nonscalar_margin: float
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "samples": self.samples,
-                "xi": self.xi,
-                "seed": self.seed,
-                "scalar_hits": self.scalar_hits,
-                "max_scalar_magnitude": self.max_scalar_magnitude,
-                "min_nonscalar_margin": self.min_nonscalar_margin,
-            }
-        )
-
 
 def zhu_scan(samples: int, xi: WeightParam, seed: int, tol: float = 1e-8) -> ZhuScanReport:
     """Draw random pairs (U, V) and check that no derived commutator operator
@@ -351,8 +299,3 @@ def bracket_op(u: LieElement, v: LieElement, xi: WeightParam) -> FirstOrderOp:
 def hermiticity_defect(m: np.ndarray) -> float:
     """Max entrywise deviation of a matrix from its conjugate transpose."""
     return float(np.max(np.abs(m - m.conj().T)))
-
-
-def monomial_weights(xi: WeightParam, degree: int) -> np.ndarray:
-    # convenience re-export used by callers assembling norms by hand
-    return monomial_norms_sq(xi, degree)

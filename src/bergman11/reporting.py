@@ -6,7 +6,10 @@ bit-reproducible and round-trip exactly through text.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+
+import numpy as np
 
 _MARK = "\x00f17\x00"
 
@@ -16,6 +19,10 @@ def format_float(x: float) -> str:
 
 
 def _wrap(obj):
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = dataclasses.asdict(obj)
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, float):
@@ -26,11 +33,15 @@ def _wrap(obj):
         return {str(k): _wrap(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_wrap(v) for v in obj]
-    return str(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def dumps(obj, indent: int = 2) -> str:
-    """json.dumps with floats rendered at 17 significant digits."""
+    """json.dumps with floats rendered at 17 significant digits.
+
+    Numpy scalars become Python scalars, dataclasses become dicts and complex
+    numbers become {"re", "im"}; any other type raises TypeError.
+    """
     text = json.dumps(_wrap(obj), indent=indent)
     # unquote the marked float tokens (the marker is escaped inside strings)
     mark = "\\u0000f17\\u0000"

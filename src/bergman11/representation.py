@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import FirstOrderOp, apply, derived_op as _derived_op
+from .operators import apply, derived_op
 from .su11 import GroupElement, LieElement, exp_at
 from .weights import CoeffVector, WeightParam, monomial_norms_sq
 
@@ -73,11 +73,6 @@ def group_act(x: GroupElement, f, z, ctx: RepContext):
     return out if out.ndim else complex(out)
 
 
-def derived_op(u: LieElement, ctx: RepContext) -> FirstOrderOp:
-    """The differential operator p d/dz + q obtained from d/dt pi(exp(tu))."""
-    return _derived_op(u, ctx.xi)
-
-
 def derivative_check(
     u: LieElement, f: CoeffVector, t: float, ctx: RepContext, sample_points
 ) -> float:
@@ -89,7 +84,7 @@ def derivative_check(
     plus = group_act(exp_at(u, t), f, pts, ctx)
     minus = group_act(exp_at(u, -t), f, pts, ctx)
     fd = (np.asarray(plus) - np.asarray(minus)) / (2.0 * t)
-    direct = apply(derived_op(u, ctx), f)(pts)
+    direct = apply(derived_op(u, ctx.xi), f)(pts)
     return float(np.max(np.abs(fd - np.asarray(direct))))
 
 

@@ -10,7 +10,6 @@ through a complex mu.
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +43,6 @@ class LieElement:
 
     def norm(self) -> float:
         return float(np.sqrt(self.a**2 + abs(self.b) ** 2))
-
-    def to_json(self) -> str:
-        return json.dumps({"a": self.a, "b_re": complex(self.b).real, "b_im": complex(self.b).imag})
-
-    @classmethod
-    def from_json(cls, text: str) -> "LieElement":
-        d = json.loads(text)
-        return cls(float(d["a"]), complex(d["b_re"], d["b_im"]))
 
 
 @dataclass(frozen=True)
@@ -137,17 +128,6 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         return GroupElement(complex(np.conj(self.alpha)), complex(-self.beta))
-
-    def to_json(self) -> str:
-        a, b = complex(self.alpha), complex(self.beta)
-        return json.dumps(
-            {"alpha_re": a.real, "alpha_im": a.imag, "beta_re": b.real, "beta_im": b.imag}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GroupElement":
-        d = json.loads(text)
-        return cls(complex(d["alpha_re"], d["alpha_im"]), complex(d["beta_re"], d["beta_im"]))
 
 
 def exp_at(u: LieElement, t: float) -> GroupElement:

@@ -1,15 +1,18 @@
-"""Property suites behind the ``verify`` CLI command.
+"""Property registry behind the ``verify`` CLI command and the acceptance tests.
 
-Each suite re-checks the invariants of one module at runtime and returns a
-list of named checks with measured margins.  Everything is driven by a
-RunConfig so that two runs with the same configuration produce identical
-reports.
+Each property is one function ``(cfg, rng, recipe) -> list[PropertyCheck]``
+that re-checks invariants of the engine and returns named checks with
+measured margins.  ``REGISTRY`` lists every property once: its suite, the
+tolerance of each of its checks, the recipe ``verify`` runs it with and, where
+it has one, the numbered acceptance criterion that runs it with its own seed
+and a larger recipe.  Everything is driven by a RunConfig and a seeded
+generator, so two runs with the same configuration produce identical reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +32,9 @@ CONVENTIONS = [
     "kernel step-one shift uses alpha = 1/(xi+2); the alternative 2/(xi+2) "
     "is reported for comparison and has a nonzero residual",
 ]
+
+# shift_iso builds the weight xi + 2, which must stay within weights.XI_MAX
+VERIFY_XI_MAX = weights.XI_MAX - 2.0
 
 
 @dataclass(frozen=True)
@@ -57,23 +63,67 @@ class PropertyCheck:
     tolerance: float
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
+
+@dataclass(frozen=True)
+class Recipe:
+    """The sample plan of one property run; fixed numbers, never configured.
+
+    ``samples`` counts draws per xi of ``xis`` (``None``: the run's cfg.xi),
+    or in total when each sample draws its xi uniformly from ``xi_range``.
+    With ``random_degree`` each polynomial degree is drawn from 0..``degree``.
+    ``n`` is a matrix size or a k range, ``shifts`` the (w, y) shift grids
+    and ``points`` the kernel points.
+    """
+
+    samples: int = 0
+    degree: int = 0
+    random_degree: bool = False
+    xis: Optional[Tuple[float, ...]] = None
+    xi_range: Optional[Tuple[float, float]] = None
+    n: int = 0
+    shifts: Tuple[Tuple[float, ...], Tuple[float, ...]] = ((), ())
+    points: Tuple[complex, ...] = ()
 
 
-def _check(name, margin, tol, detail="", ok=None) -> PropertyCheck:
-    passed = (margin <= tol) if ok is None else bool(ok)
-    return PropertyCheck(name, passed, float(margin), float(tol), detail)
+def _check(cfg, name, margin, detail="", ok=True, tol=None) -> PropertyCheck:
+    """Passed iff margin <= tolerance and ``ok``.  The tolerance is the
+    registry's, resolved against cfg, unless the check measures its own."""
+    if tol is None:
+        tol = _TOLERANCES[name]
+        tol = getattr(cfg, tol) if isinstance(tol, str) else tol
+    margin, tol = float(margin), float(tol)
+    return PropertyCheck(name, bool(margin <= tol and ok), margin, tol, detail)
+
+
+def _xis(cfg: RunConfig, recipe: Recipe):
+    return (cfg.xi,) if recipe.xis is None else recipe.xis
+
+
+def _xi_draws(cfg: RunConfig, rng, recipe: Recipe):
+    """The xi of each sample, drawn just before the sample's own draws."""
+    if recipe.xi_range is not None:
+        for _ in range(recipe.samples):
+            yield float(rng.uniform(*recipe.xi_range))
+    else:
+        for x in _xis(cfg, recipe):
+            for _ in range(recipe.samples):
+                yield x
+
+
+def _degree(rng, recipe: Recipe) -> int:
+    return int(rng.integers(0, recipe.degree + 1)) if recipe.random_degree else recipe.degree
 
 
 def _random_poly(rng, degree) -> CoeffVector:
     return CoeffVector(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+
+
+def _random_element(rng) -> su11.LieElement:
+    return su11.LieElement(rng.normal(), complex(rng.normal(), rng.normal()))
+
+
+def _grid(cfg: RunConfig, wp: WeightParam, radial_points: Optional[int] = None) -> quad.QuadratureGrid:
+    return quad.QuadratureGrid(wp, radial_points or cfg.quad_r, cfg.quad_m)
 
 
 XI_SCAN = (-0.5, 0.0, 1.0, 2.5)
@@ -83,157 +133,153 @@ XI_SCAN = (-0.5, 0.0, 1.0, 2.5)
 # weight_core
 
 
-def suite_weight_core(cfg: RunConfig) -> List[PropertyCheck]:
-    checks = []
-
-    # norm-ratio recurrence ||z^{k-1}||^2 = (xi+1+k)/k ||z^k||^2
+def norm_ratio_recurrence(cfg, rng, recipe):
+    """||z^{k-1}||^2 = (xi+1+k)/k ||z^k||^2 at every listed xi and cfg.xi."""
     worst = 0.0
-    for x in XI_SCAN + (cfg.xi,):
-        wp = WeightParam(x)
-        w = weights.monomial_norms_sq(wp, 300)
-        k = np.arange(1, 301, dtype=float)
-        lhs = w[:-1]
+    k = np.arange(1, recipe.degree + 1, dtype=float)
+    for x in recipe.xis + (cfg.xi,):
+        w = weights.monomial_norms_sq(WeightParam(x), recipe.degree)
         rhs = (x + 1.0 + k) / k * w[1:]
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
-    checks.append(_check("norm_ratio_recurrence", worst, cfg.tol_exact))
+        worst = max(worst, float(np.max(np.abs(w[:-1] - rhs) / np.abs(rhs))))
+    return [_check(cfg, "norm_ratio_recurrence", worst)]
 
-    # ||z^{k+l}||^2 / ||z^k||^2 converges monotonically to 1
-    wp = cfg.weight()
-    w = weights.monomial_norms_sq(wp, 1003)
+
+def shift_limit_monotone(cfg, rng, recipe):
+    """||z^{k+l}||^2 / ||z^k||^2 converges monotonically to 1 (l = 1, 2, 3)."""
+    n = recipe.degree + 1
+    w = weights.monomial_norms_sq(cfg.weight(), n + 2)
     ok = True
     final = 0.0
     for ell in (1, 2, 3):
-        ratio = w[ell : 1001 + ell] / w[:1001]
-        dist = np.abs(ratio - 1.0)
+        dist = np.abs(w[ell : n + ell] / w[:n] - 1.0)
         ok = ok and bool(np.all(np.diff(dist) <= 1e-15)) and dist[-1] < dist[0]
         final = max(final, float(dist[-1]))
-    checks.append(_check("shift_limit_monotone", final, 1e-2, ok=ok and final < 1e-2))
+    return [_check(cfg, "shift_limit_monotone", final, ok=ok)]
 
-    # coefficient inner products agree with disc quadrature on monomials
+
+def oracle_equivalence_monomials(cfg, rng, recipe):
+    """Coefficient inner products of monomials agree with disc quadrature."""
     worst = 0.0
-    for x in XI_SCAN:
+    for x in recipe.xis:
         wp = WeightParam(x)
-        grid = quad.QuadratureGrid(wp, cfg.quad_r, cfg.quad_m)
-        deg = 12
-        powers = grid.nodes[None, :, :] ** np.arange(deg + 1)[:, None, None]
+        grid = _grid(cfg, wp)
+        powers = grid.nodes[None, :, :] ** np.arange(recipe.degree + 1)[:, None, None]
         gram = np.einsum("jrm,krm,rm->jk", powers, np.conj(powers), grid.weights)
-        expected = np.diag(weights.monomial_norms_sq(wp, deg))
+        expected = np.diag(weights.monomial_norms_sq(wp, recipe.degree))
         worst = max(worst, float(np.max(np.abs(gram - expected))))
-    checks.append(_check("oracle_equivalence_monomials", worst, cfg.tol_quad))
+    return [_check(cfg, "oracle_equivalence_monomials", worst)]
 
-    # two-sided equivalence of the order-one Sobolev norm
-    rng = np.random.default_rng(cfg.seed + 1)
+
+def sobolev_norm_equivalence(cfg, rng, recipe):
+    """Two-sided equivalence of the order-one Sobolev norm at degree cfg.trunc."""
+    wp = cfg.weight()
     k = np.arange(1, cfg.trunc + 1, dtype=float)
     ratio = k**2 / (k * (k + cfg.xi + 1.0))
     m, big_m = float(np.min(ratio)), float(np.max(ratio))
     ok = True
-    for _ in range(50):
+    for _ in range(recipe.samples):
         f = _random_poly(rng, cfg.trunc)
-        w = weights.monomial_norms_sq(wp_cfg := cfg.weight(), f.degree)
+        w = weights.monomial_norms_sq(wp, f.degree)
         kk = np.arange(f.degree + 1, dtype=float)
         alt = float(
             np.abs(f.coeffs[0]) ** 2
             + np.sum(kk[1:] * (kk[1:] + cfg.xi + 1.0) * np.abs(f.coeffs[1:]) ** 2 * w[1:])
         )
-        sob = weights.sobolev_norm_sq(f, wp_cfg, 1)
+        sob = weights.sobolev_norm_sq(f, wp, 1)
         ok = ok and (m * alt - 1e-9 <= sob <= big_m * alt + 1e-9)
-    checks.append(
-        _check("sobolev_norm_equivalence", 0.0 if ok else 1.0, 0.5, ok=ok, detail=f"m={m:.6g} M={big_m:.6g}")
-    )
-    return checks
+    return [_check(cfg, "sobolev_norm_equivalence", 0.0 if ok else 1.0, detail=f"m={m:.6g} M={big_m:.6g}")]
 
 
 # ---------------------------------------------------------------------------
 # disc_oracle
 
 
-def suite_disc_oracle(cfg: RunConfig) -> List[PropertyCheck]:
-    checks = []
-    wp = cfg.weight()
-    grid = quad.QuadratureGrid(wp, cfg.quad_r, cfg.quad_m)
-
-    checks.append(
-        _check("probability_measure", abs(quad.integrate(lambda z: np.ones_like(z), grid) - 1.0), 1e-12)
-    )
-
-    # radial rule integrates s^k exactly against the weight
-    worst = 0.0
-    for x in (0.0, 1.0, 2.0):
+def quadrature_rule(cfg, rng, recipe):
+    """cfg's grid is a probability measure; the radial rule integrates s^k
+    exactly at the listed xi; the angular nodes annihilate 0 < |k| < M."""
+    grid = _grid(cfg, cfg.weight())
+    mass = abs(quad.integrate(lambda z: np.ones_like(z), grid) - 1.0)
+    worst_r = 0.0
+    for x in recipe.xis:
         wpx = WeightParam(x)
-        g = quad.QuadratureGrid(wpx, cfg.quad_r, cfg.quad_m)
-        for k in range(0, 41, 5):
+        g = _grid(cfg, wpx)
+        for k in range(0, recipe.degree + 1, 5):
             approx = float(np.sum(g.radial_weights * g.radial_nodes**k))
-            exact = weights.monomial_norm_sq(wpx, k)
-            worst = max(worst, abs(approx - exact))
-    checks.append(_check("radial_exactness", worst, 1e-9))
-
-    # angular nodes annihilate pure frequencies 0 < |k| < M
-    worst = 0.0
+            worst_r = max(worst_r, abs(approx - weights.monomial_norm_sq(wpx, k)))
+    worst_a = 0.0
     for k in (1, 2, 7, cfg.quad_m // 2, cfg.quad_m - 1):
-        worst = max(worst, abs(np.sum(np.exp(1j * k * grid.angles))) / cfg.quad_m)
-    checks.append(_check("angular_exactness", worst, 1e-12))
+        worst_a = max(worst_a, abs(np.sum(np.exp(1j * k * grid.angles))) / cfg.quad_m)
+    return [
+        _check(cfg, "probability_measure", mass),
+        _check(cfg, "radial_exactness", worst_r),
+        _check(cfg, "angular_exactness", worst_a),
+    ]
 
-    # kernel partial sums converge geometrically at rate |z conj(w)|
+
+def kernel_series_consistency(cfg, rng, recipe):
+    """Kernel partial sums converge geometrically at rate |z conj(w)|."""
+    wp = cfg.weight()
     z, w = 0.5, quad.KernelPoint(0.4 + 0.2j)
     target = quad.kernel_eval(z, w, wp)
-    coeffs = ws.kernel_coeffs(wp, w, 60)
-    partials = np.cumsum(coeffs * z ** np.arange(61))
-    resid = np.abs(partials - target)
+    coeffs = ws.kernel_coeffs(wp, w, recipe.degree)
+    resid = np.abs(np.cumsum(coeffs * z ** np.arange(recipe.degree + 1)) - target)
     rate = abs(z * np.conj(w.w))
     # compare residuals before they reach the rounding floor
-    ok = resid[18] <= resid[8] * rate**8 and resid[50] < 1e-10
-    checks.append(_check("kernel_series_consistency", float(resid[50]), 1e-10, ok=ok))
+    return [_check(cfg, "kernel_series_consistency", resid[50], ok=resid[18] <= resid[8] * rate**8)]
 
-    # reproducing identity on a polynomial spot check
+
+def reproducing_identity(cfg, rng, recipe):
+    """<f, K_w> by quadrature equals f(w): z^3 at w = 0.3+0.2i on cfg's grid,
+    then random (xi, f, w) with |Re w|, |Im w| <= 0.45."""
+    wp = cfg.weight()
     f = CoeffVector([0.0, 0.0, 0.0, 1.0])
-    wpt = quad.KernelPoint(0.3 + 0.2j)
-    err = abs(quad.reproduce(f, wpt, wp, grid) - f(wpt.w))
-    checks.append(_check("reproducing_identity_spot", err, cfg.tol_quad))
-    return checks
+    w = quad.KernelPoint(0.3 + 0.2j)
+    worst = abs(quad.reproduce(f, w, wp, _grid(cfg, wp)) - f(w.w))
+    for x in _xi_draws(cfg, rng, recipe):
+        wpx = WeightParam(x)
+        f = _random_poly(rng, _degree(rng, recipe))
+        w = quad.KernelPoint(complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45)))
+        worst = max(worst, abs(quad.reproduce(f, w, wpx, _grid(cfg, wpx)) - f(w.w)))
+    return [_check(cfg, "reproducing_identity_spot", worst)]
 
 
 # ---------------------------------------------------------------------------
 # su11_algebra
 
 
-def suite_su11_algebra(cfg: RunConfig) -> List[PropertyCheck]:
-    checks = []
+def basis_relations(cfg, rng, recipe):
     x, y, z, w = su11.basis_elements()
+    return [
+        _check(cfg, "bracket_WY_is_minus_2X", (su11.bracket(w, y) - (-2.0 * x)).norm()),
+        _check(cfg, "W_equals_Z_minus_X", (w - (z - x)).norm()),
+    ]
 
-    d = su11.bracket(w, y) - (-2.0 * x)
-    checks.append(_check("bracket_WY_is_minus_2X", d.norm(), 1e-14))
 
-    d = w - (z - x)
-    checks.append(_check("W_equals_Z_minus_X", d.norm(), 1e-14))
-
-    rng = np.random.default_rng(cfg.seed + 2)
+def jacobi_and_coords_roundtrip(cfg, rng, recipe):
     worst = 0.0
-    for _ in range(20):
-        u = su11.LieElement(rng.normal(), complex(rng.normal(), rng.normal()))
-        v = su11.LieElement(rng.normal(), complex(rng.normal(), rng.normal()))
-        t = su11.LieElement(rng.normal(), complex(rng.normal(), rng.normal()))
+    for _ in range(recipe.samples):
+        u, v, t = _random_element(rng), _random_element(rng), _random_element(rng)
         jac = (
             su11.bracket(u, su11.bracket(v, t))
             + su11.bracket(v, su11.bracket(t, u))
             + su11.bracket(t, su11.bracket(u, v))
         )
-        worst = max(worst, jac.norm())
-        rt = su11.from_coords(su11.coords(u)) - u
-        worst = max(worst, rt.norm())
-    checks.append(_check("jacobi_and_coords_roundtrip", worst, 1e-12))
+        worst = max(worst, jac.norm(), (su11.from_coords(su11.coords(u)) - u).norm())
+    return [_check(cfg, "jacobi_and_coords_roundtrip", worst)]
 
+
+def exp_group_law(cfg, rng, recipe):
+    """exp((s+t)u) = exp(su) exp(tu) and det exp((s+t)u) = 1."""
     worst = 0.0
     det_worst = 0.0
-    for _ in range(20):
-        u = su11.LieElement(rng.normal(), complex(rng.normal(), rng.normal()))
+    for _ in range(recipe.samples):
+        u = _random_element(rng)
         s, t = rng.uniform(-2, 2), rng.uniform(-2, 2)
         lhs = su11.exp_at(u, s + t).matrix()
         rhs = (su11.exp_at(u, s) @ su11.exp_at(u, t)).matrix()
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         det_worst = max(det_worst, abs(np.linalg.det(lhs) - 1.0))
-    checks.append(_check("exp_group_law", worst, 1e-10))
-    checks.append(_check("exp_determinant", det_worst, 1e-10))
-    return checks
+    return [_check(cfg, "exp_group_law", worst), _check(cfg, "exp_determinant", det_worst)]
 
 
 # ---------------------------------------------------------------------------
@@ -246,82 +292,82 @@ def _sample_points():
     return (r[:, None] * np.exp(1j * th)[None, :]).ravel()
 
 
-def suite_discrete_series(cfg: RunConfig) -> List[PropertyCheck]:
-    checks = []
-    rng = np.random.default_rng(cfg.seed + 3)
+def derivative_richardson_order(cfg, rng, recipe):
+    """Central differences of the group action reproduce the derived operators
+    of X, Y, Z and ``samples`` random elements at order >= 1.9."""
     pts = _sample_points()
-
-    # central differences reproduce the derived operators at order >= 1.9
+    gens = list(su11.basis_elements()[:3]) + [_random_element(rng) for _ in range(recipe.samples)]
     worst_order = np.inf
-    gens = list(su11.basis_elements()[:3])
-    for _ in range(5):
-        gens.append(su11.LieElement(rng.normal(), complex(rng.normal(), rng.normal())))
-    for x in (0.0, 1.0, 2.0):
+    for x in recipe.xis:
         ctx = rep.RepContext(WeightParam(x))
-        f = _random_poly(rng, 6)
+        f = _random_poly(rng, recipe.degree)
         for u in gens:
             e1 = rep.derivative_check(u, f, 1e-3, ctx, pts)
             e2 = rep.derivative_check(u, f, 5e-4, ctx, pts)
             if e1 < 1e-11:
                 continue  # operator acts trivially; no order to measure
             worst_order = min(worst_order, np.log2(e1 / e2))
-    checks.append(
-        _check("derivative_richardson_order", -float(worst_order), -1.9, detail="order >= 1.9", ok=worst_order >= 1.9)
-    )
+    return [_check(cfg, "derivative_richardson_order", -float(worst_order), detail="order >= 1.9")]
 
-    # Gram matrices of derived operators are skew-Hermitian
+
+def derived_op_skew_symmetry(cfg, rng, recipe):
+    """Gram matrices of derived operators are skew-Hermitian."""
+    worst = 0.0
+    for x in _xi_draws(cfg, rng, recipe):
+        wp = WeightParam(x)
+        g = ops.gram_matrix(ops.derived_op(_random_element(rng), wp), wp, recipe.n)
+        worst = max(worst, float(np.max(np.abs(g + g.conj().T))))
+    return [_check(cfg, "derived_op_skew_symmetry", worst)]
+
+
+def xnorm_two_route(cfg, rng, recipe):
+    """The closed formula for ||Pi(X) f||^2 equals the operator route."""
     wp = cfg.weight()
     worst = 0.0
-    for _ in range(20):
-        u = su11.LieElement(rng.normal(), complex(rng.normal(), rng.normal()))
-        g = ops.gram_matrix(ops.derived_op(u, wp), wp, 16)
-        worst = max(worst, float(np.max(np.abs(g + g.conj().T))))
-    checks.append(_check("derived_op_skew_symmetry", worst, cfg.tol_exact))
-
-    # rotation-generator norm: closed formula equals the operator route
-    worst = 0.0
-    for _ in range(20):
+    for _ in range(recipe.samples):
         f = _random_poly(rng, cfg.trunc)
         direct = rep.xnorm_sq(f, wp)
         via_op = weights.bergman_norm_sq(ops.apply(ops.derived_op(su11.X_GEN, wp), f), wp)
         worst = max(worst, abs(direct - via_op) / max(1.0, direct))
-    checks.append(_check("xnorm_two_route", worst, cfg.tol_exact))
+    return [_check(cfg, "xnorm_two_route", worst)]
 
-    # norm sandwich around ||Pi(X) f||^2
-    worst_violation = 0.0
-    for x in (0.0, 0.5, 2.0):
+
+def norm_sandwich(cfg, rng, recipe):
+    """Sobolev bounds around ||Pi(X) f||^2."""
+    worst = 0.0
+    for x in _xi_draws(cfg, rng, recipe):
         wpx = WeightParam(x)
-        for _ in range(167):
-            f = _random_poly(rng, 16)
-            mid = rep.xnorm_sq(f, wpx)
-            sob = weights.sobolev_norm_sq(f, wpx, 1)
-            a0 = abs(f.coeffs[0]) ** 2
-            lo = sob + ((x + 2.0) ** 2 - 1.0) * a0
-            hi = 4.0 * (x + 2.0) ** 2 * sob
-            worst_violation = max(worst_violation, lo - mid, mid - hi)
-    checks.append(_check("norm_sandwich", worst_violation, 1e-10))
+        f = _random_poly(rng, _degree(rng, recipe))
+        mid = rep.xnorm_sq(f, wpx)
+        sob = weights.sobolev_norm_sq(f, wpx, 1)
+        lo = sob + ((x + 2.0) ** 2 - 1.0) * abs(f.coeffs[0]) ** 2
+        hi = 4.0 * (x + 2.0) ** 2 * sob
+        worst = max(worst, lo - mid, mid - hi)
+    return [_check(cfg, "norm_sandwich", worst)]
 
-    # unitarity and the group law at integer weights
+
+def unitarity_integer_weight(cfg, rng, recipe):
+    """The group action is unitary (by quadrature) and a homomorphism at
+    integer weights."""
+    pts = _sample_points()
     worst_u = 0.0
     worst_h = 0.0
-    for x in (0.0, 1.0, 2.0):
+    for x in recipe.xis:
         wpx = WeightParam(x)
         ctx = rep.RepContext(wpx)
-        grid = quad.QuadratureGrid(wpx, max(cfg.quad_r, 96), cfg.quad_m)
-        for _ in range(5):
-            u = su11.LieElement(rng.normal(), complex(rng.normal(), rng.normal()))
+        grid = _grid(cfg, wpx, max(cfg.quad_r, 96))
+        for _ in range(recipe.samples):
+            u = _random_element(rng)
             g1 = su11.exp_at(u, 0.5 / max(1.0, u.norm()))
-            v = su11.LieElement(rng.normal(), complex(rng.normal(), rng.normal()))
+            v = _random_element(rng)
             g2 = su11.exp_at(v, 0.5 / max(1.0, v.norm()))
-            f = _random_poly(rng, 5)
+            f = _random_poly(rng, recipe.degree)
             nrm = quad.integrate(lambda z: np.abs(rep.group_act(g1, f, z, ctx)) ** 2, grid)
             worst_u = max(worst_u, abs(nrm.real - weights.bergman_norm_sq(f, wpx)))
             lhs = rep.group_act(g1, lambda z: rep.group_act(g2, f, z, ctx), pts, ctx)
             rhs = rep.group_act(g1 @ g2, f, pts, ctx)
             worst_h = max(worst_h, float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs)))))
-    checks.append(_check("unitarity_integer_weight", worst_u, cfg.tol_quad))
-    checks.append(_check("homomorphism_integer_weight", worst_h, 1e-8))
-    return checks
+    return [_check(cfg, "unitarity_integer_weight", worst_u), _check(cfg, "homomorphism_integer_weight", worst_h)]
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +380,7 @@ def _random_symmetric_form(rng, wp) -> ops.SymmetricForm:
     )
 
 
-def _perturb_operator(rng, op: ops.FirstOrderOp, wp) -> ops.FirstOrderOp:
+def _perturb_operator(rng, op: ops.FirstOrderOp) -> ops.FirstOrderOp:
     """Break symmetry in one of several ways; perturbation size 1e-2."""
     mode = rng.integers(5)
     f = op.fcoeffs.padded(3).copy()
@@ -353,48 +399,44 @@ def _perturb_operator(rng, op: ops.FirstOrderOp, wp) -> ops.FirstOrderOp:
     return ops.FirstOrderOp(CoeffVector(f), CoeffVector(g))
 
 
-def suite_first_order_ops(cfg: RunConfig) -> List[PropertyCheck]:
-    checks = []
-    rng = np.random.default_rng(cfg.seed + 4)
-
-    # classification verdict iff Gram-matrix Hermiticity at N=16
+def classification_iff_hermitian(cfg, rng, recipe):
+    """The classification verdict agrees with Gram-matrix Hermiticity; every
+    second operator is perturbed off the symmetric forms."""
     agree = 0
     total = 0
-    for x in (0.0, 0.5, 2.0):
+    for i, x in enumerate(_xi_draws(cfg, rng, recipe)):
         wpx = WeightParam(x)
-        for i in range(34):
-            form = _random_symmetric_form(rng, wpx)
-            op = form.to_operator()
-            if i % 2 == 1:
-                op = _perturb_operator(rng, op, wpx)
-            verdict = ops.classify_symmetric(op, wpx, 1e-9)
-            gram_sym = ops.hermiticity_defect(ops.gram_matrix(op, wpx, 16)) <= 1e-9
-            total += 1
-            agree += int(verdict.symmetric == gram_sym)
-    checks.append(
-        _check("classification_iff_hermitian", float(total - agree), 0.0, detail=f"{agree}/{total}")
-    )
+        op = _random_symmetric_form(rng, wpx).to_operator()
+        if i % 2 == 1:
+            op = _perturb_operator(rng, op)
+        verdict = ops.classify_symmetric(op, wpx, 1e-9)
+        gram_sym = ops.hermiticity_defect(ops.gram_matrix(op, wpx, recipe.n)) <= 1e-9
+        total += 1
+        agree += int(verdict.symmetric == gram_sym)
+    return [_check(cfg, "classification_iff_hermitian", float(total - agree), detail=f"{agree}/{total}")]
 
-    # closed-form tridiagonal bands match the Gram matrix
+
+def tridiagonal_equals_gram(cfg, rng, recipe):
+    """The closed-form tridiagonal bands match the Gram matrix."""
     worst = 0.0
-    for x in (0.0, 1.5):
+    for x in _xi_draws(cfg, rng, recipe):
         wpx = WeightParam(x)
-        for _ in range(10):
-            form = _random_symmetric_form(rng, wpx)
-            dense = ops.symmetric_tridiagonal(form, 16).to_dense()
-            gram = ops.gram_matrix(form.to_operator(), wpx, 16)
-            worst = max(worst, float(np.max(np.abs(dense - gram))))
-    checks.append(_check("tridiagonal_equals_gram", worst, cfg.tol_exact))
+        form = _random_symmetric_form(rng, wpx)
+        dense = ops.symmetric_tridiagonal(form, recipe.n).to_dense()
+        gram = ops.gram_matrix(form.to_operator(), wpx, recipe.n)
+        worst = max(worst, float(np.max(np.abs(dense - gram))))
+    return [_check(cfg, "tridiagonal_equals_gram", worst)]
 
-    # decomposition round-trip and Hermiticity of i*rep + d
+
+def rep_decomposition_roundtrip(cfg, rng, recipe):
+    """to_rep/from_rep round-trip, and i * rep + d is Hermitian."""
     wp = cfg.weight()
     worst_rt = 0.0
     worst_h = 0.0
-    for _ in range(20):
+    for _ in range(recipe.samples):
         a, b = float(rng.normal()), float(rng.normal())
         c = complex(rng.normal(), rng.normal())
-        dec = ops.to_rep(a, b, c, wp)
-        op = ops.from_rep(dec, wp)
+        op = ops.from_rep(ops.to_rep(a, b, c, wp), wp)
         target = ops.FirstOrderOp(
             CoeffVector([np.conj(c), a, c]), CoeffVector([b, (wp.xi + 2.0) * c])
         )
@@ -403,148 +445,268 @@ def suite_first_order_ops(cfg: RunConfig) -> List[PropertyCheck]:
             float(np.max(np.abs(op.fcoeffs.padded(2) - target.fcoeffs.padded(2)))),
             float(np.max(np.abs(op.gcoeffs.padded(1) - target.gcoeffs.padded(1)))),
         )
-        worst_h = max(worst_h, ops.hermiticity_defect(ops.gram_matrix(op, wp, 12)))
-    checks.append(_check("rep_decomposition_roundtrip", worst_rt, cfg.tol_exact))
-    checks.append(_check("i_rep_plus_d_hermitian", worst_h, cfg.tol_exact))
+        worst_h = max(worst_h, ops.hermiticity_defect(ops.gram_matrix(op, wp, recipe.n)))
+    return [_check(cfg, "rep_decomposition_roundtrip", worst_rt), _check(cfg, "i_rep_plus_d_hermitian", worst_h)]
 
-    # operator commutators realize the Lie bracket
+
+def commutator_bracket_compat(cfg, rng, recipe):
+    """Operator commutators realize the Lie bracket."""
     worst = 0.0
-    for _ in range(50):
-        u = su11.LieElement(rng.normal(), complex(rng.normal(), rng.normal()))
-        v = su11.LieElement(rng.normal(), complex(rng.normal(), rng.normal()))
-        cm = ops.commutator_matrix(ops.derived_op(u, wp), ops.derived_op(v, wp), wp, 12)
-        bm = ops.gram_matrix(ops.bracket_op(u, v, wp), wp, 12)
+    for x in _xi_draws(cfg, rng, recipe):
+        wp = WeightParam(x)
+        u, v = _random_element(rng), _random_element(rng)
+        cm = ops.commutator_matrix(ops.derived_op(u, wp), ops.derived_op(v, wp), wp, recipe.n)
+        bm = ops.gram_matrix(ops.bracket_op(u, v, wp), wp, recipe.n)
         worst = max(worst, float(np.max(np.abs(cm - bm))))
-    checks.append(_check("commutator_bracket_compat", worst, cfg.tol_exact))
+    return [_check(cfg, "commutator_bracket_compat", worst)]
 
-    # no derived commutator is close to a nonzero scalar
-    report = ops.zhu_scan(500, wp, cfg.seed + 5)
-    checks.append(
-        _check(
-            "zhu_no_scalar_commutator",
-            report.max_scalar_magnitude,
-            1e-8,
-            detail=f"scalar_hits={report.scalar_hits}",
-        )
-    )
-    return checks
+
+def zhu_no_scalar_commutator(cfg, rng, recipe):
+    """No derived commutator is close to a nonzero scalar (scan seed cfg.seed + 5)."""
+    worst = 0.0
+    hits = 0
+    for x in _xis(cfg, recipe):
+        report = ops.zhu_scan(recipe.samples, WeightParam(x), cfg.seed + 5)
+        worst = max(worst, report.max_scalar_magnitude)
+        hits += report.scalar_hits
+    return [_check(cfg, "zhu_no_scalar_commutator", worst, detail=f"scalar_hits={hits}")]
 
 
 # ---------------------------------------------------------------------------
 # uncertainty
 
 
-def suite_uncertainty(cfg: RunConfig) -> List[PropertyCheck]:
-    checks = []
-    rng = np.random.default_rng(cfg.seed + 6)
-
-    worst_slack = 0.0
-    for x in XI_SCAN:
-        wpx = WeightParam(x)
-        for _ in range(25):
-            f = _random_poly(rng, int(rng.integers(0, 13)))
-            for w in (-2.0, 0.0, 2.0):
-                for y in (-1.0, 0.0, 1.0):
-                    r = up.soltani_up(f, w, y, wpx)
-                    worst_slack = max(worst_slack, -r.slack)
-    checks.append(_check("uncertainty_slack_nonnegative", worst_slack, 1e-10))
-
-    worst_eq = 0.0
-    for x in XI_SCAN:
-        r = up.soltani_up(CoeffVector([1.0]), 0.0, 0.0, WeightParam(x))
-        worst_eq = max(worst_eq, abs(r.slack))
-    checks.append(_check("equality_at_constants", worst_eq, 1e-12))
-
+def uncertainty_inequality(cfg, rng, recipe):
+    """The slack of soltani_up is nonnegative over random f and the shift
+    grids, and vanishes at f = 1 with zero shifts."""
     worst = 0.0
-    for x in (0.0, 1.5):
+    shifts_w, shifts_y = recipe.shifts
+    for x in _xi_draws(cfg, rng, recipe):
         wpx = WeightParam(x)
-        for _ in range(10):
-            f = _random_poly(rng, 12)
-            worst = max(worst, up.consistency_check(f, float(rng.normal()), float(rng.normal()), wpx))
-    checks.append(_check("two_route_consistency", worst, 1e-10))
+        f = _random_poly(rng, _degree(rng, recipe))
+        for w in shifts_w:
+            for y in shifts_y:
+                worst = max(worst, -up.soltani_up(f, w, y, wpx).slack)
+    worst_eq = 0.0
+    for x in recipe.xis:
+        worst_eq = max(worst_eq, abs(up.soltani_up(CoeffVector([1.0]), 0.0, 0.0, WeightParam(x)).slack))
+    return [_check(cfg, "uncertainty_slack_nonnegative", worst), _check(cfg, "equality_at_constants", worst_eq)]
 
-    # near-optimal shifts still respect the inequality
+
+def two_route_consistency(cfg, rng, recipe):
+    """soltani_up agrees with the lie_up route through (W, Y)."""
+    worst = 0.0
+    for x in _xi_draws(cfg, rng, recipe):
+        f = _random_poly(rng, recipe.degree)
+        worst = max(worst, up.consistency_check(f, float(rng.normal()), float(rng.normal()), WeightParam(x)))
+    return [_check(cfg, "two_route_consistency", worst)]
+
+
+def optimal_shift_slack(cfg, rng, recipe):
+    """Near-optimal shifts still respect the inequality."""
     wp = cfg.weight()
-    f = _random_poly(rng, 8)
+    f = _random_poly(rng, recipe.degree)
     w_star = up.minimize_shift(lambda w: up.soltani_up(f, w, 0.0, wp).rhs)
     y_star = up.minimize_shift(lambda y: up.soltani_up(f, w_star, y, wp).rhs)
-    r = up.soltani_up(f, w_star, y_star, wp)
-    checks.append(_check("optimal_shift_slack", -r.slack, cfg.tol_exact))
-    return checks
+    return [_check(cfg, "optimal_shift_slack", -up.soltani_up(f, w_star, y_star, wp).slack)]
 
 
 # ---------------------------------------------------------------------------
 # shift_iso
 
 
-def suite_shift_iso(cfg: RunConfig) -> List[PropertyCheck]:
-    checks = []
-    rng = np.random.default_rng(cfg.seed + 7)
+def frame_sandwich(cfg, rng, recipe):
+    """z d/dz + c maps weight xi onto weight xi+2 within its frame constants
+    over k <= n (relative to ||f||^2), and shift_invert undoes shift_apply."""
     wp = cfg.weight()
     wp_shift = WeightParam(wp.xi + 2.0)
-
     worst_frame = 0.0
     worst_rt = 0.0
     for c in (1.0 + 0j, 0.7 + 0.3j, wp.xi + 2.0 + 0j):
         op = ws.ShiftOp(c)
-        fc = ws.frame_constants(op, wp, 64)
-        for _ in range(30):
-            f = _random_poly(rng, 32)
+        fc = ws.frame_constants(op, wp, recipe.n)
+        for _ in range(recipe.samples):
+            f = _random_poly(rng, _degree(rng, recipe))
             nf = weights.bergman_norm_sq(f, wp)
             ns = weights.bergman_norm_sq(ws.shift_apply(op, f), wp_shift)
-            worst_frame = max(worst_frame, fc.m * nf - ns, ns - fc.M * nf)
+            worst_frame = max(worst_frame, (fc.m * nf - ns) / nf, (ns - fc.M * nf) / nf)
             back = ws.shift_invert(op, ws.shift_apply(op, f))
             worst_rt = max(worst_rt, float(np.max(np.abs(back.coeffs - f.coeffs))))
-    checks.append(_check("frame_sandwich", worst_frame, 1e-9))
-    checks.append(_check("shift_roundtrip", worst_rt, 1e-12))
+    return [_check(cfg, "frame_sandwich", worst_frame), _check(cfg, "shift_roundtrip", worst_rt)]
 
-    # |r_k - tail| eventually decreasing
+
+def _tail_window_start(c: complex, xi: float, k0: int) -> int:
+    """First k >= k0 past which |r_k - tail| of ``ws.frame_ratio`` decreases.
+
+    r_k - tail = tail (a k + b) / ((k+xi+3)(k+xi+2)) with a = 2 Re c - 2xi - 5
+    and b = |c|^2 - (xi+2)(xi+3).  Its k-derivative vanishes only at the roots
+    of a k^2 + 2b k + b(2xi+5) - a(xi+2)(xi+3); without a real root (or with
+    a = 0) the distance decreases for every k >= 0.
+    """
+    a = 2.0 * c.real - 2.0 * xi - 5.0
+    b = abs(c) ** 2 - (xi + 2.0) * (xi + 3.0)
+    quarter_disc = b * b - a * (b * (2.0 * xi + 5.0) - a * (xi + 2.0) * (xi + 3.0))
+    if a == 0.0 or quarter_disc < 0.0:
+        return k0
+    root = max((-b + np.sqrt(quarter_disc)) / a, (-b - np.sqrt(quarter_disc)) / a)
+    return max(k0, int(np.floor(root)) + 1)
+
+
+def monotone_tail(cfg, rng, recipe):
+    """|r_k - tail| decreases over ``n`` steps for c = 1.5+0.5i; the tolerance
+    is the distance at the window's start."""
+    wp = cfg.weight()
     op = ws.ShiftOp(1.5 + 0.5j)
     tail = (wp.xi + 3.0) * (wp.xi + 2.0)
-    k0 = int(2 * wp.xi + 2 * abs(op.c) + 10)
-    k = np.arange(k0, k0 + 200)
-    dist = np.abs(ws.frame_ratio(op, wp, k) - tail)
-    ok = bool(np.all(np.diff(dist) <= 1e-15))
-    checks.append(_check("monotone_tail", float(dist[-1]), float(dist[0]), ok=ok))
+    start = _tail_window_start(op.c, wp.xi, int(2 * wp.xi + 2 * abs(op.c) + 10))
+    dist = np.abs(ws.frame_ratio(op, wp, np.arange(start, start + recipe.n)) - tail)
+    return [_check(cfg, "monotone_tail", dist[-1], ok=bool(np.all(np.diff(dist) <= 1e-15)), tol=dist[0])]
 
-    # kernel step-one shift: derived constant annihilates the residual,
-    # the printed alternative does not
+
+def kernel_shift_derived_constant(cfg, rng, recipe):
+    """The derived constant 1/(xi+2) annihilates the step-one kernel shift
+    residual; the printed alternative 2/(xi+2) does not."""
     worst_good = 0.0
     best_bad = np.inf
-    for x in (0.0, 0.5, 1.0, 3.0):
+    for x in recipe.xis:
         wpx = WeightParam(x)
-        for w in (quad.KernelPoint(0.2), quad.KernelPoint(0.4 + 0.3j)):
-            worst_good = max(worst_good, ws.kernel_shift_residual(1.0 / (x + 2.0), w, wpx, 60))
-            best_bad = min(best_bad, ws.kernel_shift_residual(2.0 / (x + 2.0), w, wpx, 60))
-    checks.append(
-        _check(
-            "kernel_shift_derived_constant",
-            worst_good,
-            1e-12,
-            detail=f"printed-constant residual >= {best_bad:.6g}",
-        )
-    )
-    checks.append(_check("kernel_shift_printed_constant_fails", -float(best_bad), -1e-3, ok=best_bad >= 1e-3))
+        for w in map(quad.KernelPoint, recipe.points):
+            worst_good = max(worst_good, ws.kernel_shift_residual(1.0 / (x + 2.0), w, wpx, recipe.degree))
+            best_bad = min(best_bad, ws.kernel_shift_residual(2.0 / (x + 2.0), w, wpx, recipe.degree))
+    return [
+        _check(cfg, "kernel_shift_derived_constant", worst_good, detail=f"printed-constant residual >= {best_bad:.6g}"),
+        _check(cfg, "kernel_shift_printed_constant_fails", -float(best_bad)),
+    ]
 
-    # c = 0 bypass: kernel is the constants, image vanishes at 0
+
+def surjectivity_c_zero(cfg, rng, recipe):
+    """c = 0 bypass: the kernel is the constants, the image vanishes at 0."""
     op0 = ws.ShiftOp(0.0, allow_singular=True)
-    f = _random_poly(rng, 10)
-    img = ws.shift_apply(op0, f)
-    const = ws.shift_apply(op0, CoeffVector([3.7]))
-    ok = abs(img.coeffs[0]) == 0.0 and const == CoeffVector([0.0])
-    checks.append(_check("surjectivity_c_zero", 0.0 if ok else 1.0, 0.5, ok=ok))
-    return checks
+    img = ws.shift_apply(op0, _random_poly(rng, recipe.degree))
+    ok = abs(img.coeffs[0]) == 0.0 and ws.shift_apply(op0, CoeffVector([3.7])) == CoeffVector([0.0])
+    return [_check(cfg, "surjectivity_c_zero", 0.0 if ok else 1.0)]
 
 
-SUITES: Dict[str, Callable[[RunConfig], List[PropertyCheck]]] = {
-    "weight_core": suite_weight_core,
-    "disc_oracle": suite_disc_oracle,
-    "su11_algebra": suite_su11_algebra,
-    "discrete_series": suite_discrete_series,
-    "first_order_ops": suite_first_order_ops,
-    "uncertainty": suite_uncertainty,
-    "shift_iso": suite_shift_iso,
+# ---------------------------------------------------------------------------
+# the registry
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """A numbered acceptance criterion: the property run on
+    ``default_rng(seed)`` with ``RunConfig(seed=seed)`` and this recipe."""
+
+    number: int
+    seed: int
+    recipe: Recipe
+
+
+@dataclass(frozen=True)
+class Property:
+    """One property: its suite and, per check name, a tolerance that is a
+    number, a RunConfig field name, or None when the check measures its own."""
+
+    fn: Callable[[RunConfig, np.random.Generator, Recipe], List[PropertyCheck]]
+    suite: str
+    checks: Dict[str, Union[float, str, None]]
+    recipe: Recipe = Recipe()
+    criterion: Optional[Criterion] = None
+
+
+# suite -> offset of its generator's seed from cfg.seed; SUITES keeps this order
+SUITE_SEED_OFFSETS = {
+    "weight_core": 1,
+    "disc_oracle": 0,
+    "su11_algebra": 2,
+    "discrete_series": 3,
+    "first_order_ops": 4,
+    "uncertainty": 6,
+    "shift_iso": 7,
 }
+
+_INTEGER_XIS = (0.0, 1.0, 2.0)
+_SANDWICH_XIS = (0.0, 0.5, 2.0)
+_SHIFTS = ((-2.0, 0.0, 2.0), (-1.0, 0.0, 1.0))
+_WIDE_SHIFTS = ((-2.0, -1.0, 0.0, 1.0, 2.0),) * 2
+_KERNEL_XIS = (0.0, 0.5, 1.0, 3.0)
+
+# Within a suite, properties run in this order on one generator.
+REGISTRY: Tuple[Property, ...] = (
+    Property(norm_ratio_recurrence, "weight_core", {"norm_ratio_recurrence": "tol_exact"},
+             Recipe(xis=XI_SCAN, degree=300)),
+    Property(shift_limit_monotone, "weight_core", {"shift_limit_monotone": 1e-2}, Recipe(degree=1000)),
+    Property(oracle_equivalence_monomials, "weight_core", {"oracle_equivalence_monomials": "tol_quad"},
+             Recipe(xis=XI_SCAN, degree=12), Criterion(1, 100, Recipe(xis=XI_SCAN, degree=20))),
+    Property(sobolev_norm_equivalence, "weight_core", {"sobolev_norm_equivalence": 0.5}, Recipe(samples=50)),
+    Property(quadrature_rule, "disc_oracle",
+             {"probability_measure": 1e-12, "radial_exactness": 1e-9, "angular_exactness": 1e-12},
+             Recipe(xis=_INTEGER_XIS, degree=40)),
+    Property(kernel_series_consistency, "disc_oracle", {"kernel_series_consistency": 1e-10}, Recipe(degree=60)),
+    Property(reproducing_identity, "disc_oracle", {"reproducing_identity_spot": "tol_quad"}, Recipe(),
+             Criterion(2, 101, Recipe(samples=50, xi_range=(-0.5, 2.5), degree=12, random_degree=True))),
+    Property(basis_relations, "su11_algebra", {"bracket_WY_is_minus_2X": 1e-14, "W_equals_Z_minus_X": 1e-14}),
+    Property(jacobi_and_coords_roundtrip, "su11_algebra", {"jacobi_and_coords_roundtrip": 1e-12}, Recipe(samples=20)),
+    Property(exp_group_law, "su11_algebra", {"exp_group_law": 1e-10, "exp_determinant": 1e-10}, Recipe(samples=20)),
+    Property(derivative_richardson_order, "discrete_series", {"derivative_richardson_order": -1.9},
+             Recipe(samples=5, xis=_INTEGER_XIS, degree=6),
+             Criterion(3, 102, Recipe(samples=20, xis=_INTEGER_XIS, degree=6))),
+    Property(derived_op_skew_symmetry, "discrete_series", {"derived_op_skew_symmetry": "tol_exact"},
+             Recipe(samples=20, n=16), Criterion(4, 103, Recipe(samples=200, xis=(1.0,), n=24))),
+    Property(xnorm_two_route, "discrete_series", {"xnorm_two_route": "tol_exact"}, Recipe(samples=20)),
+    Property(norm_sandwich, "discrete_series", {"norm_sandwich": 1e-12},
+             Recipe(samples=167, xis=_SANDWICH_XIS, degree=16),
+             Criterion(7, 106, Recipe(samples=500, xis=_SANDWICH_XIS, degree=16, random_degree=True))),
+    Property(unitarity_integer_weight, "discrete_series",
+             {"unitarity_integer_weight": "tol_quad", "homomorphism_integer_weight": 1e-8},
+             Recipe(samples=5, xis=_INTEGER_XIS, degree=5),
+             Criterion(12, 110, Recipe(samples=20, xis=_INTEGER_XIS, degree=5))),
+    Property(classification_iff_hermitian, "first_order_ops", {"classification_iff_hermitian": 0.0},
+             Recipe(samples=34, xis=_SANDWICH_XIS, n=16),
+             Criterion(5, 104, Recipe(samples=400, xi_range=(-0.5, 3.0), n=16))),
+    Property(tridiagonal_equals_gram, "first_order_ops", {"tridiagonal_equals_gram": "tol_exact"},
+             Recipe(samples=10, xis=(0.0, 1.5), n=16),
+             Criterion(6, 105, Recipe(samples=50, xi_range=(-0.5, 3.0), n=16))),
+    Property(rep_decomposition_roundtrip, "first_order_ops",
+             {"rep_decomposition_roundtrip": "tol_exact", "i_rep_plus_d_hermitian": "tol_exact"},
+             Recipe(samples=20, n=12)),
+    Property(commutator_bracket_compat, "first_order_ops", {"commutator_bracket_compat": "tol_exact"},
+             Recipe(samples=50, n=12), Criterion(4, 103, Recipe(samples=200, xis=(1.0,), n=24))),
+    Property(zhu_no_scalar_commutator, "first_order_ops", {"zhu_no_scalar_commutator": 1e-8},
+             Recipe(samples=500), Criterion(9, 108, Recipe(samples=1000, xis=(0.0, 1.0, 2.5)))),
+    Property(uncertainty_inequality, "uncertainty",
+             {"uncertainty_slack_nonnegative": 1e-10, "equality_at_constants": 1e-12},
+             Recipe(samples=25, xis=XI_SCAN, degree=12, random_degree=True, shifts=_SHIFTS),
+             Criterion(8, 107, Recipe(samples=125, xis=XI_SCAN, degree=20, random_degree=True, shifts=_WIDE_SHIFTS))),
+    Property(two_route_consistency, "uncertainty", {"two_route_consistency": 1e-10},
+             Recipe(samples=10, xis=(0.0, 1.5), degree=12),
+             Criterion(8, 107, Recipe(samples=20, xis=(0.0, 1.0, 1.5, 2.5), degree=12))),
+    Property(optimal_shift_slack, "uncertainty", {"optimal_shift_slack": "tol_exact"}, Recipe(degree=8)),
+    Property(frame_sandwich, "shift_iso", {"frame_sandwich": 1e-12, "shift_roundtrip": 1e-12},
+             Recipe(samples=30, degree=32, n=64),
+             Criterion(10, 109, Recipe(samples=200, degree=32, random_degree=True, n=256))),
+    Property(monotone_tail, "shift_iso", {"monotone_tail": None}, Recipe(n=200)),
+    Property(kernel_shift_derived_constant, "shift_iso",
+             {"kernel_shift_derived_constant": 1e-12, "kernel_shift_printed_constant_fails": -1e-3},
+             Recipe(xis=_KERNEL_XIS, points=(0.2, 0.4 + 0.3j), degree=60),
+             Criterion(11, 111, Recipe(xis=_KERNEL_XIS, points=(0.2, 0.4, 0.4 + 0.3j), degree=60))),
+    Property(surjectivity_c_zero, "shift_iso", {"surjectivity_c_zero": 0.5}, Recipe(degree=10)),
+)
+
+_TOLERANCES = {name: tol for p in REGISTRY for name, tol in p.checks.items()}
+
+
+def _suite(name: str) -> Callable[[RunConfig], List[PropertyCheck]]:
+    props = [p for p in REGISTRY if p.suite == name]
+
+    def run(cfg: RunConfig) -> List[PropertyCheck]:
+        rng = np.random.default_rng(cfg.seed + SUITE_SEED_OFFSETS[name])
+        return [check for p in props for check in p.fn(cfg, rng, p.recipe)]
+
+    run.__name__ = run.__qualname__ = f"suite_{name}"
+    return run
+
+
+SUITES: Dict[str, Callable[[RunConfig], List[PropertyCheck]]] = {name: _suite(name) for name in SUITE_SEED_OFFSETS}
 
 
 def run_suites(cfg: RunConfig, names: Optional[List[str]] = None) -> dict:
@@ -561,7 +723,7 @@ def run_suites(cfg: RunConfig, names: Optional[List[str]] = None) -> dict:
     }
     for name in sorted(selected):
         checks = SUITES[name](cfg)
-        report["suites"][name] = [c.as_dict() for c in checks]
+        report["suites"][name] = [asdict(c) for c in checks]
         if not all(c.passed for c in checks):
             report["passed"] = False
     return report

@@ -36,25 +36,6 @@ class WeightParam:
             raise ValueError(f"weight parameter above supported range ({XI_MAX}): {self.xi}")
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Working truncation degree and the two tolerance regimes.
-
-    ``tol_exact`` guards coefficient-space identities (relative),
-    ``tol_quad`` guards comparisons against disc quadrature (absolute).
-    """
-
-    degree: int = 24
-    tol_exact: float = 1e-10
-    tol_quad: float = 1e-6
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("truncation degree must be >= 1")
-        if not (0.0 < self.tol_exact <= self.tol_quad):
-            raise ValueError("tolerances must satisfy 0 < tol_exact <= tol_quad")
-
-
 class CoeffVector:
     """A finite Taylor-coefficient sequence a_0..a_N.
 
@@ -138,12 +119,9 @@ class CoeffVector:
     def __repr__(self):
         return f"CoeffVector({list(self.coeffs)!r})"
 
-    def to_json(self) -> str:
-        """Serialize as a JSON array of [re, im] pairs, index = degree."""
-        return json.dumps([[c.real, c.imag] for c in self.coeffs])
-
     @classmethod
     def from_json(cls, text: str) -> "CoeffVector":
+        """Parse a JSON array of numbers or [re, im] pairs, index = degree."""
         data = json.loads(text)
         if not isinstance(data, list):
             raise ValueError("coefficient JSON must be an array")

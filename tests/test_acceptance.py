@@ -1,293 +1,41 @@
 """Acceptance suite: twelve numbered end-to-end criteria.
 
-Each test exercises one headline property across modules, prints a single
-pass/fail line with the measured margin, and asserts against the pinned
-tolerance.  Everything is seeded, so reruns are bit-identical.
+Each criterion runs its properties from ``bergman11.verification.REGISTRY``
+with the criterion's seed and recipe, prints one pass/fail line per check
+with the measured margin, and asserts that every check passed.  Everything is
+seeded, so reruns are bit-identical.
 """
 
-import json
-
 import numpy as np
-import pytest
 
-from bergman11 import (
-    CoeffVector,
-    FirstOrderOp,
-    KernelPoint,
-    QuadratureGrid,
-    RepContext,
-    ShiftOp,
-    SymmetricForm,
-    WeightParam,
-    basis_elements,
-    bergman_norm_sq,
-    bracket,
-    bracket_op,
-    classify_symmetric,
-    commutator_matrix,
-    consistency_check,
-    derivative_check,
-    derived_op,
-    exp_at,
-    frame_constants,
-    gram_matrix,
-    group_act,
-    hermiticity_defect,
-    integrate,
-    kernel_shift_residual,
-    monomial_norms_sq,
-    reproduce,
-    shift_apply,
-    shift_invert,
-    sobolev_norm_sq,
-    soltani_up,
-    symmetric_tridiagonal,
-    xnorm_sq,
-    zhu_scan,
-)
-from bergman11.cli import main as cli_main
-from bergman11.su11 import LieElement
-
-X, Y, Z, W = basis_elements()
-
-SAMPLE_PTS = (
-    np.array([0.1, 0.35, 0.6])[:, None] * np.exp(1j * np.array([0.3, 1.7, 2.9, 4.4]))[None, :]
-).ravel()
+from bergman11.verification import REGISTRY, RunConfig
 
 
-def report(num, label, ok, margin, tol):
-    status = "PASS" if ok else "FAIL"
-    line = f"criterion {num:02d} {label}: {status} (margin {margin:.3e}, tolerance {tol:.0e})"
-    print(line)
-    assert ok, line
+def criterion(num, label):
+    def test():
+        checks = []
+        for prop in REGISTRY:
+            crit = prop.criterion
+            if crit is not None and crit.number == num:
+                checks += prop.fn(RunConfig(seed=crit.seed), np.random.default_rng(crit.seed), crit.recipe)
+        assert checks, f"criterion {num} maps to no property"
+        for c in checks:
+            status = "PASS" if c.passed else "FAIL"
+            print(f"criterion {num:02d} {label}: {status} (margin {c.margin:.3e}, tolerance {c.tolerance:g}) {c.name}")
+        assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+    return test
 
 
-def rand_elt(rng):
-    return LieElement(float(rng.normal()), complex(rng.normal(), rng.normal()))
-
-
-def rand_poly(rng, deg):
-    return CoeffVector(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
-
-
-def test_criterion_01_oracle_equivalence():
-    # coefficient inner products vs disc quadrature, all monomial pairs deg <= 20
-    worst = 0.0
-    for x in (-0.5, 0.0, 1.0, 2.5):
-        wp = WeightParam(x)
-        grid = QuadratureGrid(wp)
-        powers = grid.nodes[None, :, :] ** np.arange(21)[:, None, None]
-        gram = np.einsum("jrm,krm,rm->jk", powers, np.conj(powers), grid.weights)
-        expected = np.diag(monomial_norms_sq(wp, 20))
-        worst = max(worst, float(np.max(np.abs(gram - expected))))
-    report(1, "oracle equivalence", worst <= 1e-6, worst, 1e-6)
-
-
-def test_criterion_02_reproducing_identity():
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(50):
-        x = float(rng.uniform(-0.5, 2.5))
-        wp = WeightParam(x)
-        grid = QuadratureGrid(wp)
-        deg = int(rng.integers(0, 13))
-        f = rand_poly(rng, deg)
-        w = KernelPoint(complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45)))
-        worst = max(worst, abs(reproduce(f, w, wp, grid) - f(w.w)))
-    report(2, "reproducing identity", worst <= 1e-6, worst, 1e-6)
-
-
-def test_criterion_03_derived_representation_consistency():
-    # central-difference derivative of the group action matches the derived
-    # operator with second-order convergence; pins the action's numerator
-    rng = np.random.default_rng(102)
-    gens = [X, Y, Z] + [rand_elt(rng) for _ in range(20)]
-    worst_order = np.inf
-    for x in (0.0, 1.0, 2.0):
-        ctx = RepContext(WeightParam(x))
-        f = rand_poly(rng, 6)
-        for u in gens:
-            e1 = derivative_check(u, f, 1e-3, ctx, SAMPLE_PTS)
-            e2 = derivative_check(u, f, 5e-4, ctx, SAMPLE_PTS)
-            if e1 < 1e-11:
-                continue
-            worst_order = min(worst_order, float(np.log2(e1 / e2)))
-    report(3, "derived representation order", worst_order >= 1.9, worst_order, 2)
-
-
-def test_criterion_04_skew_symmetry_and_commutators():
-    rng = np.random.default_rng(103)
-    wp = WeightParam(1.0)
-    worst = 0.0
-    for _ in range(200):
-        u, v = rand_elt(rng), rand_elt(rng)
-        gu = gram_matrix(derived_op(u, wp), wp, 24)
-        worst = max(worst, float(np.max(np.abs(gu + gu.conj().T))))
-        cm = commutator_matrix(derived_op(u, wp), derived_op(v, wp), wp, 24)
-        bm = gram_matrix(bracket_op(u, v, wp), wp, 24)
-        worst = max(worst, float(np.max(np.abs(cm - bm))))
-    report(4, "skew symmetry and commutators", worst <= 1e-10, worst, 1e-10)
-
-
-def _perturbed(rng, op, eps=1e-2):
-    mode = int(rng.integers(5))
-    f = op.fcoeffs.padded(3).copy()
-    g = op.gcoeffs.padded(2).copy()
-    if mode == 0:
-        f[1] += 1j * eps
-    elif mode == 1:
-        g[0] += 1j * eps
-    elif mode == 2:
-        f[2] += eps * (1 + 1j)
-    elif mode == 3:
-        g[1] += eps
-    else:
-        f[3] += eps
-    return FirstOrderOp(CoeffVector(f), CoeffVector(g))
-
-
-def test_criterion_05_classification_iff():
-    rng = np.random.default_rng(104)
-    agree = 0
-    for i in range(400):
-        x = float(rng.uniform(-0.5, 3.0))
-        wp = WeightParam(x)
-        form = SymmetricForm(
-            complex(rng.normal(), rng.normal()), float(rng.normal()), float(rng.normal()), wp
-        )
-        op = form.to_operator()
-        if i % 2 == 1:
-            op = _perturbed(rng, op)
-        verdict = classify_symmetric(op, wp, 1e-9).symmetric
-        gram_sym = hermiticity_defect(gram_matrix(op, wp, 16)) <= 1e-9
-        agree += int(verdict == gram_sym)
-    report(5, "classification iff hermitian", agree == 400, float(agree), 400)
-
-
-def test_criterion_06_tridiagonal_formula():
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for _ in range(50):
-        x = float(rng.uniform(-0.5, 3.0))
-        wp = WeightParam(x)
-        form = SymmetricForm(
-            complex(rng.normal(), rng.normal()), float(rng.normal()), float(rng.normal()), wp
-        )
-        bands = symmetric_tridiagonal(form, 16)
-        gram = gram_matrix(form.to_operator(), wp, 16)
-        worst = max(worst, float(np.max(np.abs(bands.to_dense() - gram))))
-        # spot value <L e_1, e_0> = a0 sqrt(xi + 2)
-        spot = complex(form.a0) * np.sqrt(x + 2.0)
-        worst = max(worst, abs(gram[0, 1] - spot))
-    report(6, "tridiagonal formula", worst <= 1e-10, worst, 1e-10)
-
-
-def test_criterion_07_norm_sandwich():
-    rng = np.random.default_rng(106)
-    worst = 0.0
-    for x in (0.0, 0.5, 2.0):
-        wp = WeightParam(x)
-        for _ in range(500):
-            f = rand_poly(rng, int(rng.integers(0, 17)))
-            mid = xnorm_sq(f, wp)
-            sob = sobolev_norm_sq(f, wp, 1)
-            lo = sob + ((x + 2.0) ** 2 - 1.0) * abs(f.coeffs[0]) ** 2
-            hi = 4.0 * (x + 2.0) ** 2 * sob
-            worst = max(worst, lo - mid, mid - hi)
-    report(7, "norm sandwich", worst <= 1e-12, worst, 1e-12)
-
-
-def test_criterion_08_uncertainty_inequality():
-    rng = np.random.default_rng(107)
-    shifts = (-2.0, -1.0, 0.0, 1.0, 2.0)
-    worst_slack = 0.0
-    for x in (-0.5, 0.0, 1.0, 2.5):
-        wp = WeightParam(x)
-        for _ in range(125):
-            f = rand_poly(rng, int(rng.integers(0, 21)))
-            for w in shifts:
-                for y in shifts:
-                    worst_slack = max(worst_slack, -soltani_up(f, w, y, wp).slack)
-    ok = worst_slack <= 1e-10
-
-    worst_eq = 0.0
-    for x in (-0.5, 0.0, 1.0, 2.5):
-        worst_eq = max(worst_eq, abs(soltani_up(CoeffVector([1.0]), 0.0, 0.0, WeightParam(x)).slack))
-    ok = ok and worst_eq <= 1e-12
-
-    worst_cc = 0.0
-    for x in (0.0, 1.0, 2.5):
-        wp = WeightParam(x)
-        for _ in range(20):
-            f = rand_poly(rng, 12)
-            worst_cc = max(
-                worst_cc, consistency_check(f, float(rng.normal()), float(rng.normal()), wp)
-            )
-    ok = ok and worst_cc <= 1e-10
-    report(8, "uncertainty inequality", ok, max(worst_slack, worst_eq, worst_cc), 1e-10)
-
-
-def test_criterion_09_no_scalar_commutators():
-    worst = 0.0
-    for x in (0.0, 1.0, 2.5):
-        # zhu_scan raises RuntimeError on any nonzero-scalar hit
-        rep = zhu_scan(1000, WeightParam(x), seed=108)
-        worst = max(worst, rep.max_scalar_magnitude)
-        assert rep.min_nonscalar_margin > 1e-8
-    report(9, "no scalar commutators", worst <= 1e-8, worst, 1e-8)
-
-
-def test_criterion_10_shift_isomorphism():
-    rng = np.random.default_rng(109)
-    op = ShiftOp(1.0)
-    wp, wp2 = WeightParam(0.0), WeightParam(2.0)
-    fc = frame_constants(op, wp, 256)
-    ok = abs(fc.m - 1.0) <= 1e-12 and abs(fc.M - 6.0) <= 1e-12
-    worst = 0.0
-    for _ in range(200):
-        f = rand_poly(rng, int(rng.integers(0, 25)))
-        nf = bergman_norm_sq(f, wp)
-        ns = bergman_norm_sq(shift_apply(op, f), wp2)
-        worst = max(worst, (fc.m * nf - ns) / nf, (ns - fc.M * nf) / nf)
-        back = shift_invert(op, shift_apply(op, f))
-        worst = max(worst, float(np.max(np.abs(back.coeffs - f.coeffs))))
-    report(10, "shift isomorphism frame (1, 6)", ok and worst <= 1e-12, worst, 1e-12)
-
-
-def test_criterion_11_kernel_shift_constant(capsys):
-    w = KernelPoint(0.4)
-    worst_good = 0.0
-    best_bad = np.inf
-    for x in (0.0, 1.0):
-        wp = WeightParam(x)
-        worst_good = max(worst_good, kernel_shift_residual(1.0 / (x + 2.0), w, wp, 60))
-        best_bad = min(best_bad, kernel_shift_residual(2.0 / (x + 2.0), w, wp, 60))
-    ok = worst_good <= 1e-12 and best_bad >= 1e-3
-
-    # the CLI report must display both constants, labeled derived vs printed
-    cli_main(["kernel", "--xi", "1.0", "--w", "0.4", "--trunc", "60"])
-    out = json.loads(capsys.readouterr().out)
-    ok = ok and {"derived_alpha", "derived_residual", "printed_alpha", "printed_residual"} <= set(out)
-    with capsys.disabled():
-        report(11, "kernel shift constant", ok, worst_good, 1e-12)
-
-
-def test_criterion_12_unitarity_and_homomorphism():
-    rng = np.random.default_rng(110)
-    worst_u = 0.0
-    worst_h = 0.0
-    for x in (0.0, 1.0, 2.0):
-        wp = WeightParam(x)
-        ctx = RepContext(wp)
-        grid = QuadratureGrid(wp, radial_points=96)
-        for _ in range(20):
-            g1 = exp_at(u := rand_elt(rng), 0.5 / max(1.0, u.norm()))
-            g2 = exp_at(v := rand_elt(rng), 0.5 / max(1.0, v.norm()))
-            f = rand_poly(rng, 5)
-            moved = integrate(lambda z: np.abs(group_act(g1, f, z, ctx)) ** 2, grid)
-            worst_u = max(worst_u, abs(moved.real - bergman_norm_sq(f, wp)))
-            lhs = group_act(g1, lambda z: group_act(g2, f, z, ctx), SAMPLE_PTS, ctx)
-            rhs = group_act(g1 @ g2, f, SAMPLE_PTS, ctx)
-            worst_h = max(worst_h, float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs)))))
-    ok = worst_u <= 1e-6 and worst_h <= 1e-8
-    report(12, "unitarity and homomorphism", ok, max(worst_u, worst_h * 1e2), 1e-6)
+test_criterion_01_oracle_equivalence = criterion(1, "oracle equivalence")
+test_criterion_02_reproducing_identity = criterion(2, "reproducing identity")
+test_criterion_03_derived_representation_consistency = criterion(3, "derived representation order")
+test_criterion_04_skew_symmetry_and_commutators = criterion(4, "skew symmetry and commutators")
+test_criterion_05_classification_iff = criterion(5, "classification iff hermitian")
+test_criterion_06_tridiagonal_formula = criterion(6, "tridiagonal formula")
+test_criterion_07_norm_sandwich = criterion(7, "norm sandwich")
+test_criterion_08_uncertainty_inequality = criterion(8, "uncertainty inequality")
+test_criterion_09_no_scalar_commutators = criterion(9, "no scalar commutators")
+test_criterion_10_shift_isomorphism = criterion(10, "shift isomorphism frame")
+test_criterion_11_kernel_shift_constant = criterion(11, "kernel shift constant")
+test_criterion_12_unitarity_and_homomorphism = criterion(12, "unitarity and homomorphism")

@@ -17,6 +17,7 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["passed"] is True
+        assert all(c["passed"] is True for checks in report["suites"].values() for c in checks)
         assert sorted(report["suites"]) == [
             "disc_oracle",
             "discrete_series",
@@ -56,6 +57,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "weight_core", "--out", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["passed"] is True
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, _, err = run(capsys, "verify", "--suite", "su11_algebra", "--out", str(target))
+        assert code == 2 and err.startswith("error: cannot write") and len(err.splitlines()) == 1
+
+    def test_zero_trunc_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "verify", "--trunc", "0")
+        assert code == 2 and "--trunc" in err
+
+    def test_xi_above_verify_range_names_the_range(self, capsys):
+        code, _, err = run(capsys, "verify", "--xi", "99")
+        assert code == 2 and "--xi" in err and "98" in err and "101" not in err
 
     def test_config_file_overrides(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -139,6 +153,12 @@ class TestRep:
         code, out, _ = run(capsys, "rep", str(abc))
         assert json.loads(out)["tau"] == 1.0
 
+    def test_non_real_a_is_usage_error(self, capsys, tmp_path):
+        abc = tmp_path / "abc.json"
+        abc.write_text(json.dumps({"a": [1, 2], "b": 0.0, "c": 0.0}))
+        code, _, err = run(capsys, "rep", str(abc))
+        assert code == 2 and "'a'" in err
+
 
 class TestShift:
     def test_reference_constants(self, capsys):
@@ -153,6 +173,10 @@ class TestShift:
     def test_singular_constant_is_usage_error(self, capsys):
         code, _, err = run(capsys, "shift", "0.0", "0.0", "64")
         assert code == 2
+
+    def test_negative_k_range_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "shift", "1", "0", "-5")
+        assert code == 2 and "k_range" in err
 
 
 class TestKernel:
@@ -170,6 +194,10 @@ class TestKernel:
         result = json.loads(out)
         assert result["alpha"] == 0.5
         assert result["residual"] <= 1e-12
+
+    def test_negative_trunc_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "kernel", "--trunc", "-1")
+        assert code == 2 and "--trunc" in err
 
 
 class TestUsage:

@@ -3,7 +3,6 @@ import pytest
 
 from bergman11 import (
     CoeffVector,
-    TruncationPolicy,
     WeightParam,
     basis_to_taylor,
     bergman_norm_sq,
@@ -38,14 +37,6 @@ class TestWeightParam:
 
     def test_accepts_interior(self):
         assert WeightParam(-0.999).xi == -0.999
-
-
-class TestTruncationPolicy:
-    def test_tolerance_ordering(self):
-        with pytest.raises(ValueError):
-            TruncationPolicy(degree=8, tol_exact=1e-6, tol_quad=1e-10)
-        with pytest.raises(ValueError):
-            TruncationPolicy(degree=0)
 
 
 class TestPochhammer:
@@ -115,10 +106,6 @@ class TestCoeffVector:
         f = CoeffVector([1, 2, 3])
         assert f(0.5) == pytest.approx(1 + 2 * 0.5 + 3 * 0.25)
         assert f.derivative() == CoeffVector([2, 6])
-
-    def test_json_roundtrip(self):
-        f = CoeffVector([1 + 2j, -0.5, 3j])
-        assert CoeffVector.from_json(f.to_json()) == f
 
     def test_json_is_re_im_pairs(self):
         assert CoeffVector.from_json("[[1.0, 0.0], [0.0, 1.0]]") == CoeffVector([1, 1j])
