@@ -4,6 +4,17 @@ Covers application in coefficient space, Gram matrices in the orthonormal
 basis, the symmetry classification (tridiagonal form), the decomposition of
 symmetric operators as i * (derived representation) + real constant, operator
 commutators, and the scalar-commutator impossibility scan.
+
+Both matrix builders are closed forms.  With e_n = s_n z^n and
+s_n = sqrt((xi+2)_n / n!), L = f d/dz + g maps e_n to
+sum_m (s_n / s_m)(n f_{m-n+1} + g_{m-n}) e_m, so its Gram matrix is banded
+with offsets m - n from -1 to max(deg f - 1, deg g) and is filled one band at
+a time.  The commutator of two first-order operators is again first order,
+
+    [f1 D + g1, f2 D + g2] = (f1 f2' - f2 f1') D + (f1 g2' - f2 g1'),
+
+so its matrix is the Gram matrix of that operator, exact at any coefficient
+degree.
 """
 
 from __future__ import annotations
@@ -53,16 +64,25 @@ def apply(op: FirstOrderOp, h: CoeffVector, degree: Optional[int] = None) -> Coe
 def gram_matrix(op: FirstOrderOp, xi: WeightParam, degree: int) -> np.ndarray:
     """Matrix M[m, n] = <L e_n, e_m> over the orthonormal basis, 0 <= m,n <= degree.
 
-    Uses <sum c_k z^k, e_m> = c_m / s_m with e_m = s_m z^m.
+    M[m, n] = (s_n / s_m)(n f_{m-n+1} + g_{m-n}), evaluated band by band as
+    (f_{k+1} (n s_n) + g_k s_n) / s_m for each offset k = m - n.
     """
-    scales = basis_scales(xi, degree + 2)
-    out_scales = basis_scales(xi, degree)
+    return _band_matrix(op, xi, degree)
+
+
+def _band_matrix(op: FirstOrderOp, xi: WeightParam, degree: int) -> np.ndarray:
+    # shared by gram_matrix and commutator_matrix; private, so that call
+    # tracing sees a commutator as one commutator_matrix call, not also a Gram one
+    f, g = op.fcoeffs.coeffs, op.gcoeffs.coeffs
+    s = basis_scales(xi, degree)
+    n_all = np.arange(degree + 1)
+    ns = n_all * s
     m = np.zeros((degree + 1, degree + 1), dtype=np.complex128)
-    for n in range(degree + 1):
-        en = np.zeros(n + 1, dtype=np.complex128)
-        en[n] = scales[n]
-        col = apply(op, CoeffVector(en)).padded(degree)
-        m[:, n] = col / out_scales
+    for k in range(-1, max(len(f) - 2, len(g) - 1) + 1):
+        n = n_all[max(0, -k) : max(0, degree + 1 - k)]  # clamped: a band past N is empty
+        fk = f[k + 1] if k + 1 < len(f) else 0.0
+        gk = g[k] if 0 <= k < len(g) else 0.0
+        m[n + k, n] = (fk * ns[n] + gk * s[n]) / s[n + k]
     return m
 
 
@@ -200,25 +220,28 @@ def derived_op(u: LieElement, xi: WeightParam) -> FirstOrderOp:
     return rep_operator(coords(u), xi)
 
 
+def _commutator_op(op1: FirstOrderOp, op2: FirstOrderOp) -> FirstOrderOp:
+    """The first-order operator L1 L2 - L2 L1 = (f1 f2' - f2 f1') D + (f1 g2' - f2 g1')."""
+    f1, g1, f2, g2 = op1.fcoeffs, op1.gcoeffs, op2.fcoeffs, op2.gcoeffs
+
+    def times(a: CoeffVector, b: CoeffVector) -> CoeffVector:
+        return CoeffVector(np.convolve(a.coeffs, b.coeffs))
+
+    return FirstOrderOp(
+        times(f1, f2.derivative()) - times(f2, f1.derivative()),
+        times(f1, g2.derivative()) - times(f2, g1.derivative()),
+    )
+
+
 def commutator_matrix(
     op1: FirstOrderOp, op2: FirstOrderOp, xi: WeightParam, degree: int
 ) -> np.ndarray:
     """Gram matrix of L1 L2 - L2 L1 on e_0..e_N.
 
-    Double application runs at working degree N+2, so every reported entry is
-    exact for operators with polynomial coefficients of degree <= 2.
+    L1 L2 - L2 L1 = (f1 f2' - f2 f1') D + (f1 g2' - f2 g1') is first order, so
+    this is the banded matrix of that operator, exact at any coefficient degree.
     """
-    work = degree + 2
-    scales = basis_scales(xi, work)
-    out_scales = basis_scales(xi, degree)
-    m = np.zeros((degree + 1, degree + 1), dtype=np.complex128)
-    for n in range(degree + 1):
-        en = np.zeros(n + 1, dtype=np.complex128)
-        en[n] = scales[n]
-        e = CoeffVector(en)
-        col = apply(op1, apply(op2, e, work), work) - apply(op2, apply(op1, e, work), work)
-        m[:, n] = col.padded(degree) / out_scales
-    return m
+    return _band_matrix(_commutator_op(op1, op2), xi, degree)
 
 
 def is_scalar(

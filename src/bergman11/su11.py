@@ -91,7 +91,9 @@ class GroupElement:
     """SU(1,1) element [[alpha, beta], [conj(beta), conj(alpha)]].
 
     Construction renormalizes when |alpha|^2 - |beta|^2 is within 1e-8 of 1
-    and rejects anything farther off.
+    and rejects anything farther off.  The difference is computed with a
+    rounding error of about eps * (|alpha|^2 + |beta|^2), so a deviation below
+    32 eps * max(1, |alpha|^2 + |beta|^2) is neither rejected nor renormalized.
     """
 
     alpha: complex
@@ -101,11 +103,13 @@ class GroupElement:
         a2 = abs(complex(self.alpha)) ** 2
         b2 = abs(complex(self.beta)) ** 2
         det = a2 - b2
-        if abs(det - 1.0) > RENORM_THRESHOLD:
-            raise ValueError(f"|alpha|^2 - |beta|^2 = {det}, not within 1e-8 of 1")
-        # only renormalize a deviation that exceeds the rounding noise of the
-        # determinant measurement itself, otherwise scaling injects error
+        # rounding noise of the determinant measurement itself
         noise = 32.0 * np.finfo(float).eps * max(1.0, a2 + b2)
+        bound = max(RENORM_THRESHOLD, noise)
+        if abs(det - 1.0) > bound:
+            raise ValueError(f"|alpha|^2 - |beta|^2 = {det}, not within {bound:.3g} of 1")
+        # only renormalize a deviation that exceeds the noise, otherwise
+        # scaling injects error
         if abs(det - 1.0) > noise:
             s = 1.0 / np.sqrt(det)
             object.__setattr__(self, "alpha", complex(self.alpha) * s)

@@ -35,6 +35,16 @@ class TestVerify:
         failed = [c["name"] for c in report["suites"]["weight_core"] if not c["passed"]]
         assert "norm_ratio_recurrence" in failed
 
+    def test_large_group_product_fails_honestly(self, capsys):
+        # exp_group_law builds elements with |alpha|^2 + |beta|^2 up to 3e8 at
+        # this seed; their determinant rounding is a property result, not a crash
+        code, out, _ = run(capsys, "verify", "--seed", "1744027778", "--suite", "su11_algebra")
+        assert code == 1
+        report = json.loads(out)
+        assert report["passed"] is False
+        failed = [c["name"] for c in report["suites"]["su11_algebra"] if not c["passed"]]
+        assert failed == ["exp_determinant"]
+
     def test_suite_filter(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "su11_algebra")
         assert code == 0

@@ -20,8 +20,9 @@ from bergman11 import (
     to_rep,
     zhu_scan,
 )
-from bergman11 import reporting
+from bergman11 import operators, reporting
 from bergman11.su11 import LieElement
+from bergman11.weights import basis_scales
 
 X, Y, Z, W = basis_elements()
 
@@ -31,6 +32,60 @@ Z_D_DZ = FirstOrderOp(CoeffVector([0.0, 1.0]), CoeffVector([0.0]))
 
 def rand_elt(rng):
     return LieElement(float(rng.normal()), complex(rng.normal(), rng.normal()))
+
+
+def rand_op(rng, deg_f, deg_g):
+    def coeffs(d):
+        return CoeffVector(rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1))
+
+    return FirstOrderOp(coeffs(deg_f), coeffs(deg_g))
+
+
+def gram_oracle(op, xi, degree):
+    """The per-column reference: apply L to each basis vector e_n."""
+    scales = basis_scales(xi, degree + 2)
+    out_scales = basis_scales(xi, degree)
+    m = np.zeros((degree + 1, degree + 1), dtype=np.complex128)
+    for n in range(degree + 1):
+        en = np.zeros(n + 1, dtype=np.complex128)
+        en[n] = scales[n]
+        col = apply(op, CoeffVector(en)).padded(degree)
+        m[:, n] = col / out_scales
+    return m
+
+
+def commutator_oracle(op1, op2, xi, degree):
+    """The double-application reference: L1 L2 e_n - L2 L1 e_n per column.
+
+    Each operator lowers the degree by at most one, so truncating at N+2
+    leaves every entry up to degree N exact."""
+    work = degree + 2
+    scales = basis_scales(xi, work)
+    out_scales = basis_scales(xi, degree)
+    m = np.zeros((degree + 1, degree + 1), dtype=np.complex128)
+    for n in range(degree + 1):
+        en = np.zeros(n + 1, dtype=np.complex128)
+        en[n] = scales[n]
+        e = CoeffVector(en)
+        col = apply(op1, apply(op2, e, work), work) - apply(op2, apply(op1, e, work), work)
+        m[:, n] = col.padded(degree) / out_scales
+    return m
+
+
+def oracle_cases(seed, count):
+    """Random (op1, op2, xi, N): deg f in 0..4, deg g in 0..3, xi in (-1, 5],
+    N in 0..24, led by bands wider than N."""
+    rng = np.random.default_rng(seed)
+    cases = [
+        (rand_op(rng, 4, 3), rand_op(rng, 4, 3), WeightParam(0.5), 1),
+        (rand_op(rng, 4, 3), rand_op(rng, 2, 1), WeightParam(-0.9), 0),
+        (rand_op(rng, 0, 0), rand_op(rng, 0, 0), WeightParam(2.0), 6),
+    ]
+    for _ in range(count):
+        ops = [rand_op(rng, *rng.integers(0, (5, 4))) for _ in range(2)]
+        xi = WeightParam(5.0 - 6.0 * float(rng.random()))
+        cases.append((*ops, xi, int(rng.integers(0, 25))))
+    return cases
 
 
 class TestApply:
@@ -84,6 +139,61 @@ class TestGram:
             for _ in range(4):
                 g = gram_matrix(derived_op(rand_elt(rng), wp), wp, 12)
                 assert hermiticity_defect(1j * g) <= 1e-10
+
+
+class TestClosedForms:
+    def test_gram_equals_per_column_oracle_bitwise(self):
+        for op, _, xi, n in oracle_cases(30, 200):
+            assert np.array_equal(gram_matrix(op, xi, n), gram_oracle(op, xi, n))
+
+    def test_commutator_matches_double_application(self):
+        for op1, op2, xi, n in oracle_cases(31, 200):
+            got = commutator_matrix(op1, op2, xi, n)
+            want = commutator_oracle(op1, op2, xi, n)
+            if is_scalar(operators._commutator_op(op1, op2), tol=0.0) == 0:
+                # a commuting pair: the closed form is exactly zero, the
+                # oracle holds only the rounding of its cancelling products
+                assert not np.any(got)
+                sizes = [np.max(np.abs(gram_matrix(op, xi, n + 3))) for op in (op1, op2)]
+                assert np.max(np.abs(want)) <= 1e-12 * sizes[0] * sizes[1]
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_commutator_operator_on_coefficients(self):
+        rng = np.random.default_rng(32)
+        for op1, op2, _, n in oracle_cases(33, 50):
+            h = CoeffVector(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+            l12, l21 = apply(op1, apply(op2, h)), apply(op2, apply(op1, h))
+            got = apply(operators._commutator_op(op1, op2), h)
+            n_out = max(got.degree, l12.degree)
+            diff = got.padded(n_out) - (l12 - l21).padded(n_out)
+            scale = max(np.max(np.abs(l12.coeffs)), np.max(np.abs(l21.coeffs)))
+            assert np.max(np.abs(diff)) <= 1e-13 * scale
+
+    def test_large_n_builds_bands_without_apply(self, monkeypatch):
+        calls = []
+
+        def counting_apply(*args, **kwargs):
+            calls.append(1)
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "apply", counting_apply)
+        rng = np.random.default_rng(34)
+        wp, n = WeightParam(0.7), 4096
+        op1, op2 = rand_op(rng, 2, 1), rand_op(rng, 3, 2)
+        # band offsets m - n: -1..1 for (2, 1); the commutator has deg f 4, deg g 3
+        for build, offsets in (
+            (lambda: gram_matrix(op1, wp, n), range(-1, 2)),
+            (lambda: commutator_matrix(op1, op2, wp, n), range(-1, 4)),
+        ):
+            m = build()
+            assert m.shape == (n + 1, n + 1) and m.dtype == np.complex128
+            for k in offsets:
+                rows = np.arange(max(0, k), n + 1 + min(0, k))
+                m[rows, rows - k] = 0.0
+            assert not np.any(m)
+            del m
+        assert calls == []
 
 
 class TestClassify:

@@ -89,8 +89,10 @@ class TestCoords:
 
 class TestGroupElement:
     def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            GroupElement(1.1, 0.0)
+        # (1e4, 1e4) has determinant 0: far outside the rounding noise of its size
+        for alpha, beta in ((1.1, 0.0), (2.0, 0.0), (1.0 + 1e-6, 0.0), (1e4, 1e4)):
+            with pytest.raises(ValueError):
+                GroupElement(alpha, beta)
 
     def test_renormalizes_small_drift(self):
         g = GroupElement(1.0 + 4e-9, 0.0)
