@@ -25,7 +25,7 @@ from .su11 import (
     exp_at,
     from_coords,
 )
-from .representation import RepContext, derivative_check, group_act, xnorm_sq
+from .representation import derivative_check, group_act, xnorm_sq
 from .operators import (
     ClassifyVerdict,
     FirstOrderOp,

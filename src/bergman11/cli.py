@@ -30,32 +30,7 @@ _HELP = {
     "trunc": "working truncation degree (>= 1)",
     "quad_r": "radial quadrature points",
     "quad_m": "angular quadrature points",
-    "out": "output path (default stdout)",
 }
-
-
-def _cast(field):
-    """The type of a RunConfig field, read from its default (str for None)."""
-    return str if field.default is None else type(field.default)
-
-
-def _add_common(p: argparse.ArgumentParser):
-    """One flag per RunConfig field, with the field's default."""
-    for f in fields(RunConfig):
-        flag = "--format" if f.name == "fmt" else "--" + f.name.replace("_", "-")
-        p.add_argument(
-            flag,
-            dest=f.name,
-            type=_cast(f),
-            default=f.default,
-            choices=("json", "csv") if f.name == "fmt" else None,
-            help=_HELP.get(f.name),
-        )
-    p.add_argument(
-        "--config",
-        default=None,
-        help="optional key=value file overriding the flag defaults",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,8 +38,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run verification suites")
-    _add_common(p)
+    # one flag per RunConfig field, with the field's default
+    for f in fields(RunConfig):
+        p.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=type(f.default),
+            default=f.default,
+            help=_HELP.get(f.name),
+        )
+    p.add_argument(
+        "--config",
+        default=None,
+        help="optional key=value file overriding the flag defaults",
+    )
     p.add_argument("--suite", action="append", choices=sorted(SUITES), default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("uncertainty", help="evaluate the uncertainty inequality")
     p.add_argument("f_file", help="JSON coefficient file ([re,im] pairs)")
@@ -97,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: str) -> dict:
     overrides = {}
-    casts = {f.name: _cast(f) for f in fields(RunConfig)}
+    casts = {f.name: type(f.default) for f in fields(RunConfig)}
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -136,26 +125,29 @@ def _read_json_file(path: str):
         raise UsageError(f"{path}: invalid JSON at byte {e.pos}: {e.msg}")
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _coeff_vector(data) -> CoeffVector:
-    try:
-        return CoeffVector.from_json(json.dumps(data))
-    except (ValueError, TypeError) as e:
-        raise UsageError(f"bad coefficient data: {e}")
+    """A JSON array of numbers or [re, im] pairs, index = degree."""
+    if not isinstance(data, list):
+        raise UsageError(f"coefficient data must be a JSON array, got {data!r}")
+    return CoeffVector([_complex_field(entry) for entry in data])
 
 
 def _real_field(data: dict, key: str) -> float:
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_real(value):
         raise UsageError(f"{key!r}: expected a real number, got {value!r}")
     return float(value)
 
 
 def _complex_field(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise UsageError(f"expected number or [re, im] pair, got {value!r}")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if not all(map(_is_real, parts)):
+        raise UsageError(f"expected number or [re, im] pair, got {value!r}")
+    return complex(*parts)
 
 
 def cmd_verify(args) -> int:
@@ -173,8 +165,8 @@ def cmd_verify(args) -> int:
         report = run_suites(cfg, args.suite)
     except ValueError as e:
         raise UsageError(str(e))
-    if cfg.fmt == "json":
-        _emit(reporting.dumps(report), cfg.out)
+    if args.format == "json":
+        _emit(reporting.dumps(report), args.out)
     else:
         lines = ["suite,check,passed,margin,tolerance"]
         for suite_name, checks in report["suites"].items():
@@ -184,7 +176,7 @@ def cmd_verify(args) -> int:
                         [suite_name, c["name"], int(c["passed"]), c["margin"], c["tolerance"]]
                     )
                 )
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), args.out)
     return 0 if report["passed"] else 1
 
 

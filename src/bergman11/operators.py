@@ -20,7 +20,7 @@ degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -244,23 +244,15 @@ def commutator_matrix(
     return _band_matrix(_commutator_op(op1, op2), xi, degree)
 
 
-def is_scalar(
-    obj: Union[FirstOrderOp, np.ndarray], tol: float = 1e-10
-) -> Optional[complex]:
-    """Return eta if the operator/matrix is within tol of eta * identity."""
-    if isinstance(obj, FirstOrderOp):
-        f = obj.fcoeffs.padded(obj.fcoeffs.degree)
-        g = obj.gcoeffs.padded(max(obj.gcoeffs.degree, 0))
-        if np.max(np.abs(f)) > tol:
-            return None
-        if len(g) > 1 and np.max(np.abs(g[1:])) > tol:
-            return None
-        return complex(g[0])
-    m = np.asarray(obj)
-    eta = complex(np.mean(np.diag(m)))
-    if np.max(np.abs(m - eta * np.eye(m.shape[0]))) > tol:
+def is_scalar(op: FirstOrderOp, tol: float = 1e-10) -> Optional[complex]:
+    """Return eta if the operator is within tol of eta * identity."""
+    f = op.fcoeffs.coeffs
+    g = op.gcoeffs.coeffs
+    if np.max(np.abs(f)) > tol:
         return None
-    return eta
+    if len(g) > 1 and np.max(np.abs(g[1:])) > tol:
+        return None
+    return complex(g[0])
 
 
 @dataclass(frozen=True)

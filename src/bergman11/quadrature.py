@@ -48,7 +48,7 @@ class QuadratureGrid:
 
         self.angles = 2.0 * np.pi * np.arange(angular_points) / angular_points
         self.nodes = np.sqrt(self.radial_nodes)[:, None] * np.exp(1j * self.angles)[None, :]
-        self.weights = np.repeat(self.radial_weights[:, None] / angular_points, angular_points, axis=1)
+        self.weights = np.broadcast_to(self.radial_weights[:, None] / angular_points, self.nodes.shape)
 
         mass = float(np.sum(self.weights))
         if abs(mass - 1.0) > 1e-12:
@@ -58,12 +58,9 @@ class QuadratureGrid:
 def integrate(F, grid: QuadratureGrid) -> complex:
     """Approximate the integral of F over the disc against d(nu_xi).
 
-    F may be a vectorized callable on complex arrays or a CoeffVector.
+    F is a vectorized callable on complex arrays, such as a CoeffVector.
     """
-    if isinstance(F, CoeffVector):
-        samples = F(grid.nodes)
-    else:
-        samples = np.asarray(F(grid.nodes), dtype=np.complex128)
+    samples = np.asarray(F(grid.nodes), dtype=np.complex128)
     if samples.shape != grid.nodes.shape:
         samples = np.broadcast_to(samples, grid.nodes.shape)
     bad = ~np.isfinite(samples)

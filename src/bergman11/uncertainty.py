@@ -14,7 +14,7 @@ import numpy as np
 
 from .operators import FirstOrderOp, apply, bracket_op, derived_op
 from .su11 import LieElement, W_GEN, Y_GEN
-from .weights import CoeffVector, WeightParam, bergman_norm_sq, inner_product
+from .weights import CoeffVector, WeightParam, bergman_norm_sq, inner_product, weighted_norm_sq
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,12 @@ def lie_up(
 def soltani_up(f: CoeffVector, w: float, y: float, xi: WeightParam) -> UncertaintyReport:
     """Bergman-space uncertainty inequality with shift parameters w, y.
 
-    lhs = (xi+2)||f||^2 + 2<z f', f>; rhs is the product of the norms of
+    lhs = (xi+2)||f||^2 + 2<z f', f> = sum (xi+2+2k) |a_k|^2 ||z^k||^2, real by
+    construction; rhs is the product of the norms of
     (1+z^2) f' + ((xi+2) z + i w) f and (z^2 - 1) f' + ((xi+2) z + y) f.
     """
     p = xi.xi + 2.0
-    zfp = CoeffVector(np.concatenate(([0.0], f.derivative().coeffs)))
-    cross = inner_product(zfp, f, xi)
-    if abs(cross.imag) > 1e-9 * max(1.0, abs(cross)):
-        raise RuntimeError(f"<z f', f> should be real, got {cross}")
-    lhs = p * bergman_norm_sq(f, xi) + 2.0 * cross.real
+    lhs = weighted_norm_sq(f, xi, p + 2.0 * np.arange(f.degree + 1))
 
     a_op_f = apply(
         FirstOrderOp(CoeffVector([1.0, 0.0, 1.0]), CoeffVector([1j * w, p])), f

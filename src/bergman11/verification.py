@@ -48,8 +48,6 @@ class RunConfig:
     seed: int = 20240901
     tol_exact: float = 1e-10
     tol_quad: float = 1e-6
-    fmt: str = "json"
-    out: Optional[str] = None
 
     def weight(self) -> WeightParam:
         return WeightParam(self.xi)
@@ -176,15 +174,12 @@ def sobolev_norm_equivalence(cfg, rng, recipe):
     k = np.arange(1, cfg.trunc + 1, dtype=float)
     ratio = k**2 / (k * (k + cfg.xi + 1.0))
     m, big_m = float(np.min(ratio)), float(np.max(ratio))
+    # the alternative norm |a_0|^2 + sum_{k>=1} k(k+xi+1) |a_k|^2 ||z^k||^2
+    phi = np.concatenate(([1.0], k * (k + cfg.xi + 1.0)))
     ok = True
     for _ in range(recipe.samples):
         f = _random_poly(rng, cfg.trunc)
-        w = weights.monomial_norms_sq(wp, f.degree)
-        kk = np.arange(f.degree + 1, dtype=float)
-        alt = float(
-            np.abs(f.coeffs[0]) ** 2
-            + np.sum(kk[1:] * (kk[1:] + cfg.xi + 1.0) * np.abs(f.coeffs[1:]) ** 2 * w[1:])
-        )
+        alt = weights.weighted_norm_sq(f, wp, phi)
         sob = weights.sobolev_norm_sq(f, wp, 1)
         ok = ok and (m * alt - 1e-9 <= sob <= big_m * alt + 1e-9)
     return [_check(cfg, "sobolev_norm_equivalence", 0.0 if ok else 1.0, detail=f"m={m:.6g} M={big_m:.6g}")]
@@ -268,17 +263,23 @@ def jacobi_and_coords_roundtrip(cfg, rng, recipe):
     return [_check(cfg, "jacobi_and_coords_roundtrip", worst)]
 
 
+def _norm_sq(g: su11.GroupElement) -> float:
+    return abs(g.alpha) ** 2 + abs(g.beta) ** 2
+
+
 def exp_group_law(cfg, rng, recipe):
-    """exp((s+t)u) = exp(su) exp(tu) and det exp((s+t)u) = 1."""
+    """exp((s+t)u) = exp(su) exp(tu) and det exp((s+t)u) = 1, each relative to
+    the rounding scale ||g||^2 = |alpha|^2 + |beta|^2 of GroupElement, floored
+    at 1: ||e^{su}|| ||e^{tu}|| for the product, ||e^{(s+t)u}||^2 for det."""
     worst = 0.0
     det_worst = 0.0
     for _ in range(recipe.samples):
         u = _random_element(rng)
         s, t = rng.uniform(-2, 2), rng.uniform(-2, 2)
-        lhs = su11.exp_at(u, s + t).matrix()
-        rhs = (su11.exp_at(u, s) @ su11.exp_at(u, t)).matrix()
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        det_worst = max(det_worst, abs(np.linalg.det(lhs) - 1.0))
+        g, gs, gt = (su11.exp_at(u, x) for x in (s + t, s, t))
+        diff = np.max(np.abs(g.matrix() - (gs @ gt).matrix()))
+        worst = max(worst, diff / max(1.0, np.sqrt(_norm_sq(gs) * _norm_sq(gt))))
+        det_worst = max(det_worst, abs(np.linalg.det(g.matrix()) - 1.0) / max(1.0, _norm_sq(g)))
     return [_check(cfg, "exp_group_law", worst), _check(cfg, "exp_determinant", det_worst)]
 
 
@@ -299,11 +300,11 @@ def derivative_richardson_order(cfg, rng, recipe):
     gens = list(su11.basis_elements()[:3]) + [_random_element(rng) for _ in range(recipe.samples)]
     worst_order = np.inf
     for x in recipe.xis:
-        ctx = rep.RepContext(WeightParam(x))
+        wpx = WeightParam(x)
         f = _random_poly(rng, recipe.degree)
         for u in gens:
-            e1 = rep.derivative_check(u, f, 1e-3, ctx, pts)
-            e2 = rep.derivative_check(u, f, 5e-4, ctx, pts)
+            e1 = rep.derivative_check(u, f, 1e-3, wpx, pts)
+            e2 = rep.derivative_check(u, f, 5e-4, wpx, pts)
             if e1 < 1e-11:
                 continue  # operator acts trivially; no order to measure
             worst_order = min(worst_order, np.log2(e1 / e2))
@@ -354,7 +355,6 @@ def unitarity_integer_weight(cfg, rng, recipe):
     worst_h = 0.0
     for x in recipe.xis:
         wpx = WeightParam(x)
-        ctx = rep.RepContext(wpx)
         grid = _grid(cfg, wpx, max(cfg.quad_r, 96))
         for _ in range(recipe.samples):
             u = _random_element(rng)
@@ -362,10 +362,10 @@ def unitarity_integer_weight(cfg, rng, recipe):
             v = _random_element(rng)
             g2 = su11.exp_at(v, 0.5 / max(1.0, v.norm()))
             f = _random_poly(rng, recipe.degree)
-            nrm = quad.integrate(lambda z: np.abs(rep.group_act(g1, f, z, ctx)) ** 2, grid)
+            nrm = quad.integrate(lambda z: np.abs(rep.group_act(g1, f, z, wpx)) ** 2, grid)
             worst_u = max(worst_u, abs(nrm.real - weights.bergman_norm_sq(f, wpx)))
-            lhs = rep.group_act(g1, lambda z: rep.group_act(g2, f, z, ctx), pts, ctx)
-            rhs = rep.group_act(g1 @ g2, f, pts, ctx)
+            lhs = rep.group_act(g1, lambda z: rep.group_act(g2, f, z, wpx), pts, wpx)
+            rhs = rep.group_act(g1 @ g2, f, pts, wpx)
             worst_h = max(worst_h, float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs)))))
     return [_check(cfg, "unitarity_integer_weight", worst_u), _check(cfg, "homomorphism_integer_weight", worst_h)]
 

@@ -1,15 +1,15 @@
 """Coefficient-space arithmetic on the weighted Bergman spaces of the unit disc.
 
 A holomorphic function is represented by its Taylor coefficients at 0
-(:class:`CoeffVector`).  All norms and inner products for the weight
-``xi > -1`` reduce to weighted l2 sums over the coefficients; the weights are
-ratios of Gamma functions evaluated through ``gammaln`` so that large degrees
-stay in range.
+(:class:`CoeffVector`).  Everything here rests on one sequence, the monomial
+norms ||z^k||^2 = k!/(xi+2)_k, whose logarithm L_k is evaluated in one place
+through ``gammaln`` so that large degrees stay in range.  The norms are exp(L),
+the orthonormal-basis scales s_k (e_k = s_k z^k) are exp(-L/2), and every norm
+is one weighted sum  sum_k |a_k|^2 ||z^k||^2 phi_k  over the coefficients.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -119,22 +119,6 @@ class CoeffVector:
     def __repr__(self):
         return f"CoeffVector({list(self.coeffs)!r})"
 
-    @classmethod
-    def from_json(cls, text: str) -> "CoeffVector":
-        """Parse a JSON array of numbers or [re, im] pairs, index = degree."""
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise ValueError("coefficient JSON must be an array")
-        coeffs = []
-        for entry in data:
-            if isinstance(entry, (int, float)):
-                coeffs.append(complex(entry))
-            elif isinstance(entry, list) and len(entry) == 2:
-                coeffs.append(complex(entry[0], entry[1]))
-            else:
-                raise ValueError(f"bad coefficient entry: {entry!r}")
-        return cls(coeffs)
-
 
 def pochhammer(xi: WeightParam, k: int) -> float:
     """Rising factorial (xi+2)_k via log-Gamma."""
@@ -147,10 +131,21 @@ def pochhammer(xi: WeightParam, k: int) -> float:
     return val
 
 
+def _log_norms_sq(xi: WeightParam, degree: int) -> np.ndarray:
+    """L_k = log ||z^k||^2 = log k! - log (xi+2)_k for k = 0..degree."""
+    k = np.arange(degree + 1)
+    return gammaln(k + 1.0) - (gammaln(k + xi.xi + 2.0) - gammaln(xi.xi + 2.0))
+
+
 def monomial_norms_sq(xi: WeightParam, degree: int) -> np.ndarray:
     """Array of ||z^k||^2 = k!/(xi+2)_k for k = 0..degree."""
-    k = np.arange(degree + 1)
-    return np.exp(gammaln(k + 1.0) + gammaln(xi.xi + 2.0) - gammaln(k + xi.xi + 2.0))
+    return np.exp(_log_norms_sq(xi, degree))
+
+
+def basis_scales(xi: WeightParam, degree: int) -> np.ndarray:
+    """Scales s_n with e_n(z) = s_n z^n, i.e. s_n = sqrt((xi+2)_n/n!) = exp(-L_n/2);
+    not a power of ``monomial_norms_sq``, which underflows to 0 where s_n is finite."""
+    return np.exp(-0.5 * _log_norms_sq(xi, degree))
 
 
 def monomial_norm_sq(xi: WeightParam, k: int) -> float:
@@ -167,36 +162,30 @@ def inner_product(f: CoeffVector, g: CoeffVector, xi: WeightParam) -> complex:
     return complex(np.sum(f.padded(n) * np.conj(g.padded(n)) * w))
 
 
+def weighted_norm_sq(f: CoeffVector, xi: WeightParam, phi) -> float:
+    """sum_k |a_k|^2 ||z^k||^2 phi_k; ``phi`` is a scalar or an array over k = 0..deg f."""
+    return float(np.sum(np.abs(f.coeffs) ** 2 * monomial_norms_sq(xi, f.degree) * phi))
+
+
 def bergman_norm_sq(f: CoeffVector, xi: WeightParam) -> float:
-    w = monomial_norms_sq(xi, f.degree)
-    return float(np.sum(np.abs(f.coeffs) ** 2 * w))
+    return weighted_norm_sq(f, xi, 1.0)
 
 
 def sobolev_norm_sq(f: CoeffVector, xi: WeightParam, n: int) -> float:
     """|b_0|^2 + sum_{k>=1} |b_k|^2 k^{2n} k!/(xi+2)_k."""
     if n < 1:
         raise ValueError(f"Sobolev order must be >= 1, got {n}")
-    w = monomial_norms_sq(xi, f.degree)
-    k = np.arange(f.degree + 1, dtype=float)
-    factor = np.ones_like(k)
-    factor[1:] = k[1:] ** (2 * n)
-    return float(np.sum(np.abs(f.coeffs) ** 2 * w * factor))
+    factor = np.arange(f.degree + 1, dtype=float) ** (2 * n)
+    factor[0] = 1.0
+    return weighted_norm_sq(f, xi, factor)
 
 
 def smooth_seminorm_sq(f: CoeffVector, xi: WeightParam, m: int) -> float:
     """Smooth-vector seminorm: sum |a_k|^2 ||z^k||^2 (xi(xi+2)+2k)^{2m}."""
     if m < 0:
         raise ValueError(f"seminorm order must be >= 0, got {m}")
-    w = monomial_norms_sq(xi, f.degree)
     k = np.arange(f.degree + 1, dtype=float)
-    weight = (xi.xi * (xi.xi + 2.0) + 2.0 * k) ** (2 * m)
-    return float(np.sum(np.abs(f.coeffs) ** 2 * w * weight))
-
-
-def basis_scales(xi: WeightParam, degree: int) -> np.ndarray:
-    """Scales s_n with e_n(z) = s_n z^n, i.e. s_n = sqrt((xi+2)_n/n!)."""
-    k = np.arange(degree + 1)
-    return np.exp(0.5 * (gammaln(k + xi.xi + 2.0) - gammaln(xi.xi + 2.0) - gammaln(k + 1.0)))
+    return weighted_norm_sq(f, xi, (xi.xi * (xi.xi + 2.0) + 2.0 * k) ** (2 * m))
 
 
 def basis_to_taylor(coeffs, xi: WeightParam) -> CoeffVector:

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .quadrature import KernelPoint
-from .weights import CoeffVector, WeightParam
+from .weights import CoeffVector, WeightParam, basis_scales
 
 SINGULAR_DISTANCE = 1e-12
 
@@ -88,10 +87,10 @@ def frame_constants(op: ShiftOp, xi: WeightParam, k_range: int) -> FrameConstant
 
 
 def kernel_coeffs(xi: WeightParam, w: KernelPoint, degree: int) -> np.ndarray:
-    """Taylor coefficients of K(., w): ((xi+2)_k / k!) conj(w)^k."""
+    """Taylor coefficients of K(., w) = sum_k e_k conj(e_k(w)), i.e.
+    s_k^2 conj(w)^k = ((xi+2)_k / k!) conj(w)^k."""
     k = np.arange(degree + 1)
-    poch = np.exp(gammaln(k + xi.xi + 2.0) - gammaln(xi.xi + 2.0) - gammaln(k + 1.0))
-    return poch * np.conj(complex(w.w)) ** k
+    return basis_scales(xi, degree) ** 2 * np.conj(complex(w.w)) ** k
 
 
 def kernel_shift_residual(alpha: float, w: KernelPoint, xi: WeightParam, degree: int) -> float:

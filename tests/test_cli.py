@@ -35,15 +35,15 @@ class TestVerify:
         failed = [c["name"] for c in report["suites"]["weight_core"] if not c["passed"]]
         assert "norm_ratio_recurrence" in failed
 
-    def test_large_group_product_fails_honestly(self, capsys):
+    def test_large_group_product_passes(self, capsys):
         # exp_group_law builds elements with |alpha|^2 + |beta|^2 up to 3e8 at
-        # this seed; their determinant rounding is a property result, not a crash
-        code, out, _ = run(capsys, "verify", "--seed", "1744027778", "--suite", "su11_algebra")
-        assert code == 1
+        # this seed; the group law and determinant are judged relative to that
+        # rounding scale, so the run neither crashes nor fails
+        code, out, err = run(capsys, "verify", "--seed", "1744027778", "--suite", "su11_algebra")
+        assert code == 0 and err == ""
         report = json.loads(out)
-        assert report["passed"] is False
-        failed = [c["name"] for c in report["suites"]["su11_algebra"] if not c["passed"]]
-        assert failed == ["exp_determinant"]
+        assert report["passed"] is True
+        assert all(c["passed"] for c in report["suites"]["su11_algebra"])
 
     def test_suite_filter(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "su11_algebra")
@@ -63,10 +63,12 @@ class TestVerify:
         assert all(line.startswith("su11_algebra,") for line in lines[1:])
 
     def test_out_file(self, capsys, tmp_path):
+        # the file holds exactly what standard output would
         target = tmp_path / "report.json"
-        code, out, _ = run(capsys, "verify", "--suite", "weight_core", "--out", str(target))
+        code, out, _ = run(capsys, "verify", "--suite", "su11_algebra", "--out", str(target))
         assert code == 0 and out == ""
-        assert json.loads(target.read_text())["passed"] is True
+        _, stdout, _ = run(capsys, "verify", "--suite", "su11_algebra")
+        assert target.read_bytes() == stdout.encode()
 
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"
@@ -90,10 +92,12 @@ class TestVerify:
         assert code == 1
 
     def test_config_file_rejects_unknown_key(self, capsys, tmp_path):
+        # output format and path are flags, not part of the run's configuration
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 3\n")
-        code, _, err = run(capsys, "verify", "--config", str(cfg))
-        assert code == 2 and "unknown config key" in err
+        for line in ("bogus = 3", "fmt = csv", "out = report.json"):
+            cfg.write_text(line + "\n")
+            code, _, err = run(capsys, "verify", "--config", str(cfg))
+            assert code == 2 and "unknown config key" in err
 
 
 class TestUncertainty:
@@ -123,6 +127,25 @@ class TestUncertainty:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "uncertainty", str(tmp_path / "absent.json"))
         assert code == 2 and "cannot read" in err
+
+    def test_bare_numbers_and_pairs_parse(self, capsys, tmp_path):
+        f = tmp_path / "f.json"
+        f.write_text("[1, [0.0, 0.0], 0.5]")
+        code, out, _ = run(capsys, "uncertainty", str(f))
+        assert code == 0 and json.loads(out)["inputs"]["deg"] == 2
+        f.write_text("[[0.0, 0.0], [1.0, 0.0]]")
+        _, pairs, _ = run(capsys, "uncertainty", str(f))
+        f.write_text("[0, 1]")
+        _, bare, _ = run(capsys, "uncertainty", str(f))
+        assert pairs == bare
+
+    @pytest.mark.parametrize("text", ['{"a": 1}', "[[1.0, 0.0, 2.0]]", '["1.0"]'])
+    def test_bad_coefficients_are_usage_errors(self, capsys, tmp_path, text):
+        f = tmp_path / "f.json"
+        f.write_text(text)
+        code, out, err = run(capsys, "uncertainty", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestClassify:

@@ -301,10 +301,6 @@ class TestIsScalar:
         assert is_scalar(D_DZ) is None
         assert is_scalar(FirstOrderOp(CoeffVector([0.0]), CoeffVector([0, 1]))) is None
 
-    def test_matrix_forms(self):
-        assert is_scalar(2.5 * np.eye(4)) == pytest.approx(2.5)
-        assert is_scalar(np.diag([1.0, 1.0, 2.0])) is None
-
 
 class TestZhuScan:
     def test_no_nonzero_scalar_commutators(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from bergman11 import (
     CoeffVector,
@@ -13,7 +14,7 @@ from bergman11 import (
     sobolev_norm_sq,
     taylor_to_basis,
 )
-from bergman11.weights import monomial_norms_sq
+from bergman11.weights import basis_scales, monomial_norms_sq
 
 
 def product_pochhammer(x, k):
@@ -107,9 +108,6 @@ class TestCoeffVector:
         assert f(0.5) == pytest.approx(1 + 2 * 0.5 + 3 * 0.25)
         assert f.derivative() == CoeffVector([2, 6])
 
-    def test_json_is_re_im_pairs(self):
-        assert CoeffVector.from_json("[[1.0, 0.0], [0.0, 1.0]]") == CoeffVector([1, 1j])
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             CoeffVector([np.inf])
@@ -190,6 +188,16 @@ class TestBasisConversion:
     def test_e1_at_weight_zero(self):
         f = basis_to_taylor([0.0, 1.0], WeightParam(0.0))
         assert f.coeffs[1] == pytest.approx(np.sqrt(2.0))
+
+    def test_scales_finite_where_norms_underflow(self):
+        # at xi = 100, ||z^k||^2 underflows to 0 from k ~ 6e4 (so a power of
+        # the norms gives inf); s_k = sqrt((xi+2)_k / k!) is about e^397 at k = 1e5
+        x, n = 100.0, 10**5
+        k = np.arange(n + 1)
+        direct = np.exp(0.5 * (gammaln(k + x + 2.0) - gammaln(x + 2.0) - gammaln(k + 1.0)))
+        s = basis_scales(WeightParam(x), n)
+        assert np.all(np.isfinite(s))
+        np.testing.assert_allclose(s, direct, rtol=1e-13, atol=0)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(11)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from bergman11 import (
     CoeffVector,
@@ -85,6 +86,16 @@ class TestKernelShift:
         c = kernel_coeffs(WeightParam(0.0), KernelPoint(0.3 + 0.1j), 6)
         k = np.arange(7)
         np.testing.assert_allclose(c, (k + 1.0) * np.conj(0.3 + 0.1j) ** k, rtol=1e-13)
+
+    def test_coeffs_finite_at_top_of_weight_range(self):
+        # at xi = 100, (xi+2)_k / k! stays below the double maximum up to
+        # k ~ 43000 (about e^700 at k = 4e4) and exceeds it beyond
+        x, n, w = 100.0, 40_000, 0.999
+        k = np.arange(n + 1)
+        direct = np.exp(gammaln(k + x + 2.0) - gammaln(x + 2.0) - gammaln(k + 1.0)) * w**k
+        got = kernel_coeffs(WeightParam(x), KernelPoint(w), n)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, direct, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("x", [0.0, 1.0, 2.5])
     def test_derived_constant_annihilates_residual(self, x):
