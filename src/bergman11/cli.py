@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields, replace
+
+import numpy as np
 
 from . import reporting
 from .operators import FirstOrderOp, classify_symmetric, to_rep
@@ -229,15 +232,23 @@ def cmd_kernel(args) -> int:
     w = KernelPoint(args.w)
     derived = 1.0 / (wp.xi + 2.0)
     printed = 2.0 / (wp.xi + 2.0)
-    result = {
-        "derived_alpha": derived,
-        "derived_residual": kernel_shift_residual(derived, w, wp, args.trunc),
-        "printed_alpha": printed,
-        "printed_residual": kernel_shift_residual(printed, w, wp, args.trunc),
-    }
-    if args.alpha is not None:
-        result["alpha"] = args.alpha
-        result["residual"] = kernel_shift_residual(args.alpha, w, wp, args.trunc)
+    # an overflowing kernel coefficient shows as a non-finite residual below
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = {
+            "derived_alpha": derived,
+            "derived_residual": kernel_shift_residual(derived, w, wp, args.trunc),
+            "printed_alpha": printed,
+            "printed_residual": kernel_shift_residual(printed, w, wp, args.trunc),
+        }
+        if args.alpha is not None:
+            result["alpha"] = args.alpha
+            result["residual"] = kernel_shift_residual(args.alpha, w, wp, args.trunc)
+    bad = [key for key, value in result.items() if not math.isfinite(value)]
+    if bad:
+        raise UsageError(
+            f"{', '.join(bad)} not finite at --xi {args.xi} --w {args.w} --trunc {args.trunc}: "
+            "the kernel coefficients or --alpha leave the double range"
+        )
     print(reporting.dumps(result))
     return 0
 

@@ -84,11 +84,17 @@ class CoeffVector:
         return CoeffVector(self.coeffs[1:] * k)
 
     def __call__(self, z):
-        """Evaluate the polynomial at scalar or array argument."""
+        """Evaluate the polynomial at scalar or array argument.
+
+        Horner's rule in one output buffer; ``z`` is only read.  For a scalar
+        ``out`` is a numpy scalar and the updates rebind it, so a scalar is
+        evaluated with the same scalar arithmetic as a fresh-array loop.
+        """
         z = np.asarray(z, dtype=np.complex128)
-        out = np.zeros_like(z)
-        for c in self.coeffs[::-1]:
-            out = out * z + c
+        out = np.full_like(z, self.coeffs[-1])[()]
+        for c in self.coeffs[-2::-1]:
+            out *= z
+            out += c
         return out if out.ndim else complex(out)
 
     def __eq__(self, other):

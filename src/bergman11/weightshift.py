@@ -9,12 +9,14 @@ reproducing kernel to the weight-(xi+1) kernel via (1/(xi+2)) z d/dz + 1.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .quadrature import KernelPoint
-from .weights import CoeffVector, WeightParam, basis_scales
+from .weights import CoeffVector, WeightParam, _log_norms_sq
 
 SINGULAR_DISTANCE = 1e-12
 
@@ -88,9 +90,19 @@ def frame_constants(op: ShiftOp, xi: WeightParam, k_range: int) -> FrameConstant
 
 def kernel_coeffs(xi: WeightParam, w: KernelPoint, degree: int) -> np.ndarray:
     """Taylor coefficients of K(., w) = sum_k e_k conj(e_k(w)), i.e.
-    s_k^2 conj(w)^k = ((xi+2)_k / k!) conj(w)^k."""
+    s_k^2 conj(w)^k = ((xi+2)_k / k!) conj(w)^k.
+
+    Evaluated as exp(-L_k + k log|w|) e^{-ik arg w}, so a coefficient is
+    finite wherever it is representable, although s_k^2 alone overflows and
+    |w|^k alone underflows at large degree; w = 0 gives e_0 only.
+    """
+    w = complex(w.w)
+    if w == 0:
+        out = np.zeros(degree + 1, dtype=np.complex128)
+        out[0] = 1.0
+        return out
     k = np.arange(degree + 1)
-    return basis_scales(xi, degree) ** 2 * np.conj(complex(w.w)) ** k
+    return np.exp(k * math.log(abs(w)) - _log_norms_sq(xi, degree)) * np.exp(-1j * cmath.phase(w) * k)
 
 
 def kernel_shift_residual(alpha: float, w: KernelPoint, xi: WeightParam, degree: int) -> float:

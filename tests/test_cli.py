@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from bergman11.cli import main
@@ -231,6 +232,25 @@ class TestKernel:
     def test_negative_trunc_is_usage_error(self, capsys):
         code, _, err = run(capsys, "kernel", "--trunc", "-1")
         assert code == 2 and "--trunc" in err
+
+    def test_large_weight_and_truncation_stay_finite(self, capsys):
+        # s_k^2 = (xi+2)_k/k! overflows from k ~ 4.3e4 and 0.4^k underflows
+        # long before; their product does neither
+        code, out, err = run(capsys, "kernel", "--xi", "98", "--trunc", "50000")
+        assert "NaN" not in out and "Infinity" not in out
+        assert code in (0, 2)
+        if code == 0:
+            result = json.loads(out)
+            assert all(np.isfinite(result[k]) for k in ("derived_residual", "printed_residual"))
+        else:
+            assert out == "" and len(err.strip().splitlines()) == 1
+
+    def test_overflowing_coefficients_exit_2(self, capsys):
+        # near |w| = 1 the coefficients themselves leave the double range
+        code, out, err = run(capsys, "kernel", "--xi", "98", "--w", "0.999999999", "--trunc", "100000")
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and "derived_residual" in lines[0] and "not finite" in lines[0]
 
 
 class TestUsage:

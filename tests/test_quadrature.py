@@ -46,13 +46,40 @@ class TestIntegrate:
         assert abs(integrate(CoeffVector([0, 0, 1]), grid0)) <= 1e-12
 
     def test_non_finite_sample_names_node(self, grid0):
+        # a NaN, +inf, -inf and a NaN only in the imaginary part, each alone
+        # at its own node; the scan after the sum must name that node
+        cases = [(np.nan, (0, 0)), (np.inf, (3, 17)), (-np.inf, (40, 200)), (complex(1.0, np.nan), (63, 255))]
+        for value, node in cases:
+
+            def bad(z):
+                out = np.ones_like(z)
+                out[node] = value
+                return out
+
+            with pytest.raises(ValueError, match="node") as err:
+                integrate(bad, grid0)
+            assert f"z={grid0.nodes[node]}" in str(err.value)
+
+    def test_first_non_finite_node_named(self, grid0):
+        # +inf and -inf cancel to NaN in the row sum; the scan names the first
         def bad(z):
             out = np.ones_like(z)
-            out[0, 0] = np.nan
+            out[5, 9] = np.inf
+            out[5, 10] = -np.inf
             return out
 
-        with pytest.raises(ValueError, match="node"):
+        with pytest.raises(ValueError, match="node") as err:
             integrate(bad, grid0)
+        assert f"z={grid0.nodes[5, 9]}" in str(err.value)
+
+    def test_sum_order_rows_then_radial_weights(self, grid0):
+        rng = np.random.default_rng(11)
+        samples = rng.normal(size=grid0.nodes.shape) + 1j * rng.normal(size=grid0.nodes.shape)
+        got = integrate(lambda z: samples, grid0)
+        # the old order multiplied the full grid by the weights and summed once;
+        # either order is within a few ulps of the absolute sum per component
+        bound = 2 * grid0.nodes.size * np.finfo(float).eps * np.sum(np.abs(samples) * grid0.weights)
+        assert abs(got - np.sum(samples * grid0.weights)) <= bound
 
     @pytest.mark.parametrize("x", [0.0, 1.0, 2.0])
     def test_radial_exactness_against_beta_values(self, x):
@@ -108,6 +135,57 @@ class TestKernel:
         # compare before the residual hits the rounding floor
         assert resid[18] <= resid[8] * rate**8
         assert resid[50] < 1e-10
+
+
+class TestKernelPrecision:
+    """kernel_eval against 40-digit mpmath at the same double inputs."""
+
+    XIS = (-0.9, 0.0, 2.5, 40.0, 98.0)
+    WS = (0.5 + 0.3j, 0.95j, -0.99, 0.7 - 0.7j)
+
+    @staticmethod
+    def _sample_z(rng, w):
+        # random points, plus points near the boundary facing w where
+        # |1 - z conj(w)| is smallest and the power is most ill-conditioned
+        n = 24
+        r = 0.999 * np.sqrt(rng.random(n))
+        z = r * np.exp(2j * np.pi * rng.random(n))
+        toward = 0.999 * np.exp(1j * (np.angle(w) + rng.uniform(-0.05, 0.05, 8)))
+        return np.concatenate([z, toward, [0.0, 0.999, -0.999, 0.999j]])
+
+    @pytest.mark.parametrize("x", XIS)
+    def test_relative_error_against_mpmath(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(int(1000 * (x + 1)))
+        wp = WeightParam(x)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for w in self.WS:
+                z = self._sample_z(rng, w)
+                got = kernel_eval(z, KernelPoint(w), wp)
+                p = -(mpmath.mpf(x) + 2)
+                wc = mpmath.conj(mpmath.mpc(w))
+                for zi, gi in zip(z, got):
+                    exact = mpmath.power(1 - mpmath.mpc(zi) * wc, p)
+                    worst = max(worst, float(abs(mpmath.mpc(gi) - exact) / abs(exact)))
+        assert worst <= 1e-12
+
+    def test_scalar_in_complex_out(self):
+        val = kernel_eval(0.3 + 0.2j, KernelPoint(0.5j), WeightParam(1.0))
+        assert type(val) is complex
+        assert type(kernel_eval(np.complex128(0.1), KernelPoint(0.5), WeightParam(0.0))) is complex
+
+    @pytest.mark.parametrize("shape", [(9,), (4, 6)], ids=["1d", "2d"])
+    def test_shape_kept_and_input_not_written(self, shape):
+        rng = np.random.default_rng(3)
+        z = 0.9 * (rng.uniform(-0.7, 0.7, shape) + 1j * rng.uniform(-0.7, 0.7, shape))
+        z_before = z.copy()
+        w, wp = KernelPoint(0.4 - 0.3j), WeightParam(2.5)
+        out = kernel_eval(z, w, wp)
+        assert out.shape == shape
+        assert np.array_equal(z, z_before)
+        pointwise = np.array([kernel_eval(complex(v), w, wp) for v in z.ravel()]).reshape(shape)
+        assert np.array_equal(out, pointwise)
 
 
 class TestReproduce:

@@ -113,6 +113,34 @@ class TestCoeffVector:
             CoeffVector([np.inf])
 
 
+def horner_alloc(coeffs, z):
+    """Test oracle: Horner's rule with a fresh array per step."""
+    z = np.asarray(z, dtype=np.complex128)
+    out = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        out = out * z + c
+    return out if out.ndim else complex(out)
+
+
+class TestCoeffVectorEval:
+    @pytest.mark.parametrize("shape", [(), (37,), (5, 11)], ids=["scalar", "1d", "2d"])
+    def test_bit_identical_to_allocating_horner(self, shape):
+        # z is complex128 already, so Horner receives the caller's array itself
+        rng = np.random.default_rng(2026)
+        for degree in range(31):
+            f = CoeffVector(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+            z = rng.uniform(-1, 1, size=shape) + 1j * rng.uniform(-1, 1, size=shape)
+            z_before = np.copy(z)
+            got = f(z)
+            want = horner_alloc(f.coeffs, z)
+            if shape:
+                assert got.shape == shape
+            else:
+                assert type(got) is complex
+            assert np.array_equal(got, want)
+            assert np.array_equal(z, z_before)
+
+
 class TestInnerProduct:
     def test_monomial_orthogonality(self):
         wp = WeightParam(1.3)

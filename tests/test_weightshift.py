@@ -97,6 +97,21 @@ class TestKernelShift:
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, direct, rtol=1e-13, atol=0)
 
+    def test_coeffs_at_origin_are_e0(self):
+        c = kernel_coeffs(WeightParam(3.0), KernelPoint(0.0), 5)
+        assert np.array_equal(c, [1, 0, 0, 0, 0, 0])
+
+    def test_coeffs_finite_where_scale_overflows(self):
+        # s_k^2 alone overflows from k ~ 4.3e4 at xi = 98; times 0.4^k the
+        # coefficients underflow to 0 instead of becoming NaN
+        x, n = 98.0, 50_000
+        got = kernel_coeffs(WeightParam(x), KernelPoint(0.4j), n)
+        assert np.all(np.isfinite(got))
+        k = np.arange(300)
+        direct = np.exp(gammaln(k + x + 2.0) - gammaln(x + 2.0) - gammaln(k + 1.0)) * (-0.4j) ** k
+        np.testing.assert_allclose(got[:300], direct, rtol=1e-12, atol=0)
+        assert np.all(got[5000:] == 0)
+
     @pytest.mark.parametrize("x", [0.0, 1.0, 2.5])
     def test_derived_constant_annihilates_residual(self, x):
         w = KernelPoint(0.4)
