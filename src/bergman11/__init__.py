@@ -9,7 +9,6 @@ from .weights import (
     inner_product,
     monomial_norm_sq,
     monomial_norms_sq,
-    pochhammer,
     smooth_seminorm_sq,
     sobolev_norm_sq,
     taylor_to_basis,

@@ -5,17 +5,165 @@ tensor rule with Gauss-Jacobi nodes in the radial variable s = r^2 (the
 weight (xi+1)(1-s)^xi is folded into the rule, so radial polynomials of
 degree <= 2R-1 integrate to machine precision for every xi > -1) and
 uniform angles with trapezoid weights.
+
+The radial rule is computed in numpy (``gauss_jacobi``): Halley steps on the
+three-term recurrence from asymptotic initial guesses, as Hale and Townsend
+do (SIAM J. Sci. Comput. 35, 2013).  For -0.999 <= xi <= 100 and
+8 <= R <= 1100 its nodes agree with a Golub-Welsch (eigenvalue) rule to
+6e-16 and its weights sum to 1 within 1e-13.  The weights are not rescaled to
+the exact mass, so the mass check in ``QuadratureGrid`` tests the rule.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .weights import CoeffVector, WeightParam
+
+# Halley passes over all nodes before gauss_jacobi gives up; two suffice, and
+# three near xi = -1 with few nodes.
+MAX_PASSES = 12
+# A pass whose largest step is below this fraction of the local node spacing
+# (in units of pi/n along theta, x = cos theta) ends the iteration: the cubic
+# rate leaves an error far below rounding after that step.
+STEP_TOL = 1e-6
+# Above this xi the initial guesses near s = 1 use Airy-zero phases (the
+# zeros there sit past a turning point); at or below it, Bessel zeros.
+_AIRY_XI = 3.0
+
+
+def _bessel_zeros(nu: float, k: np.ndarray) -> np.ndarray:
+    """Zeros j_{nu,k} of J_nu for k = 1, 2, ...: McMahon's expansion to four
+    terms, and for nu < -0.6 Piessens' series in nu + 1 for the first zero,
+    which tends to 0 as nu -> -1."""
+    mu = 4.0 * nu * nu
+    b = (k + nu / 2.0 - 0.25) * np.pi
+    e = 1.0 / (8.0 * b)
+    j = b - (mu - 1.0) * e * (
+        1.0 + 4.0 * (7.0 * mu - 31.0) / 3.0 * e**2 + 32.0 * (83.0 * mu * mu - 982.0 * mu + 3779.0) / 15.0 * e**4
+    )
+    if nu < -0.6:
+        v = nu + 1.0
+        series = 1.0 + v / 4.0 - 7.0 * v**2 / 96.0 + 49.0 * v**3 / 1536.0 - 8363.0 * v**4 / 1474560.0
+        j[0] = 2.0 * math.sqrt(v) * series
+    return j
+
+
+def _airy_phases(k: np.ndarray) -> np.ndarray:
+    """(2/3)|a_k|^(3/2) for the zeros a_k of Ai, from the asymptotic series of
+    |a_k| in t = 3 pi (4k - 1)/8 (Abramowitz-Stegun 10.4.105)."""
+    t = 3.0 * np.pi * (4.0 * k - 1.0) / 8.0
+    zero = t ** (2.0 / 3.0) * (1.0 + 5.0 / 48.0 * t**-2 - 5.0 / 36.0 * t**-4 + 77125.0 / 82944.0 * t**-6)
+    return 2.0 / 3.0 * zero**1.5
+
+
+def _initial_angles(n: int, a: float) -> np.ndarray:
+    """Liouville-Green guesses theta_1 < ... < theta_n for the zeros cos(theta)
+    of P_n^(a,0).
+
+    With t = theta/2, A = n + (a+1)/2 and B = max(a, 0)/2, the Langer-modified
+    equation has frequency sqrt(A^2 - B^2/sin^2 t), whose phase Phi from the
+    turning point sin t = B/A is closed-form and reaches pi (A - B) at theta = pi.
+    Zero k solves Phi = target_k.  Near theta = 0 the target is the Bessel
+    phase of j_{a,k} (a <= 3) or the Airy phase of a_k (a > 3); near theta = pi
+    it is pi (A - B) - j_{0,n+1-k}.  The guesses are within about 2e-3 of the
+    node spacing (7e-3 near xi = -1 with few nodes), so that one Halley pass
+    brings the nodes to rounding level.
+    """
+    A, B = n + (a + 1.0) / 2.0, max(a, 0.0) / 2.0
+    k = np.arange(1.0, n + 1.0)
+    half = (n + 1) // 2
+    target = np.empty(n)
+    near = k[:half]
+    if a > _AIRY_XI:
+        target[:half] = _airy_phases(near)
+    else:
+        j = _bessel_zeros(a, near)
+        target[:half] = np.sqrt(j * j - a * a) - a * np.arccos(a / j) if a > 0 else j
+    target[half:] = np.pi * (A - B) - _bessel_zeros(0.0, n + 1.0 - k[half:])
+    c = math.sqrt(A * A - B * B)
+    turn = 2.0 * math.asin(B / A)
+    theta = turn + (np.pi - turn) * target / (np.pi * (A - B))
+    for _ in range(20):
+        st, ct = np.sin(theta / 2.0), np.cos(theta / 2.0)
+        g = np.sqrt(np.maximum(A * A * st * st - B * B, 0.0))
+        phase = np.pi * (A - B) + 2.0 * (B * np.arctan2(B * ct, g) - A * np.arcsin(np.minimum(A * ct / c, 1.0)))
+        step = (phase - target) / np.maximum(g / st, 1e-2 * A)
+        theta = np.clip(theta - step, turn, np.pi)
+        if np.max(np.abs(step)) * n < 1e-6:
+            break
+    return theta
+
+
+def gauss_jacobi(n: int, a: float):
+    """Nodes s_1 < ... < s_n in (0, 1) and weights of the n-point Gauss rule
+    for the probability measure (a+1)(1-s)^a ds, a > -1.
+
+    With x = 2s - 1 the nodes are the zeros of P_n^(a,0)(x).  The iteration
+    runs in y = 1 - x = 2(1 - s), so that 1 - s keeps its relative precision
+    near s = 1, where the weights are large for a < 0.  r_k = 2^k (monic
+    P_k) obeys r_{k+1} = (2 - 2 alpha_k - 2y) r_k - 4 beta_k r_{k-1}; it is run
+    in Reinsch's form delta_{k+1} = gamma_k delta_k - 2y r_k,
+    r_{k+1} = rho_{k+1} r_k + delta_{k+1},
+    with rho_k = r_k(0)/r_{k-1}(0) and gamma_k = 4 beta_k/rho_k, which carries y
+    itself rather than 2 - 2y rounded.  Every factor is an integer plus a, so
+    1 + a stays exact.  All n nodes take Halley steps together, with r' from
+    r_n, r_{n-1} and r'' from the Jacobi equation, until the largest step is
+    below ``STEP_TOL`` of the node spacing; ``RuntimeError`` after
+    ``MAX_PASSES`` passes.
+
+    The weight is 2 prod_{j<n}(4 beta_j) / (r_{n-1} r_n'), which equals
+    (a+1)/((1-x^2) P_n'(x)^2).  It is taken in log space so that nothing
+    overflows: at a = 98, n = 1024, P_n' reaches 1e130 at the nodes and the
+    smallest weight is 1e-257.  r_n' at the final node is the Taylor step of
+    second order from the last pass, and the product uses the same rounded
+    beta_j as the recurrence, so the weights sum to 1 within 1e-13 for
+    8 <= n <= 1100.
+    """
+    k = np.arange(1.0, n)
+    m = np.arange(1.0, n + 1.0)
+    beta4 = 16.0 * k * k * (k + a) ** 2 / ((2.0 * k + a) ** 2 * ((2.0 * k - 1.0) + a) * ((2.0 * k + 1.0) + a))
+    rho = 4.0 * (m + a) / (2.0 * m + a) * (m + a) / ((2.0 * m - 1.0) + a)
+    steps = list(zip((beta4 / rho[:-1]).tolist(), rho[1:].tolist()))
+    top = 8.0 * n * (n + a) ** 2 / ((2.0 * n + a) * ((2.0 * n - 1.0) + a))
+    y = 2.0 * np.sin(_initial_angles(n, a) / 2.0) ** 2
+    tmp = np.empty(n)
+    for _ in range(MAX_PASSES):
+        v = 2.0 * y
+        prev, delta = np.ones(n), -v
+        r = rho[0] + delta
+        for gamma, rho_next in steps:
+            delta *= gamma
+            np.multiply(r, v, out=tmp)
+            delta -= tmp
+            np.multiply(r, rho_next, out=prev)
+            prev += delta
+            prev, r = r, prev
+        om = y * (2.0 - y)  # 1 - x^2
+        d1 = n * (((2.0 * n + a) * y - 2.0 * n) * r + top * prev) / ((2.0 * n + a) * om)
+        d2 = ((2.0 * a + 2.0 - (a + 2.0) * y) * d1 - n * (n + a + 1.0) * r) / om
+        ratio = r / d1
+        step = ratio / (1.0 - 0.5 * ratio * d2 / d1)
+        if np.max(np.abs(step) / np.sqrt(om)) * n <= STEP_TOL:
+            break
+        y = y + step
+    else:
+        raise RuntimeError(f"Gauss-Jacobi nodes for xi={a}, n={n} did not converge in {MAX_PASSES} passes")
+    d3 = ((2.0 * a + 4.0 - (a + 4.0) * y) * d2 + (a + 2.0 - n * (n + a + 1.0)) * d1) / om
+    y = y + step
+    d1 = d1 - d2 * step + 0.5 * d3 * step * step
+    om = y * (2.0 - y)
+    if not (y[0] > 0.0 and y[-1] < 2.0 and np.all(np.diff(y) > 0.0)):
+        raise RuntimeError(f"Gauss-Jacobi nodes for xi={a}, n={n} are not separated")
+    log_c = math.log(2.0) + math.fsum(np.log(beta4).tolist()) - math.log(
+        (2.0 * n + a) ** 2 * ((2.0 * n - 1.0) + a) / (8.0 * n * n * (n + a) ** 2)
+    )
+    weights = np.exp(log_c - np.log(om) - 2.0 * np.log(np.abs(d1)))
+    return (1.0 - y / 2.0)[::-1], weights[::-1]
 
 
 @dataclass(frozen=True)
@@ -41,11 +189,8 @@ class QuadratureGrid:
         self.radial_points = radial_points
         self.angular_points = angular_points
 
-        # Gauss-Jacobi on [-1,1] with weight (1-x)^xi, mapped to s in [0,1];
-        # the (xi+1) prefactor normalizes the radial marginal to mass 1.
-        x, w = roots_jacobi(radial_points, xi.xi, 0.0)
-        self.radial_nodes = (x + 1.0) / 2.0
-        self.radial_weights = w * (xi.xi + 1.0) * 2.0 ** (-(xi.xi + 1.0))
+        # the radial marginal (xi+1)(1-s)^xi ds has mass 1
+        self.radial_nodes, self.radial_weights = gauss_jacobi(radial_points, xi.xi)
 
         self.angles = 2.0 * np.pi * np.arange(angular_points) / angular_points
         self.nodes = np.sqrt(self.radial_nodes)[:, None] * np.exp(1j * self.angles)[None, :]
@@ -120,9 +265,23 @@ def kernel_eval(z, w: KernelPoint, xi: WeightParam):
 
 
 def reproduce(f: CoeffVector, w: KernelPoint, xi: WeightParam, grid: QuadratureGrid) -> complex:
-    """Evaluate <f, K_w> by quadrature; the reproducing identity makes this f(w)."""
+    """Evaluate <f, K_w> by quadrature; the reproducing identity makes this f(w).
+
+    The integrand conj(K(z, w)) f(z) is formed in the kernel's own buffer, so
+    the only full-grid arrays are that buffer and the values of f.
+    """
     if grid.radial_points < f.degree + 4:
         raise ValueError(
             f"grid with {grid.radial_points} radial points too coarse for degree {f.degree}"
         )
-    return integrate(lambda z: f(z) * np.conj(kernel_eval(z, w, xi)), grid)
+
+    def integrand(z):
+        out = kernel_eval(z, w, xi)
+        np.conjugate(out, out=out)
+        # conj(K) stays the left operand, as it was when numpy reused the
+        # temporary conj(K) of  f(z) * np.conj(K)  on grids of 256 KiB and up:
+        # with fused multiply-adds a complex product is not bitwise symmetric
+        out *= f(z)
+        return out
+
+    return integrate(integrand, grid)

@@ -2,10 +2,15 @@
 
 A holomorphic function is represented by its Taylor coefficients at 0
 (:class:`CoeffVector`).  Everything here rests on one sequence, the monomial
-norms ||z^k||^2 = k!/(xi+2)_k, whose logarithm L_k is evaluated in one place
-through ``gammaln`` so that large degrees stay in range.  The norms are exp(L),
-the orthonormal-basis scales s_k (e_k = s_k z^k) are exp(-L/2), and every norm
-is one weighted sum  sum_k |a_k|^2 ||z^k||^2 phi_k  over the coefficients.
+norms ||z^k||^2 = k!/(xi+2)_k, whose logarithm L_k is evaluated in one place,
+as L_k = -sum_{j<=k} log1p((xi+1)/j), so that large degrees stay in range.
+Against 40-digit mpmath (tests/log_norms_reference.json) the absolute error
+of L_k, which is the relative error of ||z^k||^2, is at most 3.2e-13 for
+-0.999 <= xi <= 2.5, 8.7e-13 at xi = 10, 7.7e-12 at xi = 40 and 1.7e-11 at
+xi = 100, for k <= 10^5; log-Gamma differences are off by 1e-10 to 3.5e-10
+there.  The norms are exp(L), the orthonormal-basis scales s_k
+(e_k = s_k z^k) are exp(-L/2), and every norm is one weighted sum
+sum_k |a_k|^2 ||z^k||^2 phi_k  over the coefficients.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 # Documented supported range for the weight parameter; beyond this the
 # Gamma-ratio weights leave the comfortable double range.
@@ -126,21 +130,12 @@ class CoeffVector:
         return f"CoeffVector({list(self.coeffs)!r})"
 
 
-def pochhammer(xi: WeightParam, k: int) -> float:
-    """Rising factorial (xi+2)_k via log-Gamma."""
-    if k < 0:
-        raise ValueError(f"pochhammer index must be >= 0, got {k}")
-    log_val = gammaln(k + xi.xi + 2.0) - gammaln(xi.xi + 2.0)
-    val = math.exp(log_val) if log_val < 709.0 else math.inf
-    if not math.isfinite(val):
-        raise OverflowError(f"(xi+2)_k overflows for xi={xi.xi}, k={k}")
-    return val
-
-
 def _log_norms_sq(xi: WeightParam, degree: int) -> np.ndarray:
-    """L_k = log ||z^k||^2 = log k! - log (xi+2)_k for k = 0..degree."""
-    k = np.arange(degree + 1)
-    return gammaln(k + 1.0) - (gammaln(k + xi.xi + 2.0) - gammaln(xi.xi + 2.0))
+    """L_k = log ||z^k||^2 = log k! - log (xi+2)_k = -sum_{j<=k} log1p((xi+1)/j)
+    for k = 0..degree; each term is a log1p of a ratio, so no large logs cancel."""
+    out = np.zeros(degree + 1)
+    np.cumsum(np.log1p((xi.xi + 1.0) / np.arange(1.0, degree + 1.0)), out=out[1:])
+    return np.negative(out, out=out)
 
 
 def monomial_norms_sq(xi: WeightParam, degree: int) -> np.ndarray:

@@ -1,0 +1,15 @@
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+REFERENCE = Path(__file__).with_name("log_norms_reference.json")
+
+
+@pytest.fixture(scope="session")
+def log_norms_ref():
+    """xi -> (k, L_k): the 40-digit table of L_k = log k! - log (xi+2)_k
+    written by make_reference.py, rounded to doubles."""
+    table = json.loads(REFERENCE.read_text())["log_norms"]
+    return {float(xi): (np.array(row["k"]), np.array([float(v) for v in row["L"]])) for xi, row in table.items()}

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -245,6 +247,15 @@ class TestKernel:
         else:
             assert out == "" and len(err.strip().splitlines()) == 1
 
+    def test_large_weight_residuals_are_relative(self, capsys):
+        # relative to ||K_{xi+1}|| = 4.2e21 the derived constant leaves
+        # rounding and the printed one 0.40
+        code, out, _ = run(capsys, "kernel", "--xi", "98", "--trunc", "50000")
+        assert code == 0
+        result = json.loads(out)
+        assert result["derived_residual"] <= 1e-12
+        assert result["printed_residual"] == pytest.approx(0.4, rel=1e-6)
+
     def test_overflowing_coefficients_exit_2(self, capsys):
         # near |w| = 1 the coefficients themselves leave the double range
         code, out, err = run(capsys, "kernel", "--xi", "98", "--w", "0.999999999", "--trunc", "100000")
@@ -263,3 +274,16 @@ class TestUsage:
     def test_bad_xi(self, capsys):
         code, _, err = run(capsys, "verify", "--xi", "-2.0")
         assert code == 2
+
+
+class TestRuntimeDependencies:
+    def test_import_and_verify_leave_scipy_unloaded(self):
+        # numpy is the only runtime dependency; scipy is a test reference
+        code = (
+            "import sys, bergman11.cli as cli; "
+            "assert 'scipy' not in sys.modules, 'import'; "
+            "rc = cli.main(['verify']); "
+            "assert 'scipy' not in sys.modules, 'verify'; sys.exit(rc)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -311,3 +311,19 @@ class TestZhuScan:
     def test_report_roundtrips_to_json(self):
         report = zhu_scan(10, WeightParam(0.0), seed=1)
         assert '"samples": 10' in reporting.dumps(report)
+
+
+class TestGramPrecision:
+    @pytest.mark.parametrize("offset", [1, 50, 150])
+    def test_entries_against_reference_table(self, offset, log_norms_ref):
+        # multiplication by z^K has M[n+K, n] = s_n / s_{n+K} = exp((L_{n+K} - L_n)/2);
+        # at xi = 98 the error is at most 7.8e-14 against the 40-digit table,
+        # and a log-Gamma route (3.1e-13 to 4.6e-13) fails the bound
+        k, L = log_norms_ref[98.0]
+        n_max = 299
+        assert np.array_equal(k[: n_max + 1], np.arange(n_max + 1))
+        op = FirstOrderOp(CoeffVector([0.0]), CoeffVector([0.0] * offset + [1.0]))
+        m = gram_matrix(op, WeightParam(98.0), n_max)
+        n = np.arange(n_max + 1 - offset)
+        want = np.exp(0.5 * (L[n + offset] - L[n]))
+        np.testing.assert_allclose(m[n + offset, n], want, rtol=1.5e-13, atol=0)

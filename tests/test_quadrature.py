@@ -9,9 +9,10 @@ from bergman11 import (
     integrate,
     kernel_eval,
     monomial_norm_sq,
-    pochhammer,
     reproduce,
 )
+from bergman11 import quadrature
+from bergman11.quadrature import gauss_jacobi
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +31,69 @@ class TestGridConstruction:
     def test_probability_mass(self, x):
         grid = QuadratureGrid(WeightParam(x))
         assert abs(np.sum(grid.weights) - 1.0) <= 1e-12
+
+
+GJ_XIS = (-0.999, -0.5, 0.0, 2.35, 10.0, 40.0, 98.0)
+GJ_SIZES = (8, 64, 96, 512, 1024)
+
+
+class TestGaussJacobi:
+    """The numpy rule against the eigenvalue-based rule of scipy (a test-only
+    reference) and against exact radial moments j! Gamma(xi+2)/Gamma(j+xi+2)."""
+
+    @pytest.mark.parametrize("x", GJ_XIS)
+    def test_nodes_match_reference_rule(self, x):
+        special = pytest.importorskip("scipy.special")
+        for n in GJ_SIZES:
+            s, w = gauss_jacobi(n, x)
+            ref, _ = special.roots_jacobi(n, x, 0.0)
+            assert np.max(np.abs((2.0 * s - 1.0) - ref)) <= 1e-14
+            assert np.all(np.diff(s) > 0) and 0.0 < s[0] and s[-1] < 1.0
+            # at xi = 98, n = 1024 the smallest weight is 1e-257
+            assert np.all(np.isfinite(w)) and np.all(w > 0)
+
+    @pytest.mark.parametrize("x", GJ_XIS)
+    def test_radial_moments_exact(self, x):
+        # the reference rule is rescaled to the exact mass, this one is not;
+        # both must integrate s^j, j < 2n, to their rounding level
+        special = pytest.importorskip("scipy.special")
+        mpmath = pytest.importorskip("mpmath")
+        for n in GJ_SIZES:
+            s, w = gauss_jacobi(n, x)
+            ref_x, ref_w = special.roots_jacobi(n, x, 0.0)
+            ref_s, ref_w = (ref_x + 1.0) / 2.0, ref_w * (x + 1.0) * 2.0 ** (-(x + 1.0))
+            js = sorted(set(range(0, 2 * n, max(1, n // 16))) | {2 * n - 1})
+            with mpmath.workdps(30):
+                xm = mpmath.mpf(x)
+                log_exact = [mpmath.loggamma(j + 1) + mpmath.loggamma(xm + 2) - mpmath.loggamma(j + xm + 2) for j in js]
+                exact = [float(mpmath.exp(v)) for v in log_exact]
+            err = max(abs(np.sum(w * s**j) - e) for j, e in zip(js, exact))
+            ref_err = max(abs(np.sum(ref_w * ref_s**j) - e) for j, e in zip(js, exact))
+            assert err <= ref_err + 1e-13
+
+    @pytest.mark.parametrize("x", GJ_XIS)
+    def test_grids_pass_mass_check(self, x):
+        for n in GJ_SIZES:
+            grid = QuadratureGrid(WeightParam(x), radial_points=n, angular_points=16)
+            assert abs(np.sum(grid.radial_weights) - 1.0) <= 1e-12
+
+    def test_weights_follow_the_last_step(self, monkeypatch):
+        # stopping after one pass leaves steps of ~2e-3 node spacings; the
+        # weight formula is then carried to the moved nodes by a second-order
+        # Taylor step (a first-order one is off by ~2e-5 here)
+        special = pytest.importorskip("scipy.special")
+        monkeypatch.setattr(quadrature, "STEP_TOL", 1e-2)
+        n, x = 64, 2.35
+        s, w = gauss_jacobi(n, x)
+        t = 2.0 * s - 1.0
+        dp = (n + x + 1.0) / 2.0 * special.eval_jacobi(n - 1, x + 1.0, 1.0, t)
+        np.testing.assert_allclose(w, (x + 1.0) / ((1.0 - t) * (1.0 + t) * dp**2), rtol=1e-6)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # two passes are needed here, so a cap of one must raise
+        monkeypatch.setattr(quadrature, "MAX_PASSES", 1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            gauss_jacobi(64, 0.0)
 
 
 class TestIntegrate:
@@ -202,6 +266,19 @@ class TestReproduce:
 
         e2 = basis_to_taylor([0, 0, 1], WeightParam(0.0))
         assert abs(reproduce(e2, KernelPoint(0.0), WeightParam(0.0), grid0)) <= 1e-10
+
+    @pytest.mark.parametrize("size", [(64, 256), (128, 512)])
+    def test_in_place_integrand_is_bit_identical(self, size):
+        # conj(K) f formed in the kernel's buffer equals the former allocating
+        # integrand on the default verify grid and the smallest benchmark grid
+        rng = np.random.default_rng(17)
+        for x in (-0.9, 0.0, 2.5, 40.0):
+            wp = WeightParam(x)
+            grid = QuadratureGrid(wp, *size)
+            f = CoeffVector(rng.normal(size=25) + 1j * rng.normal(size=25))
+            w = KernelPoint(complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)))
+            want = integrate(lambda z: f(z) * np.conj(kernel_eval(z, w, wp)), grid)
+            assert reproduce(f, w, wp, grid) == want
 
     def test_rejects_coarse_grid(self):
         grid = QuadratureGrid(WeightParam(0.0), radial_points=8)

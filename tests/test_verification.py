@@ -54,6 +54,18 @@ def test_shift_iso_passes_near_minus_one(xi):
     assert report["passed"], report["suites"]["shift_iso"]
 
 
+@pytest.mark.parametrize("xi", [-0.99, 0.0, 2.4, 5.5, 10.0, 98.0])
+def test_sobolev_equivalence_bounds_include_the_constant_mode(xi):
+    # over k >= 0 the mode ratios are 1 and k/(k+xi+1), so M = 1 and m = 1/(xi+2);
+    # random samples sit strictly inside, so the largest relative excess is < 0
+    prop = next(p for p in REGISTRY if p.fn.__name__ == "sobolev_norm_equivalence")
+    cfg = RunConfig(xi=xi)
+    (check,) = prop.fn(cfg, np.random.default_rng(cfg.seed), prop.recipe)
+    assert check.tolerance == 1e-12 and check.passed
+    assert -1.0 < check.margin < 0.0
+    assert check.detail == f"m={1.0 / (xi + 2.0):.6g} M=1"
+
+
 def test_dumps_converts_numpy_and_dataclasses_and_rejects_the_rest():
     @dataclasses.dataclass
     class Point:

@@ -1,6 +1,7 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from bergman11 import (
     CoeffVector,
@@ -9,12 +10,11 @@ from bergman11 import (
     bergman_norm_sq,
     inner_product,
     monomial_norm_sq,
-    pochhammer,
     smooth_seminorm_sq,
     sobolev_norm_sq,
     taylor_to_basis,
 )
-from bergman11.weights import basis_scales, monomial_norms_sq
+from bergman11.weights import _log_norms_sq, basis_scales, monomial_norms_sq
 
 
 def product_pochhammer(x, k):
@@ -40,37 +40,19 @@ class TestWeightParam:
         assert WeightParam(-0.999).xi == -0.999
 
 
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(WeightParam(0.0), 0) == 1.0
-
-    def test_integer_case(self):
-        assert pochhammer(WeightParam(0.0), 2) == pytest.approx(6.0, rel=1e-14)
-
-    def test_half_integer_case(self):
-        assert pochhammer(WeightParam(0.5), 1) == pytest.approx(2.5, rel=1e-14)
-
+class TestMonomialNorms:
     @pytest.mark.parametrize("x", [-0.5, 0.0, 1.0, 2.5])
     def test_against_product_oracle(self, x):
-        wp = WeightParam(x)
+        # ||z^k||^2 = k!/(xi+2)_k with the rising factorial as a plain product
+        w = monomial_norms_sq(WeightParam(x), 29)
         for k in range(30):
-            assert pochhammer(wp, k) == pytest.approx(product_pochhammer(x, k), rel=1e-12)
-
-    def test_overflow_reported_as_range_error(self):
-        with pytest.raises(OverflowError):
-            pochhammer(WeightParam(100.0), 10**6)
+            assert w[k] == pytest.approx(math.factorial(k) / product_pochhammer(x, k), rel=1e-12)
 
     def test_norm_weights_stable_at_large_degree(self):
-        # the Gamma ratio stays representable even where (xi+2)_k does not
+        # the log-space sum stays representable even where (xi+2)_k does not
         w = monomial_norms_sq(WeightParam(2.0), 10**4)
         assert np.all(np.isfinite(w)) and np.all(w > 0)
 
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            pochhammer(WeightParam(0.0), -1)
-
-
-class TestMonomialNorms:
     def test_constant_is_probability_mass(self):
         for x in (-0.5, 0.0, 3.0):
             assert monomial_norm_sq(WeightParam(x), 0) == pytest.approx(1.0)
@@ -217,15 +199,16 @@ class TestBasisConversion:
         f = basis_to_taylor([0.0, 1.0], WeightParam(0.0))
         assert f.coeffs[1] == pytest.approx(np.sqrt(2.0))
 
-    def test_scales_finite_where_norms_underflow(self):
+    def test_scales_finite_where_norms_underflow(self, log_norms_ref):
         # at xi = 100, ||z^k||^2 underflows to 0 from k ~ 6e4 (so a power of
-        # the norms gives inf); s_k = sqrt((xi+2)_k / k!) is about e^397 at k = 1e5
+        # the norms gives inf); s_k = sqrt((xi+2)_k / k!) is about e^397 at k = 1e5.
+        # Against the 40-digit table the error is 8.3e-12; a log-Gamma route
+        # (1.1e-10) fails the bound.  exp(-L/2) adds 4e-14 of rounding.
         x, n = 100.0, 10**5
-        k = np.arange(n + 1)
-        direct = np.exp(0.5 * (gammaln(k + x + 2.0) - gammaln(x + 2.0) - gammaln(k + 1.0)))
+        k, L = log_norms_ref[x]
         s = basis_scales(WeightParam(x), n)
         assert np.all(np.isfinite(s))
-        np.testing.assert_allclose(s, direct, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(s[k], np.exp(-0.5 * L), rtol=2e-11, atol=0)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(11)
@@ -233,3 +216,20 @@ class TestBasisConversion:
         c = rng.normal(size=12) + 1j * rng.normal(size=12)
         back = taylor_to_basis(basis_to_taylor(c, wp), wp)
         np.testing.assert_allclose(back, c, rtol=1e-10)
+
+
+class TestLogNormsPrecision:
+    """L_k = log ||z^k||^2 against the 40-digit table, k <= 10^5."""
+
+    @pytest.mark.parametrize("x", [-0.999, -0.99, -0.5, 0.0, 1.0, 2.35, 2.5, 10.0, 40.0, 98.0, 100.0])
+    def test_absolute_error(self, x, log_norms_ref):
+        # measured: <= 3.2e-13 for xi <= 2.5, 8.7e-13 at 10, 7.7e-12 at 40 and
+        # 1.7e-11 at 100; a log-Gamma route is off by 1.1e-10 to 3.5e-10
+        k, L = log_norms_ref[x]
+        got = _log_norms_sq(WeightParam(x), int(k[-1]))[k]
+        assert np.max(np.abs(got - L)) <= (1e-12 if x <= 10.0 else 2.5e-11)
+
+    def test_norms_are_exp_of_log(self, log_norms_ref):
+        k, L = log_norms_ref[0.0]
+        w = monomial_norms_sq(WeightParam(0.0), int(k[-1]))
+        np.testing.assert_allclose(w[k], np.exp(L), rtol=1e-12, atol=0)

@@ -1,6 +1,7 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from bergman11 import (
     CoeffVector,
@@ -87,29 +88,35 @@ class TestKernelShift:
         k = np.arange(7)
         np.testing.assert_allclose(c, (k + 1.0) * np.conj(0.3 + 0.1j) ** k, rtol=1e-13)
 
-    def test_coeffs_finite_at_top_of_weight_range(self):
+    def test_coeffs_finite_at_top_of_weight_range(self, log_norms_ref):
         # at xi = 100, (xi+2)_k / k! stays below the double maximum up to
-        # k ~ 43000 (about e^700 at k = 4e4) and exceeds it beyond
+        # k ~ 43000 (about e^700 at k = 4e4) and exceeds it beyond.  Against
+        # the 40-digit table the error is 4.0e-12; a log-Gamma route (9.8e-11)
+        # fails the bound.
         x, n, w = 100.0, 40_000, 0.999
-        k = np.arange(n + 1)
-        direct = np.exp(gammaln(k + x + 2.0) - gammaln(x + 2.0) - gammaln(k + 1.0)) * w**k
         got = kernel_coeffs(WeightParam(x), KernelPoint(w), n)
         assert np.all(np.isfinite(got))
-        np.testing.assert_allclose(got, direct, rtol=1e-13, atol=0)
+        k, L = log_norms_ref[x]
+        k, L = k[k <= n], L[k <= n]
+        np.testing.assert_allclose(got[k], np.exp(k * math.log(w) - L), rtol=1e-11, atol=0)
 
     def test_coeffs_at_origin_are_e0(self):
         c = kernel_coeffs(WeightParam(3.0), KernelPoint(0.0), 5)
         assert np.array_equal(c, [1, 0, 0, 0, 0, 0])
 
-    def test_coeffs_finite_where_scale_overflows(self):
+    def test_coeffs_finite_where_scale_overflows(self, log_norms_ref):
         # s_k^2 alone overflows from k ~ 4.3e4 at xi = 98; times 0.4^k the
-        # coefficients underflow to 0 instead of becoming NaN
+        # coefficients underflow to 0 instead of becoming NaN.  For k < 300 the
+        # error against the 40-digit table is 1.5e-13; a log-Gamma route
+        # (5.1e-13) fails the bound.
         x, n = 98.0, 50_000
         got = kernel_coeffs(WeightParam(x), KernelPoint(0.4j), n)
         assert np.all(np.isfinite(got))
-        k = np.arange(300)
-        direct = np.exp(gammaln(k + x + 2.0) - gammaln(x + 2.0) - gammaln(k + 1.0)) * (-0.4j) ** k
-        np.testing.assert_allclose(got[:300], direct, rtol=1e-12, atol=0)
+        k, L = log_norms_ref[x]
+        k, L = k[:300], L[:300]
+        assert np.array_equal(k, np.arange(300))
+        direct = np.exp(k * math.log(0.4) - L) * (-1j) ** (k % 4)
+        np.testing.assert_allclose(got[:300], direct, rtol=3e-13, atol=0)
         assert np.all(got[5000:] == 0)
 
     @pytest.mark.parametrize("x", [0.0, 1.0, 2.5])
@@ -121,6 +128,17 @@ class TestKernelShift:
     def test_printed_constant_fails(self, x):
         w = KernelPoint(0.4)
         assert kernel_shift_residual(2.0 / (x + 2.0), w, WeightParam(x), 60) >= 1e-3
+
+    def test_residual_is_relative_to_target(self):
+        # at xi = 98 the target coefficients have norm 4.2e21; relative to it
+        # the derived constant leaves rounding and the printed one about 0.4
+        w, wp, n = KernelPoint(0.4), WeightParam(98.0), 50_000
+        assert kernel_shift_residual(1.0 / 100.0, w, wp, n) <= 1e-12
+        assert kernel_shift_residual(2.0 / 100.0, w, wp, n) == pytest.approx(0.4, rel=1e-6)
+        target = kernel_coeffs(WeightParam(99.0), w, n)
+        shifted = (1.0 + 0.02 * np.arange(n + 1)) * kernel_coeffs(wp, w, n)
+        absolute = np.linalg.norm(shifted - target)
+        assert kernel_shift_residual(0.02, w, wp, n) == pytest.approx(absolute / np.linalg.norm(target), rel=1e-15)
 
 
 class TestDomainIdentification:
