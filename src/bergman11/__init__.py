@@ -4,14 +4,12 @@ the first-order operator theory of the SU(1,1) discrete series."""
 from .weights import (
     CoeffVector,
     WeightParam,
-    basis_to_taylor,
     bergman_norm_sq,
     inner_product,
     monomial_norm_sq,
     monomial_norms_sq,
     smooth_seminorm_sq,
     sobolev_norm_sq,
-    taylor_to_basis,
 )
 from .quadrature import KernelPoint, QuadratureGrid, integrate, kernel_eval, reproduce
 from .su11 import (
@@ -39,7 +37,6 @@ from .operators import (
     from_rep,
     gram_matrix,
     hermiticity_defect,
-    is_scalar,
     symmetric_tridiagonal,
     to_rep,
     zhu_scan,

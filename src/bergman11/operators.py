@@ -15,6 +15,11 @@ a time.  The commutator of two first-order operators is again first order,
 
 so its matrix is the Gram matrix of that operator, exact at any coefficient
 degree.
+
+``apply`` acts on the last axis of a coefficient batch: a CoeffVector maps to
+a CoeffVector, and a (..., deg+1) array of zero-padded rows maps to the array
+of their images.  ``zhu_scan`` draws its pairs at once and decides them on
+coefficient arrays through the same formulas as ``rep_operator``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .su11 import BasisCoords, LieElement, bracket, coords, from_coords
-from .weights import CoeffVector, WeightParam, basis_scales
+from .weights import CoeffVector, WeightParam, _coeffs, _derivative, basis_scales
 
 
 @dataclass(frozen=True)
@@ -48,17 +53,24 @@ class FirstOrderOp:
         return FirstOrderOp(self.fcoeffs, CoeffVector(g))
 
 
-def apply(op: FirstOrderOp, h: CoeffVector, degree: Optional[int] = None) -> CoeffVector:
-    """Coefficients of f*h' + g*h, optionally truncated at ``degree``."""
-    fh = np.convolve(op.fcoeffs.coeffs, h.derivative().coeffs)
-    gh = np.convolve(op.gcoeffs.coeffs, h.coeffs)
-    n = max(len(fh), len(gh))
-    out = np.zeros(n, dtype=np.complex128)
-    out[: len(fh)] += fh
-    out[: len(gh)] += gh
+def apply(op: FirstOrderOp, h, degree: Optional[int] = None):
+    """Coefficients of f*h' + g*h, optionally truncated at ``degree``.
+
+    ``h`` is a CoeffVector, giving a CoeffVector, or a (..., deg+1) coefficient
+    batch, giving the batch of images over the same leading axes.  The
+    products f_j z^j h' and then g_j z^j h are added in that order.
+    """
+    a = _coeffs(h)
+    terms = ((op.fcoeffs.coeffs, _derivative(a)), (op.gcoeffs.coeffs, a))
+    n = max(len(c) + x.shape[-1] for c, x in terms) - 1
+    out = np.zeros(a.shape[:-1] + (n,), dtype=np.complex128)
+    for c, x in terms:
+        for j, cj in enumerate(c):
+            if cj != 0:
+                out[..., j : j + x.shape[-1]] += cj * x
     if degree is not None:
-        out = out[: degree + 1]
-    return CoeffVector(out)
+        out = out[..., : degree + 1]
+    return CoeffVector(out) if isinstance(h, CoeffVector) else out
 
 
 def gram_matrix(op: FirstOrderOp, xi: WeightParam, degree: int) -> np.ndarray:
@@ -174,18 +186,25 @@ def symmetric_tridiagonal(form: SymmetricForm, degree: int) -> TriDiag:
     return TriDiag(sub.astype(np.complex128), diag, sup.astype(np.complex128))
 
 
+def _rep_coeffs(c: BasisCoords, xi: WeightParam):
+    """Coefficients (p, q) of ``rep_operator``, coefficient index first: shapes
+    (3, ...) and (2, ...) for coordinates of shape (...).  Each entry is formed
+    exactly from its parts, so an array entry equals the scalar result."""
+    s, t, l = c.sigma, c.tau, c.lam
+    w = xi.xi + 2.0
+    p = np.array([-t + 1j * l, 1j * (-2.0 * s - 2.0 * l), t + 1j * l])
+    q = np.array([1j * (w * (-s - l)), w * t + 1j * (w * l)])
+    return p, q
+
+
 def rep_operator(c: BasisCoords, xi: WeightParam) -> FirstOrderOp:
     """The derived-representation operator for coordinates (sigma, tau, lam).
 
     p(z) = (tau+i lam) z^2 + (-2i sigma - 2i lam) z + (-tau + i lam),
     q(z) = (xi+2)(tau+i lam) z + (xi+2) i (-sigma - lam).
     """
-    s, t, l = c.sigma, c.tau, c.lam
-    p = CoeffVector([complex(-t, l), complex(0.0, -2.0 * s - 2.0 * l), complex(t, l)])
-    q = CoeffVector(
-        [complex(0.0, (xi.xi + 2.0) * (-s - l)), (xi.xi + 2.0) * complex(t, l)]
-    )
-    return FirstOrderOp(p, q)
+    p, q = _rep_coeffs(c, xi)
+    return FirstOrderOp(CoeffVector(p), CoeffVector(q))
 
 
 @dataclass(frozen=True)
@@ -244,17 +263,6 @@ def commutator_matrix(
     return _band_matrix(_commutator_op(op1, op2), xi, degree)
 
 
-def is_scalar(op: FirstOrderOp, tol: float = 1e-10) -> Optional[complex]:
-    """Return eta if the operator is within tol of eta * identity."""
-    f = op.fcoeffs.coeffs
-    g = op.gcoeffs.coeffs
-    if np.max(np.abs(f)) > tol:
-        return None
-    if len(g) > 1 and np.max(np.abs(g[1:])) > tol:
-        return None
-    return complex(g[0])
-
-
 @dataclass(frozen=True)
 class ZhuScanReport:
     """Result of the scalar-commutator scan over random algebra pairs."""
@@ -271,38 +279,30 @@ def zhu_scan(samples: int, xi: WeightParam, seed: int, tol: float = 1e-8) -> Zhu
     """Draw random pairs (U, V) and check that no derived commutator operator
     is close to a nonzero multiple of the identity.
 
-    A nonzero scalar hit would contradict the impossibility theorem and is
-    raised as a hard error.
+    The pairs are drawn in one call, each as a, Re b, Im b of U then of V, and
+    decided together.  An operator p d/dz + q is within ``tol`` of the scalar
+    q_0 when |p_j| <= tol and |q_1| <= tol; otherwise max(|p_j|, |q_1|) is its
+    distance from the scalars.  A nonzero scalar hit would contradict the
+    impossibility theorem and is raised as a hard error.
     """
-    rng = np.random.default_rng(seed)
-    scalar_hits = 0
-    max_scalar = 0.0
-    min_margin = np.inf
-    for _ in range(samples):
-        u = LieElement(float(rng.normal()), complex(rng.normal(), rng.normal()))
-        v = LieElement(float(rng.normal()), complex(rng.normal(), rng.normal()))
-        op = derived_op(bracket(u, v), xi)
-        eta = is_scalar(op, tol)
-        if eta is not None:
-            scalar_hits += 1
-            if abs(eta) > tol:
-                raise RuntimeError(
-                    f"commutator operator within {tol} of nonzero scalar {eta}"
-                )
-            max_scalar = max(max_scalar, abs(eta))
-        else:
-            # distance of the coefficient data from the scalar set
-            f = op.fcoeffs.padded(2)
-            g = op.gcoeffs.padded(1)
-            margin = max(float(np.max(np.abs(f))), float(abs(g[1])))
-            min_margin = min(min_margin, margin)
+    d = np.random.default_rng(seed).normal(size=(samples, 6))
+    u = LieElement(d[:, 0], d[:, 1] + 1j * d[:, 2])
+    v = LieElement(d[:, 3], d[:, 4] + 1j * d[:, 5])
+    p, q = _rep_coeffs(coords(bracket(u, v)), xi)
+    distance = np.maximum(np.max(np.abs(p), axis=0), np.abs(q[1]))
+    hit = distance <= tol
+    eta = q[0, hit]
+    if np.any(np.abs(eta) > tol):
+        raise RuntimeError(
+            f"commutator operator within {tol} of nonzero scalar {eta[np.argmax(np.abs(eta))]}"
+        )
     return ZhuScanReport(
         samples=samples,
         xi=xi.xi,
         seed=seed,
-        scalar_hits=scalar_hits,
-        max_scalar_magnitude=max_scalar,
-        min_nonscalar_margin=float(min_margin) if np.isfinite(min_margin) else 0.0,
+        scalar_hits=int(np.count_nonzero(hit)),
+        max_scalar_magnitude=float(np.max(np.abs(eta), initial=0.0)),
+        min_nonscalar_margin=0.0 if np.all(hit) else float(np.min(distance[~hit])),
     )
 
 

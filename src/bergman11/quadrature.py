@@ -197,7 +197,8 @@ class QuadratureGrid:
         self.weights = np.broadcast_to(self.radial_weights[:, None] / angular_points, self.nodes.shape)
 
         mass = float(np.sum(self.weights))
-        if abs(mass - 1.0) > 1e-12:
+        # written so that a NaN mass fails too
+        if not abs(mass - 1.0) <= 1e-12:
             raise RuntimeError(f"quadrature weights sum to {mass}, expected 1")
 
 

@@ -10,6 +10,8 @@ The Moebius numerator used here is conj(alpha) z - beta.  With the numerator
 alpha z - beta the rotation subgroup would act with trivial Moebius part,
 contradicting the -2iz f'(z) term of the derived operator for the rotation
 generator; the central-difference check below pins the corrected form.
+``xnorm_sq`` acts on the last axis of a coefficient batch, like the norms of
+``weights``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .operators import apply, derived_op
 from .su11 import GroupElement, LieElement, exp_at
-from .weights import CoeffVector, WeightParam, weighted_norm_sq
+from .weights import CoeffVector, WeightParam, _coeffs, weighted_norm_sq
 
 
 class BranchError(ValueError):
@@ -68,7 +70,8 @@ def derivative_check(
     return float(np.max(np.abs(fd - np.asarray(direct))))
 
 
-def xnorm_sq(f: CoeffVector, xi: WeightParam) -> float:
-    """||Pi(X) f||^2 = sum (2k+xi+2)^2 |a_k|^2 ||z^k||^2 for the rotation generator."""
-    k = np.arange(f.degree + 1, dtype=float)
+def xnorm_sq(f, xi: WeightParam):
+    """||Pi(X) f||^2 = sum (2k+xi+2)^2 |a_k|^2 ||z^k||^2 for the rotation generator,
+    over the last axis of a CoeffVector or a coefficient batch."""
+    k = np.arange(_coeffs(f).shape[-1], dtype=float)
     return weighted_norm_sq(f, xi, (2.0 * k + xi.xi + 2.0) ** 2)

@@ -19,7 +19,11 @@ RENORM_THRESHOLD = 1e-8
 
 @dataclass(frozen=True)
 class LieElement:
-    """su(1,1) element [[ia, b], [conj(b), -ia]]."""
+    """su(1,1) element [[ia, b], [conj(b), -ia]].
+
+    ``a`` and ``b`` may also be arrays of one shape, a batch of elements on
+    which ``bracket`` and ``coords`` act elementwise.
+    """
 
     a: float
     b: complex
@@ -68,18 +72,18 @@ def basis_elements():
 
 
 def bracket(u: LieElement, v: LieElement) -> LieElement:
-    """Matrix commutator uv - vu, re-expressed in (a, b) form."""
-    m = u.matrix() @ v.matrix() - v.matrix() @ u.matrix()
-    return LieElement(float(m[0, 0].imag), complex(m[0, 1]))
+    """The commutator uv - vu in closed form: for u = (a, b) and v = (c, d) it
+    is (2 Im(b conj(d)), 2i(a d - c b)).  Written in real arithmetic, so it acts
+    elementwise on array fields and a scalar pair rounds as an array entry."""
+    a, b, c, d = u.a, u.b, v.a, v.b
+    re = a * d.real - c * b.real
+    im = a * d.imag - c * b.imag
+    return LieElement(2.0 * (b.imag * d.real - b.real * d.imag), -2.0 * im + 2j * re)
 
 
 def coords(u: LieElement) -> BasisCoords:
-    """Coordinates of u in the (X, Y, Z) basis."""
-    b = complex(u.b)
-    tau = b.real
-    lam = -b.imag
-    sigma = u.a + b.imag
-    return BasisCoords(sigma, tau, lam)
+    """Coordinates of u in the (X, Y, Z) basis; elementwise on array fields."""
+    return BasisCoords(u.a + u.b.imag, u.b.real, -u.b.imag)
 
 
 def from_coords(c: BasisCoords) -> LieElement:
@@ -129,9 +133,6 @@ class GroupElement:
         a = self.alpha * other.alpha + self.beta * np.conj(other.beta)
         b = self.alpha * other.beta + self.beta * np.conj(other.alpha)
         return GroupElement(complex(a), complex(b))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(complex(np.conj(self.alpha)), complex(-self.beta))
 
 
 def exp_at(u: LieElement, t: float) -> GroupElement:

@@ -4,6 +4,8 @@
 |<Pi([U,V]) u, u>| <= 2 ||(Pi(U)+x) u|| ||(Pi(V)+y) u|| for algebra elements
 U, V and real shifts; ``soltani_up`` is its Bergman-space specialization for
 the pair (W, Y), and ``consistency_check`` ties the two routes together.
+``soltani_up`` also takes a coefficient batch with shifts that broadcast
+against it, so a whole sample grid is one evaluation.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import numpy as np
 
 from .operators import FirstOrderOp, apply, bracket_op, derived_op
 from .su11 import LieElement, W_GEN, Y_GEN
-from .weights import CoeffVector, WeightParam, bergman_norm_sq, inner_product, weighted_norm_sq
+from .weights import CoeffVector, WeightParam, _coeffs, bergman_norm_sq, inner_product, weighted_norm_sq
 
 
 @dataclass(frozen=True)
 class UncertaintyReport:
-    """Both sides of an uncertainty inequality plus the input echo."""
+    """Both sides of an uncertainty inequality plus the input echo; for a
+    batch, ``lhs`` and ``rhs`` are arrays over the batch and shift axes."""
 
     lhs: float
     rhs: float
@@ -55,29 +58,32 @@ def lie_up(
     )
 
 
-def soltani_up(f: CoeffVector, w: float, y: float, xi: WeightParam) -> UncertaintyReport:
+def soltani_up(f, w, y, xi: WeightParam) -> UncertaintyReport:
     """Bergman-space uncertainty inequality with shift parameters w, y.
 
     lhs = (xi+2)||f||^2 + 2<z f', f> = sum (xi+2+2k) |a_k|^2 ||z^k||^2, real by
     construction; rhs is the product of the norms of
     (1+z^2) f' + ((xi+2) z + i w) f and (z^2 - 1) f' + ((xi+2) z + y) f.
-    """
-    p = xi.xi + 2.0
-    lhs = weighted_norm_sq(f, xi, p + 2.0 * np.arange(f.degree + 1))
 
-    a_op_f = apply(
-        FirstOrderOp(CoeffVector([1.0, 0.0, 1.0]), CoeffVector([1j * w, p])), f
-    )
-    b_op_f = apply(
-        FirstOrderOp(CoeffVector([-1.0, 0.0, 1.0]), CoeffVector([y, p])), f
-    )
-    rhs = float(
-        np.sqrt(bergman_norm_sq(a_op_f, xi)) * np.sqrt(bergman_norm_sq(b_op_f, xi))
-    )
+    ``f`` is a CoeffVector, giving floats, or a (..., deg+1) coefficient batch;
+    ``w`` and ``y`` are numbers or arrays that broadcast against the batch
+    shape, and ``rhs`` has the broadcast shape.
+    """
+    a = _coeffs(f)
+    p = xi.xi + 2.0
+    lhs = weighted_norm_sq(a, xi, p + 2.0 * np.arange(a.shape[-1]))
+    # the unshifted images, then i w f and y f added over the shift axes
+    a_op_f = apply(FirstOrderOp(CoeffVector([1.0, 0.0, 1.0]), CoeffVector([0.0, p])), a)
+    b_op_f = apply(FirstOrderOp(CoeffVector([-1.0, 0.0, 1.0]), CoeffVector([0.0, p])), a)
+    f_pad = np.zeros_like(a_op_f)
+    f_pad[..., : a.shape[-1]] = a
+    iw = 1j * np.asarray(w, dtype=float)[..., None]
+    yy = np.asarray(y, dtype=float)[..., None]
+    rhs = np.sqrt(bergman_norm_sq(a_op_f + iw * f_pad, xi)) * np.sqrt(bergman_norm_sq(b_op_f + yy * f_pad, xi))
     return UncertaintyReport(
-        lhs=float(lhs),
-        rhs=rhs,
-        inputs={"kind": "soltani", "w": w, "y": y, "xi": xi.xi, "deg": f.degree},
+        lhs=lhs,
+        rhs=float(rhs) if np.ndim(rhs) == 0 else rhs,
+        inputs={"kind": "soltani", "w": w, "y": y, "xi": xi.xi, "deg": a.shape[-1] - 1},
     )
 
 

@@ -112,8 +112,24 @@ def _degree(rng, recipe: Recipe) -> int:
     return int(rng.integers(0, recipe.degree + 1)) if recipe.random_degree else recipe.degree
 
 
+def _random_coeffs(rng, degree) -> np.ndarray:
+    return rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+
+
 def _random_poly(rng, degree) -> CoeffVector:
-    return CoeffVector(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+    return CoeffVector(_random_coeffs(rng, degree))
+
+
+def _poly_batches(cfg: RunConfig, rng, recipe: Recipe):
+    """(xi, batch) for each xi of the recipe: ``samples`` random polynomials as
+    rows zero-padded to ``recipe.degree``, each drawn (degree, then
+    coefficients) in the order a per-sample loop draws them."""
+    for x in _xis(cfg, recipe):
+        batch = np.zeros((recipe.samples, recipe.degree + 1), dtype=np.complex128)
+        for row in batch:
+            d = _degree(rng, recipe)
+            row[: d + 1] = _random_coeffs(rng, d)
+        yield x, batch
 
 
 def _random_element(rng) -> su11.LieElement:
@@ -156,13 +172,20 @@ def shift_limit_monotone(cfg, rng, recipe):
 
 
 def oracle_equivalence_monomials(cfg, rng, recipe):
-    """Coefficient inner products of monomials agree with disc quadrature."""
+    """Coefficient inner products of monomials agree with disc quadrature.
+
+    The Gram matrix of z^0..z^n is summed over the grid's radial rows as
+    (P_r w_r) P_r^H, with P_r the powers at the row's M angular nodes and w_r
+    the row's weight; one row at a time, so no (n+1) x R x M array is held."""
     worst = 0.0
+    k = np.arange(recipe.degree + 1)[:, None]
     for x in recipe.xis:
         wp = WeightParam(x)
         grid = _grid(cfg, wp)
-        powers = grid.nodes[None, :, :] ** np.arange(recipe.degree + 1)[:, None, None]
-        gram = np.einsum("jrm,krm,rm->jk", powers, np.conj(powers), grid.weights)
+        gram = np.zeros((recipe.degree + 1, recipe.degree + 1), dtype=np.complex128)
+        for row, w_r in zip(grid.nodes, grid.weights[:, 0]):
+            powers = row ** k
+            gram += (powers * w_r) @ powers.conj().T
         expected = np.diag(weights.monomial_norms_sq(wp, recipe.degree))
         worst = max(worst, float(np.max(np.abs(gram - expected))))
     return [_check(cfg, "oracle_equivalence_monomials", worst)]
@@ -184,12 +207,10 @@ def sobolev_norm_equivalence(cfg, rng, recipe):
     phi_alt[0] = phi_sob[0] = 1.0
     ratio = phi_sob / phi_alt
     m, big_m = float(np.min(ratio)), float(np.max(ratio))
-    worst = -np.inf
-    for _ in range(recipe.samples):
-        f = _random_poly(rng, cfg.trunc)
-        alt = weights.weighted_norm_sq(f, wp, phi_alt)
-        sob = weights.sobolev_norm_sq(f, wp, 1)
-        worst = max(worst, (m * alt - sob) / (m * alt), (sob - big_m * alt) / (big_m * alt))
+    batch = np.array([_random_coeffs(rng, cfg.trunc) for _ in range(recipe.samples)])
+    alt = weights.weighted_norm_sq(batch, wp, phi_alt)
+    sob = weights.sobolev_norm_sq(batch, wp, 1)
+    worst = float(max(np.max((m * alt - sob) / (m * alt)), np.max((sob - big_m * alt) / (big_m * alt))))
     return [_check(cfg, "sobolev_norm_equivalence", worst, detail=f"m={m:.6g} M={big_m:.6g}")]
 
 
@@ -332,26 +353,23 @@ def derived_op_skew_symmetry(cfg, rng, recipe):
 def xnorm_two_route(cfg, rng, recipe):
     """The closed formula for ||Pi(X) f||^2 equals the operator route."""
     wp = cfg.weight()
-    worst = 0.0
-    for _ in range(recipe.samples):
-        f = _random_poly(rng, cfg.trunc)
-        direct = rep.xnorm_sq(f, wp)
-        via_op = weights.bergman_norm_sq(ops.apply(ops.derived_op(su11.X_GEN, wp), f), wp)
-        worst = max(worst, abs(direct - via_op) / max(1.0, direct))
+    batch = np.array([_random_coeffs(rng, cfg.trunc) for _ in range(recipe.samples)])
+    direct = rep.xnorm_sq(batch, wp)
+    via_op = weights.bergman_norm_sq(ops.apply(ops.derived_op(su11.X_GEN, wp), batch), wp)
+    worst = float(np.max(np.abs(direct - via_op) / np.maximum(1.0, direct), initial=0.0))
     return [_check(cfg, "xnorm_two_route", worst)]
 
 
 def norm_sandwich(cfg, rng, recipe):
-    """Sobolev bounds around ||Pi(X) f||^2."""
+    """Sobolev bounds around ||Pi(X) f||^2, one evaluation per xi."""
     worst = 0.0
-    for x in _xi_draws(cfg, rng, recipe):
+    for x, batch in _poly_batches(cfg, rng, recipe):
         wpx = WeightParam(x)
-        f = _random_poly(rng, _degree(rng, recipe))
-        mid = rep.xnorm_sq(f, wpx)
-        sob = weights.sobolev_norm_sq(f, wpx, 1)
-        lo = sob + ((x + 2.0) ** 2 - 1.0) * abs(f.coeffs[0]) ** 2
+        mid = rep.xnorm_sq(batch, wpx)
+        sob = weights.sobolev_norm_sq(batch, wpx, 1)
+        lo = sob + ((x + 2.0) ** 2 - 1.0) * np.abs(batch[:, 0]) ** 2
         hi = 4.0 * (x + 2.0) ** 2 * sob
-        worst = max(worst, lo - mid, mid - hi)
+        worst = max(worst, float(np.max(lo - mid)), float(np.max(mid - hi)))
     return [_check(cfg, "norm_sandwich", worst)]
 
 
@@ -486,15 +504,13 @@ def zhu_no_scalar_commutator(cfg, rng, recipe):
 
 def uncertainty_inequality(cfg, rng, recipe):
     """The slack of soltani_up is nonnegative over random f and the shift
-    grids, and vanishes at f = 1 with zero shifts."""
+    grids, and vanishes at f = 1 with zero shifts.  Each xi is one soltani_up
+    call on a (samples, w, y) grid."""
     worst = 0.0
-    shifts_w, shifts_y = recipe.shifts
-    for x in _xi_draws(cfg, rng, recipe):
-        wpx = WeightParam(x)
-        f = _random_poly(rng, _degree(rng, recipe))
-        for w in shifts_w:
-            for y in shifts_y:
-                worst = max(worst, -up.soltani_up(f, w, y, wpx).slack)
+    shifts_w, shifts_y = (np.asarray(s, dtype=float) for s in recipe.shifts)
+    for x, batch in _poly_batches(cfg, rng, recipe):
+        slack = up.soltani_up(batch[:, None, None, :], shifts_w[:, None], shifts_y, WeightParam(x)).slack
+        worst = max(worst, float(np.max(-slack)))
     worst_eq = 0.0
     for x in recipe.xis:
         worst_eq = max(worst_eq, abs(up.soltani_up(CoeffVector([1.0]), 0.0, 0.0, WeightParam(x)).slack))

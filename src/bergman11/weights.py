@@ -11,6 +11,11 @@ xi = 100, for k <= 10^5; log-Gamma differences are off by 1e-10 to 3.5e-10
 there.  The norms are exp(L), the orthonormal-basis scales s_k
 (e_k = s_k z^k) are exp(-L/2), and every norm is one weighted sum
 sum_k |a_k|^2 ||z^k||^2 phi_k  over the coefficients.
+
+The norms act on the last axis of a coefficient batch: they take a
+CoeffVector (a batch of one, giving a float) or an array of shape
+(..., degree+1), zero-padded rows of polynomials of lower degree, and give an
+array over the leading axes.
 """
 
 from __future__ import annotations
@@ -82,24 +87,29 @@ class CoeffVector:
         return out
 
     def derivative(self) -> "CoeffVector":
-        if self.degree == 0:
-            return CoeffVector([0.0])
-        k = np.arange(1, self.degree + 1)
-        return CoeffVector(self.coeffs[1:] * k)
+        return CoeffVector(_derivative(self.coeffs))
 
     def __call__(self, z):
         """Evaluate the polynomial at scalar or array argument.
 
-        Horner's rule in one output buffer; ``z`` is only read.  For a scalar
-        ``out`` is a numpy scalar and the updates rebind it, so a scalar is
-        evaluated with the same scalar arithmetic as a fresh-array loop.
+        Horner's rule in one output buffer; ``z`` is only read.  A scalar or
+        one-element ``z`` is evaluated as a numpy scalar, whose updates rebind
+        ``out`` and take the same (fused) vector loop as every entry of a
+        longer array; updating a one-element array in place would take
+        numpy's unfused one-element loop instead.  So a point rounds the same
+        alone, in a one-element array and inside any larger array.
         """
         z = np.asarray(z, dtype=np.complex128)
+        shape = z.shape
+        if z.size == 1:
+            z = z.reshape(())
         out = np.full_like(z, self.coeffs[-1])[()]
         for c in self.coeffs[-2::-1]:
             out *= z
             out += c
-        return out if out.ndim else complex(out)
+        if out.ndim:
+            return out
+        return np.reshape(out, shape) if shape else complex(out)
 
     def __eq__(self, other):
         if not isinstance(other, CoeffVector):
@@ -128,6 +138,19 @@ class CoeffVector:
 
     def __repr__(self):
         return f"CoeffVector({list(self.coeffs)!r})"
+
+
+def _coeffs(f) -> np.ndarray:
+    """Coefficients over the last axis: a CoeffVector's own, or a batch as given."""
+    return f.coeffs if isinstance(f, CoeffVector) else np.asarray(f, dtype=np.complex128)
+
+
+def _derivative(a: np.ndarray) -> np.ndarray:
+    """Coefficients of f' over the last axis; a constant gives one zero."""
+    n = a.shape[-1]
+    if n == 1:
+        return np.zeros(a.shape, dtype=np.complex128)
+    return a[..., 1:] * np.arange(1, n)
 
 
 def _log_norms_sq(xi: WeightParam, degree: int) -> np.ndarray:
@@ -163,38 +186,31 @@ def inner_product(f: CoeffVector, g: CoeffVector, xi: WeightParam) -> complex:
     return complex(np.sum(f.padded(n) * np.conj(g.padded(n)) * w))
 
 
-def weighted_norm_sq(f: CoeffVector, xi: WeightParam, phi) -> float:
-    """sum_k |a_k|^2 ||z^k||^2 phi_k; ``phi`` is a scalar or an array over k = 0..deg f."""
-    return float(np.sum(np.abs(f.coeffs) ** 2 * monomial_norms_sq(xi, f.degree) * phi))
+def weighted_norm_sq(f, xi: WeightParam, phi):
+    """sum_k |a_k|^2 ||z^k||^2 phi_k over the last axis of f's coefficients;
+    ``phi`` is a scalar or an array over k = 0..deg.  A CoeffVector gives a
+    float, a (..., deg+1) batch an array over its leading axes."""
+    a = _coeffs(f)
+    s = np.sum(np.abs(a) ** 2 * monomial_norms_sq(xi, a.shape[-1] - 1) * phi, axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
-def bergman_norm_sq(f: CoeffVector, xi: WeightParam) -> float:
+def bergman_norm_sq(f, xi: WeightParam):
     return weighted_norm_sq(f, xi, 1.0)
 
 
-def sobolev_norm_sq(f: CoeffVector, xi: WeightParam, n: int) -> float:
+def sobolev_norm_sq(f, xi: WeightParam, n: int):
     """|b_0|^2 + sum_{k>=1} |b_k|^2 k^{2n} k!/(xi+2)_k."""
     if n < 1:
         raise ValueError(f"Sobolev order must be >= 1, got {n}")
-    factor = np.arange(f.degree + 1, dtype=float) ** (2 * n)
+    factor = np.arange(_coeffs(f).shape[-1], dtype=float) ** (2 * n)
     factor[0] = 1.0
     return weighted_norm_sq(f, xi, factor)
 
 
-def smooth_seminorm_sq(f: CoeffVector, xi: WeightParam, m: int) -> float:
+def smooth_seminorm_sq(f, xi: WeightParam, m: int):
     """Smooth-vector seminorm: sum |a_k|^2 ||z^k||^2 (xi(xi+2)+2k)^{2m}."""
     if m < 0:
         raise ValueError(f"seminorm order must be >= 0, got {m}")
-    k = np.arange(f.degree + 1, dtype=float)
+    k = np.arange(_coeffs(f).shape[-1], dtype=float)
     return weighted_norm_sq(f, xi, (xi.xi * (xi.xi + 2.0) + 2.0 * k) ** (2 * m))
-
-
-def basis_to_taylor(coeffs, xi: WeightParam) -> CoeffVector:
-    """Convert coefficients in the orthonormal basis e_n to Taylor form."""
-    arr = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
-    return CoeffVector(arr * basis_scales(xi, len(arr) - 1))
-
-
-def taylor_to_basis(f: CoeffVector, xi: WeightParam) -> np.ndarray:
-    """Coefficients of f in the orthonormal basis e_n."""
-    return f.coeffs / basis_scales(xi, f.degree)

@@ -15,13 +15,12 @@ from bergman11 import (
     from_rep,
     gram_matrix,
     hermiticity_defect,
-    is_scalar,
     symmetric_tridiagonal,
     to_rep,
     zhu_scan,
 )
 from bergman11 import operators, reporting
-from bergman11.su11 import LieElement
+from bergman11.su11 import LieElement, bracket
 from bergman11.weights import basis_scales
 
 X, Y, Z, W = basis_elements()
@@ -150,7 +149,8 @@ class TestClosedForms:
         for op1, op2, xi, n in oracle_cases(31, 200):
             got = commutator_matrix(op1, op2, xi, n)
             want = commutator_oracle(op1, op2, xi, n)
-            if is_scalar(operators._commutator_op(op1, op2), tol=0.0) == 0:
+            comm = operators._commutator_op(op1, op2)
+            if not (np.any(comm.fcoeffs.coeffs) or np.any(comm.gcoeffs.coeffs)):
                 # a commuting pair: the closed form is exactly zero, the
                 # oracle holds only the rounding of its cancelling products
                 assert not np.any(got)
@@ -295,18 +295,46 @@ class TestCommutators:
         assert np.max(np.abs(m)) <= 1e-13
 
 
-class TestIsScalar:
-    def test_operator_forms(self):
-        assert is_scalar(FirstOrderOp(CoeffVector([0.0]), CoeffVector([3j]))) == 3j
-        assert is_scalar(D_DZ) is None
-        assert is_scalar(FirstOrderOp(CoeffVector([0.0]), CoeffVector([0, 1]))) is None
-
-
 class TestZhuScan:
     def test_no_nonzero_scalar_commutators(self):
         report = zhu_scan(200, WeightParam(1.0), seed=99)
         assert report.scalar_hits == 0 or report.max_scalar_magnitude <= 1e-8
         assert report.min_nonscalar_margin > 1e-8
+
+    @staticmethod
+    def per_pair_reference(samples, xi, seed, tol):
+        """One pair at a time: scalar draws, the derived operator of [U, V]
+        and its distance max(|p_j|, |q_1|) from the scalars."""
+        rng = np.random.default_rng(seed)
+        hits, scalars, margins = 0, [0.0], []
+        for _ in range(samples):
+            u = LieElement(float(rng.normal()), complex(rng.normal(), rng.normal()))
+            v = LieElement(float(rng.normal()), complex(rng.normal(), rng.normal()))
+            op = derived_op(bracket(u, v), xi)
+            distance = max(np.max(np.abs(op.fcoeffs.coeffs)), np.abs(op.gcoeffs.coeffs)[1])
+            if distance <= tol:
+                hits += 1
+                scalars.append(abs(op.gcoeffs.coeffs[0]))
+            else:
+                margins.append(distance)
+        return hits, max(scalars), min(margins)
+
+    @pytest.mark.parametrize("x, tol", [(0.0, 1e-8), (1.0, 1e-8), (2.5, 1e-8), (-0.5, 0.5)])
+    def test_batch_matches_per_pair_loop(self, x, tol):
+        # at xi = -0.5 a scalar operator has |q_0| <= (xi+2) tol / 2 < tol,
+        # so tol = 0.5 gives hits without a nonzero-scalar error
+        hits, max_scalar, margin = self.per_pair_reference(500, WeightParam(x), 113, tol)
+        report = zhu_scan(500, WeightParam(x), 113, tol)
+        assert report.scalar_hits == hits
+        assert report.min_nonscalar_margin == margin
+        assert report.max_scalar_magnitude == pytest.approx(max_scalar, rel=1e-15)
+        if tol == 0.5:
+            assert hits > 0
+
+    def test_nonzero_scalar_raises(self):
+        # at xi = 2, tol = 2 some hits have |q_0| = 4|sigma + lam| > tol
+        with pytest.raises(RuntimeError, match="nonzero scalar"):
+            zhu_scan(500, WeightParam(2.0), 113, 2.0)
 
     def test_report_roundtrips_to_json(self):
         report = zhu_scan(10, WeightParam(0.0), seed=1)

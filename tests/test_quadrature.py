@@ -13,6 +13,7 @@ from bergman11 import (
 )
 from bergman11 import quadrature
 from bergman11.quadrature import gauss_jacobi
+from bergman11.weights import basis_scales
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +32,21 @@ class TestGridConstruction:
     def test_probability_mass(self, x):
         grid = QuadratureGrid(WeightParam(x))
         assert abs(np.sum(grid.weights) - 1.0) <= 1e-12
+
+    def test_nan_weight_fails_mass_check(self, monkeypatch):
+        # every comparison with NaN is false, so the check must be written
+        # as "not within", or a NaN mass passes it
+        rule = gauss_jacobi
+
+        def nan_rule(n, a):
+            nodes, weights = rule(n, a)
+            weights = weights.copy()
+            weights[n // 2] = np.nan
+            return nodes, weights
+
+        monkeypatch.setattr(quadrature, "gauss_jacobi", nan_rule)
+        with pytest.raises(RuntimeError, match="nan"):
+            QuadratureGrid(WeightParam(0.0), 16, 16)
 
 
 GJ_XIS = (-0.999, -0.5, 0.0, 2.35, 10.0, 40.0, 98.0)
@@ -262,9 +278,7 @@ class TestReproduce:
         assert val == pytest.approx(w.w**3, abs=1e-6)
 
     def test_basis_vector_at_origin(self, grid0):
-        from bergman11 import basis_to_taylor
-
-        e2 = basis_to_taylor([0, 0, 1], WeightParam(0.0))
+        e2 = CoeffVector([0, 0, basis_scales(WeightParam(0.0), 2)[2]])
         assert abs(reproduce(e2, KernelPoint(0.0), WeightParam(0.0), grid0)) <= 1e-10
 
     @pytest.mark.parametrize("size", [(64, 256), (128, 512)])

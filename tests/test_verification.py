@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bergman11 import reporting
+from bergman11 import reporting, verification
 from bergman11.verification import REGISTRY, SUITES, RunConfig, run_suites
 
 # every check of the default ``verify`` report, by suite, in report order
@@ -76,3 +76,22 @@ def test_dumps_converts_numpy_and_dataclasses_and_rejects_the_rest():
     assert text == '{"p": {"x": 0.5, "ok": true}, "n": 3}'
     with pytest.raises(TypeError):
         reporting.dumps({"f": object()})
+
+
+@pytest.mark.parametrize("name", ["uncertainty_inequality", "norm_sandwich"])
+def test_batched_properties_draw_in_per_sample_order(name):
+    # each row is drawn (degree, then coefficients) as the one-at-a-time loop
+    # drew it, so batching re-draws no sample
+    prop = next(p for p in REGISTRY if p.fn.__name__ == name)
+    for recipe in (prop.recipe, prop.criterion.recipe):
+        cfg = RunConfig()
+        rng_loop, rng_batch = np.random.default_rng(5), np.random.default_rng(5)
+        loop = [
+            (x, verification._random_poly(rng_loop, verification._degree(rng_loop, recipe)))
+            for x in verification._xi_draws(cfg, rng_loop, recipe)
+        ]
+        rows = [(x, row) for x, batch in verification._poly_batches(cfg, rng_batch, recipe) for row in batch]
+        assert len(rows) == len(loop)
+        for (x_row, row), (x_loop, f) in zip(rows, loop):
+            assert x_row == x_loop and np.array_equal(row, f.padded(recipe.degree))
+        assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
