@@ -45,7 +45,7 @@ from .uncertainty import (
     UncertaintyReport,
     consistency_check,
     lie_up,
-    minimize_shift,
+    optimal_shifts,
     soltani_up,
 )
 from .weightshift import (

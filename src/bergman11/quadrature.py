@@ -16,7 +16,6 @@ the exact mass, so the mass check in ``QuadratureGrid`` tests the rule.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,6 +33,10 @@ STEP_TOL = 1e-6
 # Above this xi the initial guesses near s = 1 use Airy-zero phases (the
 # zeros there sit past a turning point); at or below it, Bessel zeros.
 _AIRY_XI = 3.0
+# Nodes per block of whole rows in ``integrate``: 16 Ki complex samples are
+# 256 KiB, so the integrand's passes over a block stay in L2.  A sweep over
+# 4-128 Ki on the benchmark grids put 16 and 32 Ki ahead (see CHANGES.md).
+BLOCK_POINTS = 16384
 
 
 def _bessel_zeros(nu: float, k: np.ndarray) -> np.ndarray:
@@ -200,31 +203,43 @@ class QuadratureGrid:
         # written so that a NaN mass fails too
         if not abs(mass - 1.0) <= 1e-12:
             raise RuntimeError(f"quadrature weights sum to {mass}, expected 1")
+        # read-only, so that one grid can be shared (``weights`` is a broadcast view)
+        for array in (self.radial_nodes, self.radial_weights, self.angles, self.nodes):
+            array.flags.writeable = False
 
 
 def integrate(F, grid: QuadratureGrid) -> complex:
     """Approximate the integral of F over the disc against d(nu_xi).
 
-    F is a vectorized callable on complex arrays, such as a CoeffVector.  The
-    sum runs over each angular row first, then against the radial weights,
-    then divides by the angular count.  The weights are positive, so a
-    non-finite sample always makes the total non-finite; only then are the
-    samples scanned, and the first non-finite node is named in a ValueError.
+    F is an elementwise callable on complex arrays, such as a CoeffVector.  It
+    is called once per block of whole radial rows (``BLOCK_POINTS`` nodes, or
+    one row when a row is longer), never on the full grid, so its temporaries
+    stay in cache.  Each row is summed over its angular nodes, then the row
+    sums against the radial weights, then divided by the angular count: the
+    order of a single pass over the grid, so the blocks change no bit of the
+    result.  A non-finite sample always makes its row sum non-finite; only a
+    block with such a row sum is scanned, and the first non-finite node of the
+    grid is named in a ValueError (earlier blocks hold none).
     """
-    samples = np.asarray(F(grid.nodes), dtype=np.complex128)
-    if samples.shape != grid.nodes.shape:
-        samples = np.broadcast_to(samples, grid.nodes.shape)
-    # inf - inf only arises from non-finite samples, which the scan reports
+    step = max(1, BLOCK_POINTS // grid.angular_points)
+    rows = np.empty(grid.radial_points, dtype=np.complex128)
+    for start in range(0, grid.radial_points, step):
+        block = grid.nodes[start : start + step]
+        samples = np.asarray(F(block), dtype=np.complex128)
+        if samples.shape != block.shape:
+            samples = np.broadcast_to(samples, block.shape)
+        sums = rows[start : start + step]
+        # inf - inf only arises from non-finite samples, which the scan reports
+        with np.errstate(invalid="ignore"):
+            np.sum(samples, axis=1, out=sums)
+        if not np.all(np.isfinite(sums)):
+            bad = np.argwhere(~np.isfinite(samples))
+            if len(bad):
+                i, j = bad[0]
+                raise ValueError(f"non-finite sample at quadrature node z={block[i, j]}")
     with np.errstate(invalid="ignore"):
-        rows = np.sum(samples, axis=1)
         total = complex(rows.real @ grid.radial_weights, rows.imag @ grid.radial_weights)
-    total /= grid.angular_points
-    if not cmath.isfinite(total):
-        bad = ~np.isfinite(samples)
-        if np.any(bad):
-            i, j = np.argwhere(bad)[0]
-            raise ValueError(f"non-finite sample at quadrature node z={grid.nodes[i, j]}")
-    return total
+    return total / grid.angular_points
 
 
 def kernel_eval(z, w: KernelPoint, xi: WeightParam):
@@ -233,11 +248,12 @@ def kernel_eval(z, w: KernelPoint, xi: WeightParam):
     Well-defined on the disc since Re(1 - z*conj(w)) > 0 there.  With
     b = 1 - z*conj(w) and p = -(xi+2) the power is taken in real polar form,
     |b|^p = exp(p/2 * log(Re(b)^2 + Im(b)^2)) and arg b^p = p * arctan2(Im b, Re b),
-    in one complex and two real buffers; ``z`` is only read.  Against 40-digit
-    mpmath the relative error stays below 5e-13 for -0.9 <= xi <= 98,
-    |w| <= 0.99 and |z| <= 0.999 (4.4e-13 at xi = 98 with z at the boundary
-    facing w), the same as complex log/exp: the rounding of 1 - z*conj(w),
-    amplified by xi+2, dominates both.
+    in one complex and two real buffers the shape of ``z``, which is only read
+    (inside ``integrate``, one block of rows).  Against 40-digit mpmath the
+    relative error stays below 5e-13 for -0.9 <= xi <= 98, |w| <= 0.99 and
+    |z| <= 0.999 (4.4e-13 at xi = 98 with z at the boundary facing w), the
+    same as complex log/exp: the rounding of 1 - z*conj(w), amplified by
+    xi+2, dominates both.
     """
     z = np.asarray(z, dtype=np.complex128)
     scalar = z.ndim == 0
@@ -268,8 +284,9 @@ def kernel_eval(z, w: KernelPoint, xi: WeightParam):
 def reproduce(f: CoeffVector, w: KernelPoint, xi: WeightParam, grid: QuadratureGrid) -> complex:
     """Evaluate <f, K_w> by quadrature; the reproducing identity makes this f(w).
 
-    The integrand conj(K(z, w)) f(z) is formed in the kernel's own buffer, so
-    the only full-grid arrays are that buffer and the values of f.
+    The integrand conj(K(z, w)) f(z) is formed in the kernel's own buffer.
+    ``integrate`` calls it per block of rows, so that buffer and the values of
+    f are the only arrays it makes, each the size of one block.
     """
     if grid.radial_points < f.degree + 4:
         raise ValueError(

@@ -16,7 +16,8 @@ import numpy as np
 
 from .operators import FirstOrderOp, apply, bracket_op, derived_op
 from .su11 import LieElement, W_GEN, Y_GEN
-from .weights import CoeffVector, WeightParam, _coeffs, bergman_norm_sq, inner_product, weighted_norm_sq
+from .weights import CoeffVector, WeightParam, _coeffs, bergman_norm_sq, inner_product
+from .weights import monomial_norms_sq, weighted_norm_sq
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,17 @@ def lie_up(
     )
 
 
+def _unshifted_images(a: np.ndarray, xi: WeightParam):
+    """A0 f = (1+z^2) f' + (xi+2) z f and B0 f = (z^2-1) f' + (xi+2) z f for a
+    coefficient batch, and f zero-padded to their length."""
+    p = xi.xi + 2.0
+    a_op_f = apply(FirstOrderOp(CoeffVector([1.0, 0.0, 1.0]), CoeffVector([0.0, p])), a)
+    b_op_f = apply(FirstOrderOp(CoeffVector([-1.0, 0.0, 1.0]), CoeffVector([0.0, p])), a)
+    f_pad = np.zeros_like(a_op_f)
+    f_pad[..., : a.shape[-1]] = a
+    return a_op_f, b_op_f, f_pad
+
+
 def soltani_up(f, w, y, xi: WeightParam) -> UncertaintyReport:
     """Bergman-space uncertainty inequality with shift parameters w, y.
 
@@ -73,10 +85,7 @@ def soltani_up(f, w, y, xi: WeightParam) -> UncertaintyReport:
     p = xi.xi + 2.0
     lhs = weighted_norm_sq(a, xi, p + 2.0 * np.arange(a.shape[-1]))
     # the unshifted images, then i w f and y f added over the shift axes
-    a_op_f = apply(FirstOrderOp(CoeffVector([1.0, 0.0, 1.0]), CoeffVector([0.0, p])), a)
-    b_op_f = apply(FirstOrderOp(CoeffVector([-1.0, 0.0, 1.0]), CoeffVector([0.0, p])), a)
-    f_pad = np.zeros_like(a_op_f)
-    f_pad[..., : a.shape[-1]] = a
+    a_op_f, b_op_f, f_pad = _unshifted_images(a, xi)
     iw = 1j * np.asarray(w, dtype=float)[..., None]
     yy = np.asarray(y, dtype=float)[..., None]
     rhs = np.sqrt(bergman_norm_sq(a_op_f + iw * f_pad, xi)) * np.sqrt(bergman_norm_sq(b_op_f + yy * f_pad, xi))
@@ -98,20 +107,15 @@ def consistency_check(f: CoeffVector, w: float, y: float, xi: WeightParam) -> fl
     return max(abs(direct.lhs - via_lie.lhs / 2.0), abs(direct.rhs - via_lie.rhs / 2.0))
 
 
-def minimize_shift(fn, lo: float = -4.0, hi: float = 4.0, iters: int = 60) -> float:
-    """Golden-section minimizer for probing near-optimal shifts."""
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2.0
+def optimal_shifts(f: CoeffVector, xi: WeightParam) -> tuple:
+    """The shifts (w*, y*) at which the rhs of ``soltani_up`` is least, for f != 0.
+
+    ||(A0 + i w) f||^2 = ||A0 f||^2 + 2 w Im<A0 f, f> + w^2 ||f||^2 and
+    ||(B0 + y) f||^2 = ||B0 f||^2 + 2 y Re<B0 f, f> + y^2 ||f||^2 are
+    quadratics in w and y, and the rhs is the product of their square roots,
+    so w* = -Im<A0 f, f> / ||f||^2 and y* = -Re<B0 f, f> / ||f||^2.
+    """
+    a_op_f, b_op_f, f_pad = _unshifted_images(f.coeffs, xi)
+    f_dual = np.conj(f_pad) * monomial_norms_sq(xi, f_pad.shape[-1] - 1)
+    norm_sq = bergman_norm_sq(f, xi)
+    return -float(np.sum(a_op_f * f_dual).imag) / norm_sq, -float(np.sum(b_op_f * f_dual).real) / norm_sq

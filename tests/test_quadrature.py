@@ -33,6 +33,12 @@ class TestGridConstruction:
         grid = QuadratureGrid(WeightParam(x))
         assert abs(np.sum(grid.weights) - 1.0) <= 1e-12
 
+    def test_arrays_are_read_only(self, grid0):
+        # verify shares one grid between properties
+        for name in ("radial_nodes", "radial_weights", "angles", "nodes", "weights"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(grid0, name)[0] = 0.0
+
     def test_nan_weight_fails_mass_check(self, monkeypatch):
         # every comparison with NaN is false, so the check must be written
         # as "not within", or a NaN mass passes it
@@ -173,6 +179,77 @@ class TestIntegrate:
     def test_angular_exactness(self, grid0):
         for k in (1, 3, 100, 255):
             assert abs(np.mean(np.exp(1j * k * grid0.angles))) <= 1e-12
+
+
+def one_pass(samples, grid):
+    """The unblocked sum: full-grid samples, row sums, then the radial dot."""
+    rows = np.sum(samples, axis=1)
+    return complex(rows.real @ grid.radial_weights, rows.imag @ grid.radial_weights) / grid.angular_points
+
+
+def grid_rows(grid, z):
+    """The rows of ``grid.nodes`` that the block ``z`` is, checked to be whole rows."""
+    start = (z.ctypes.data - grid.nodes.ctypes.data) // grid.nodes.strides[0]
+    rows = slice(start, start + z.shape[0])
+    assert z.shape[1] == grid.angular_points and z.size <= max(quadrature.BLOCK_POINTS, grid.angular_points)
+    assert np.array_equal(z, grid.nodes[rows])
+    return rows
+
+
+# (R, M) with several blocks: 16 rows a block and R not a multiple of it;
+# 5 rows a block with M not a power of two; one row a block, M > BLOCK_POINTS
+BLOCKED_SIZES = [(100, 1000), (37, 3000), (30, 20000)]
+
+
+class TestBlockedIntegrate:
+    @pytest.mark.parametrize("size", BLOCKED_SIZES)
+    def test_bit_identical_to_one_pass(self, size):
+        rng = np.random.default_rng(21)
+        grid = QuadratureGrid(WeightParam(1.3), *size)
+        f = CoeffVector(rng.normal(size=25) + 1j * rng.normal(size=25))
+        assert grid.radial_points * grid.angular_points > quadrature.BLOCK_POINTS
+        assert integrate(lambda z: np.abs(f(z)) ** 2, grid) == one_pass(np.abs(f(grid.nodes)) ** 2, grid)
+        samples = rng.normal(size=grid.nodes.shape) + 1j * rng.normal(size=grid.nodes.shape)
+        assert integrate(lambda z: samples[grid_rows(grid, z)], grid) == one_pass(samples, grid)
+
+    @pytest.mark.parametrize("size", BLOCKED_SIZES)
+    def test_reproduce_matches_unblocked_integrand(self, size):
+        rng = np.random.default_rng(22)
+        wp = WeightParam(2.5)
+        grid = QuadratureGrid(wp, *size)
+        f = CoeffVector(rng.normal(size=25) + 1j * rng.normal(size=25))
+        w = KernelPoint(0.5 - 0.4j)
+        want = one_pass(np.conj(kernel_eval(grid.nodes, w, wp)) * f(grid.nodes), grid)
+        assert reproduce(f, w, wp, grid) == want
+
+    def test_first_non_finite_node_in_a_later_block(self):
+        # rows 0-15 are the first block and clean; the NaN at row 50 comes
+        # before the inf at row 70, which sits in a later block still
+        grid = QuadratureGrid(WeightParam(0.0), 100, 1000)
+
+        def bad(z):
+            out = np.ones_like(z)
+            rows = grid_rows(grid, z)
+            for (i, j), value in (((50, 7), np.nan), ((70, 3), np.inf)):
+                if rows.start <= i < rows.stop:
+                    out[i - rows.start, j] = value
+            return out
+
+        with pytest.raises(ValueError, match="node") as err:
+            integrate(bad, grid)
+        assert f"z={grid.nodes[50, 7]}" in str(err.value)
+
+    def test_integrand_sees_one_block_of_whole_rows(self):
+        grid = QuadratureGrid(WeightParam(0.0), 100, 1000)
+        seen = []
+
+        def record(z):
+            seen.append(grid_rows(grid, z))
+            return np.ones_like(z)
+
+        assert integrate(record, grid) == pytest.approx(1.0, abs=1e-12)
+        step = quadrature.BLOCK_POINTS // grid.angular_points
+        assert seen == [slice(i, min(i + step, 100)) for i in range(0, 100, step)]
 
 
 class TestKernel:

@@ -7,7 +7,7 @@ from bergman11 import (
     basis_elements,
     consistency_check,
     lie_up,
-    minimize_shift,
+    optimal_shifts,
     soltani_up,
 )
 
@@ -76,12 +76,20 @@ class TestConsistency:
                 )
 
 
-class TestMinimizeShift:
-    def test_finds_parabola_minimum(self):
-        assert minimize_shift(lambda t: (t - 0.7) ** 2) == pytest.approx(0.7, abs=1e-8)
-
-    def test_tightens_slack(self):
-        f = CoeffVector([1.0, 0.5, 0.25j])
-        wp = WeightParam(0.0)
-        best_w = minimize_shift(lambda w: soltani_up(f, w, 0.0, wp).slack)
-        assert soltani_up(f, best_w, 0.0, wp).slack <= soltani_up(f, 0.0, 0.0, wp).slack + 1e-12
+class TestOptimalShifts:
+    def test_match_dense_scan_of_rhs(self):
+        # the closed-form minimizers of each rhs factor against a scan of rhs
+        # with step 1e-3 over [-4, 4], the other shift held at its optimum
+        rng = np.random.default_rng(33)
+        scan = np.linspace(-4.0, 4.0, 8001)
+        for x in (-0.5, 0.0, 1.0, 2.5):
+            wp = WeightParam(x)
+            for f in (CoeffVector([1.0, 0.5, 0.25j]), rand_poly(rng, 8)):
+                w_star, y_star = optimal_shifts(f, wp)
+                assert abs(w_star) < 3.5 and abs(y_star) < 3.5
+                rhs_w = soltani_up(f, scan, y_star, wp).rhs
+                rhs_y = soltani_up(f, w_star, scan, wp).rhs
+                assert abs(scan[np.argmin(rhs_w)] - w_star) <= 1e-3
+                assert abs(scan[np.argmin(rhs_y)] - y_star) <= 1e-3
+                best = soltani_up(f, w_star, y_star, wp).rhs
+                assert best <= min(rhs_w.min(), rhs_y.min()) * (1.0 + 1e-14)

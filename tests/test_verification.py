@@ -95,3 +95,19 @@ def test_batched_properties_draw_in_per_sample_order(name):
         for (x_row, row), (x_loop, f) in zip(rows, loop):
             assert x_row == x_loop and np.array_equal(row, f.padded(recipe.degree))
         assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
+
+
+def test_run_builds_each_distinct_grid_once_and_keeps_none(monkeypatch):
+    # a default run asks for 12 grids over 8 distinct (xi, R, M)
+    built = []
+    init = verification.quad.QuadratureGrid.__init__
+
+    def counting_init(self, xi, radial_points, angular_points):
+        built.append((xi.xi, radial_points, angular_points))
+        init(self, xi, radial_points, angular_points)
+
+    monkeypatch.setattr(verification.quad.QuadratureGrid, "__init__", counting_init)
+    verification._shared_grid.cache_clear()
+    run_suites(RunConfig())
+    assert len(built) == len(set(built)) == 8
+    assert verification._shared_grid.cache_info().currsize == 0
