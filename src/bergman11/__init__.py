@@ -8,7 +8,6 @@ from .weights import (
     inner_product,
     monomial_norm_sq,
     monomial_norms_sq,
-    smooth_seminorm_sq,
     sobolev_norm_sq,
 )
 from .quadrature import KernelPoint, QuadratureGrid, integrate, kernel_eval, reproduce
@@ -51,7 +50,6 @@ from .uncertainty import (
 from .weightshift import (
     FrameConstants,
     ShiftOp,
-    domain_identification_check,
     frame_constants,
     frame_ratio,
     kernel_coeffs,

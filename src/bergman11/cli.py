@@ -164,10 +164,7 @@ def cmd_verify(args) -> int:
         )
     if cfg.trunc < 1:
         raise UsageError(f"--trunc must be >= 1, got {cfg.trunc}")
-    try:
-        report = run_suites(cfg, args.suite)
-    except ValueError as e:
-        raise UsageError(str(e))
+    report = run_suites(cfg, args.suite)
     if args.format == "json":
         _emit(reporting.dumps(report), args.out)
     else:
@@ -271,10 +268,7 @@ def main(argv=None) -> int:
         return 2 if e.code else 0
     try:
         return COMMANDS[args.command](args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

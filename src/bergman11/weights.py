@@ -206,11 +206,3 @@ def sobolev_norm_sq(f, xi: WeightParam, n: int):
     factor = np.arange(_coeffs(f).shape[-1], dtype=float) ** (2 * n)
     factor[0] = 1.0
     return weighted_norm_sq(f, xi, factor)
-
-
-def smooth_seminorm_sq(f, xi: WeightParam, m: int):
-    """Smooth-vector seminorm: sum |a_k|^2 ||z^k||^2 (xi(xi+2)+2k)^{2m}."""
-    if m < 0:
-        raise ValueError(f"seminorm order must be >= 0, got {m}")
-    k = np.arange(_coeffs(f).shape[-1], dtype=float)
-    return weighted_norm_sq(f, xi, (xi.xi * (xi.xi + 2.0) + 2.0 * k) ** (2 * m))

@@ -119,20 +119,3 @@ def kernel_shift_residual(alpha: float, w: KernelPoint, xi: WeightParam, degree:
     shifted = (1.0 + alpha * k) * kernel_coeffs(xi, w, degree)
     target = kernel_coeffs(WeightParam(xi.xi + 1.0), w, degree)
     return float(np.linalg.norm(shifted - target) / np.linalg.norm(target))
-
-
-def domain_identification_check(xi: WeightParam, k_range: int):
-    """Scan the ratio of the weight-(xi-2) norm weights to the order-one
-    Sobolev weights; finite positive bounds certify the norm equivalence
-    behind the domain identification (requires xi > 1).
-
-    The ratio is (k+xi)(k+xi+1) / (k^2 xi (xi+1)) with tail 1/(xi(xi+1)).
-    """
-    if xi.xi <= 1.0:
-        raise ValueError(f"domain identification requires xi > 1, got {xi.xi}")
-    x = xi.xi
-    k = np.arange(1, k_range + 1, dtype=float)
-    ratios = (k + x) * (k + x + 1.0) / (k**2 * x * (x + 1.0))
-    tail = 1.0 / (x * (x + 1.0))
-    values = np.concatenate([ratios, [tail]])
-    return float(np.min(values)), float(np.max(values))

@@ -22,7 +22,8 @@ DEFAULT_CHECKS = {
     "su11_algebra": "bracket_WY_is_minus_2X W_equals_Z_minus_X jacobi_and_coords_roundtrip exp_group_law "
     "exp_determinant",
     "uncertainty": "uncertainty_slack_nonnegative equality_at_constants two_route_consistency optimal_shift_slack",
-    "weight_core": "norm_ratio_recurrence shift_limit_monotone oracle_equivalence_monomials sobolev_norm_equivalence",
+    "weight_core": "norm_ratio_recurrence shift_limit_monotone shift_limit_bound oracle_equivalence_monomials "
+    "sobolev_norm_equivalence",
 }
 
 
@@ -46,6 +47,19 @@ class TestRegistry:
         assert sorted(owners) == sorted((n, s) for s, names in expected.items() for n in names)
         report = run_suites(RunConfig())
         assert {s: [c["name"] for c in cs] for s, cs in report["suites"].items()} == expected
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("xi", x) for x in (-0.999, -0.99, -0.5, 0.0, 2.35, 2.4, 4.5, 5.0, 10.0, 40.0, 98.0)]
+    + [("quad_r", 8), ("trunc", 1)],
+)
+def test_verify_passes_over_its_domain_by_the_reported_margins(field, value):
+    # the documented domain is -1 < xi <= 98; a check passes iff margin <= tolerance
+    report = run_suites(RunConfig(**{field: value}))
+    checks = [c for cs in report["suites"].values() for c in cs]
+    assert all(c["passed"] == (c["margin"] <= c["tolerance"]) for c in checks)
+    assert report["passed"], [c for c in checks if not c["passed"]]
 
 
 @pytest.mark.parametrize("xi", [-0.99, -0.999])

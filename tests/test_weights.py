@@ -9,7 +9,6 @@ from bergman11 import (
     bergman_norm_sq,
     inner_product,
     monomial_norm_sq,
-    smooth_seminorm_sq,
     sobolev_norm_sq,
 )
 from bergman11.weights import _log_norms_sq, basis_scales, monomial_norms_sq
@@ -199,16 +198,6 @@ class TestNorms:
     def test_sobolev_rejects_order_zero(self):
         with pytest.raises(ValueError):
             sobolev_norm_sq(CoeffVector([1]), WeightParam(0.0), 0)
-
-    def test_smooth_seminorm_values(self):
-        assert smooth_seminorm_sq(CoeffVector([1]), WeightParam(0.0), 1) == 0.0
-        assert smooth_seminorm_sq(CoeffVector([1]), WeightParam(1.0), 1) == pytest.approx(9.0)
-
-    def test_smooth_seminorm_order_zero_is_norm(self):
-        rng = np.random.default_rng(3)
-        wp = WeightParam(0.5)
-        f = CoeffVector(rng.normal(size=9) + 1j * rng.normal(size=9))
-        assert smooth_seminorm_sq(f, wp, 0) == pytest.approx(bergman_norm_sq(f, wp))
 
 
 class TestBasisConversion:

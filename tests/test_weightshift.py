@@ -10,7 +10,6 @@ from bergman11 import (
     ShiftOp,
     WeightParam,
     bergman_norm_sq,
-    domain_identification_check,
     frame_constants,
     frame_ratio,
     kernel_coeffs,
@@ -139,15 +138,3 @@ class TestKernelShift:
         shifted = (1.0 + 0.02 * np.arange(n + 1)) * kernel_coeffs(wp, w, n)
         absolute = np.linalg.norm(shifted - target)
         assert kernel_shift_residual(0.02, w, wp, n) == pytest.approx(absolute / np.linalg.norm(target), rel=1e-15)
-
-
-class TestDomainIdentification:
-    def test_requires_weight_above_one(self):
-        with pytest.raises(ValueError):
-            domain_identification_check(WeightParam(1.0), 100)
-
-    def test_bounds_are_finite_and_ordered(self):
-        lo, hi = domain_identification_check(WeightParam(2.0), 10**4)
-        assert 0.0 < lo <= hi < np.inf
-        # tail limit 1/(xi(xi+1)) = 1/6 is the infimum here
-        assert lo == pytest.approx(1.0 / 6.0, rel=1e-3)
