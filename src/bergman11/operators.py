@@ -134,14 +134,13 @@ def classify_symmetric(op: FirstOrderOp, xi: WeightParam, tol: float = 1e-10) ->
     Symmetry forces f = a0 + a1 z + conj(a0) z^2, g = b0 + (xi+2) conj(a0) z
     with a1, b0 real; the first violated condition is reported.
     """
-    f = op.fcoeffs.trimmed().coeffs
-    g = op.gcoeffs.trimmed().coeffs
-    if len(f) > 3:
-        return ClassifyVerdict(False, None, f"deg f = {len(f) - 1} > 2")
-    if len(g) > 2:
-        return ClassifyVerdict(False, None, f"deg g = {len(g) - 1} > 1")
-    f = np.pad(f, (0, 3 - len(f)))
-    g = np.pad(g, (0, 2 - len(g)))
+    f = op.fcoeffs.trimmed()
+    g = op.gcoeffs.trimmed()
+    if f.degree > 2:
+        return ClassifyVerdict(False, None, f"deg f = {f.degree} > 2")
+    if g.degree > 1:
+        return ClassifyVerdict(False, None, f"deg g = {g.degree} > 1")
+    f, g = f.padded(2), g.padded(1)
     if abs(f[1].imag) > tol:
         return ClassifyVerdict(False, None, "a1 not real")
     if abs(g[0].imag) > tol:

@@ -6,6 +6,11 @@ weight (xi+1)(1-s)^xi is folded into the rule, so radial polynomials of
 degree <= 2R-1 integrate to machine precision for every xi > -1) and
 uniform angles with trapezoid weights.
 
+The grid is rank one, so it is stored as its two factors: the radii
+sqrt(s_i) (R values) and the unit circle exp(i theta_j) (M values).
+``integrate`` forms the nodes r_i exp(i theta_j) one block of rows at a time
+and holds no R x M node array; ``QuadratureGrid.nodes`` builds one on request.
+
 The radial rule is computed in numpy (``gauss_jacobi``): Halley steps on the
 three-term recurrence from asymptotic initial guesses, as Hale and Townsend
 do (SIAM J. Sci. Comput. 35, 2013).  For -0.999 <= xi <= 100 and
@@ -181,7 +186,10 @@ class KernelPoint:
 
 
 class QuadratureGrid:
-    """Radial x angular nodes and weights for the measure d(nu_xi)."""
+    """Radial x angular nodes and weights for the measure d(nu_xi).
+
+    Node (i, j) is radii[i] * circle[j]; only these factors are stored, and
+    ``weights`` is an (R, M) broadcast view of the radial weights."""
 
     def __init__(self, xi: WeightParam, radial_points: int = 64, angular_points: int = 256):
         if radial_points < 8:
@@ -196,16 +204,31 @@ class QuadratureGrid:
         self.radial_nodes, self.radial_weights = gauss_jacobi(radial_points, xi.xi)
 
         self.angles = 2.0 * np.pi * np.arange(angular_points) / angular_points
-        self.nodes = np.sqrt(self.radial_nodes)[:, None] * np.exp(1j * self.angles)[None, :]
-        self.weights = np.broadcast_to(self.radial_weights[:, None] / angular_points, self.nodes.shape)
+        self.radii = np.sqrt(self.radial_nodes)
+        self.circle = np.exp(1j * self.angles)
+        self.weights = np.broadcast_to(self.radial_weights[:, None] / angular_points, (radial_points, angular_points))
 
         mass = float(np.sum(self.weights))
         # written so that a NaN mass fails too
         if not abs(mass - 1.0) <= 1e-12:
             raise RuntimeError(f"quadrature weights sum to {mass}, expected 1")
         # read-only, so that one grid can be shared (``weights`` is a broadcast view)
-        for array in (self.radial_nodes, self.radial_weights, self.angles, self.nodes):
+        for array in (self.radial_nodes, self.radial_weights, self.angles, self.radii, self.circle):
             array.flags.writeable = False
+
+    def _rows(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Nodes of rows start..stop-1, written to ``out`` if given: the one
+        formula for a node.  The radii are cast to complex first, as numpy would
+        cast them in the product, but once each rather than once per node."""
+        radii = self.radii[start:stop, None].astype(np.complex128)
+        return np.multiply(radii, self.circle[None, :], out=out)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The full (R, M) node array, read-only, built anew on each access."""
+        nodes = self._rows(0, self.radial_points)
+        nodes.flags.writeable = False
+        return nodes
 
 
 def integrate(F, grid: QuadratureGrid) -> complex:
@@ -214,7 +237,8 @@ def integrate(F, grid: QuadratureGrid) -> complex:
     F is an elementwise callable on complex arrays, such as a CoeffVector.  It
     is called once per block of whole radial rows (``BLOCK_POINTS`` nodes, or
     one row when a row is longer), never on the full grid, so its temporaries
-    stay in cache.  Each row is summed over its angular nodes, then the row
+    stay in cache.  The block's nodes are formed from the grid's factors and
+    are read-only.  Each row is summed over its angular nodes, then the row
     sums against the radial weights, then divided by the angular count: the
     order of a single pass over the grid, so the blocks change no bit of the
     result.  A non-finite sample always makes its row sum non-finite; only a
@@ -223,8 +247,13 @@ def integrate(F, grid: QuadratureGrid) -> complex:
     """
     step = max(1, BLOCK_POINTS // grid.angular_points)
     rows = np.empty(grid.radial_points, dtype=np.complex128)
+    # one buffer serves every block: a fresh 256 KiB array per block is mapped
+    # and faulted in anew, which costs more than forming its nodes
+    buffer = np.empty((min(step, grid.radial_points), grid.angular_points), dtype=np.complex128)
     for start in range(0, grid.radial_points, step):
-        block = grid.nodes[start : start + step]
+        stop = min(start + step, grid.radial_points)
+        block = grid._rows(start, stop, buffer[: stop - start])
+        block.flags.writeable = False
         samples = np.asarray(F(block), dtype=np.complex128)
         if samples.shape != block.shape:
             samples = np.broadcast_to(samples, block.shape)

@@ -197,15 +197,18 @@ def oracle_equivalence_monomials(cfg, rng, recipe):
 
     The Gram matrix of z^0..z^n is summed over the grid's radial rows as
     (P_r w_r) P_r^H, with P_r the powers at the row's M angular nodes and w_r
-    the row's weight; one row at a time, so no (n+1) x R x M array is held."""
+    the row's weight; one row at a time, so no (n+1) x R x M array is held.
+    The grid is a product of radii and circle, so P_r = r^k * circle^k, with
+    the circle's powers taken once per grid."""
     worst = 0.0
     k = np.arange(recipe.degree + 1)[:, None]
     for x in recipe.xis:
         wp = WeightParam(x)
         grid = _grid(cfg, wp)
+        circle_powers = grid.circle**k
         gram = np.zeros((recipe.degree + 1, recipe.degree + 1), dtype=np.complex128)
-        for row, w_r in zip(grid.nodes, grid.weights[:, 0]):
-            powers = row ** k
+        for r, w_r in zip(grid.radii, grid.weights[:, 0]):
+            powers = r**k * circle_powers
             gram += (powers * w_r) @ powers.conj().T
         expected = np.diag(weights.monomial_norms_sq(wp, recipe.degree))
         worst = max(worst, float(np.max(np.abs(gram - expected))))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,9 +37,22 @@ class TestGridConstruction:
 
     def test_arrays_are_read_only(self, grid0):
         # verify shares one grid between properties
-        for name in ("radial_nodes", "radial_weights", "angles", "nodes", "weights"):
+        for name in ("radial_nodes", "radial_weights", "angles", "radii", "circle", "nodes", "weights"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(grid0, name)[0] = 0.0
+
+    def test_large_grid_stores_its_factors_only(self):
+        # the grid holds O(R + M) bytes, and building it never allocates an
+        # R x M array either: 128 (R + M) is 0.66 MB, a node array 67 MB
+        r, m = 1024, 4096
+        tracemalloc.start()
+        try:
+            grid = QuadratureGrid(WeightParam(0.5), r, m)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.weights.shape == (r, m)
+        assert max(held, peak) <= 128 * (r + m)
 
     def test_nan_weight_fails_mass_check(self, monkeypatch):
         # every comparison with NaN is false, so the check must be written
@@ -188,11 +203,16 @@ def one_pass(samples, grid):
 
 
 def grid_rows(grid, z):
-    """The rows of ``grid.nodes`` that the block ``z`` is, checked to be whole rows."""
-    start = (z.ctypes.data - grid.nodes.ctypes.data) // grid.nodes.strides[0]
+    """The rows of ``grid.nodes`` that the block ``z`` is, checked to be whole rows.
+
+    The block is found by value: circle[0] == 1, so z[:, 0] is exactly the
+    block's radii, and the radii are strictly increasing."""
+    (start,) = np.flatnonzero(grid.radii == z[0, 0].real)
     rows = slice(start, start + z.shape[0])
+    assert np.array_equal(z[:, 0], grid.radii[rows])
     assert z.shape[1] == grid.angular_points and z.size <= max(quadrature.BLOCK_POINTS, grid.angular_points)
-    assert np.array_equal(z, grid.nodes[rows])
+    # grid.nodes[rows] without building all of grid.nodes per block
+    assert np.array_equal(z, grid.radii[rows, None] * grid.circle)
     return rows
 
 
@@ -221,6 +241,23 @@ class TestBlockedIntegrate:
         w = KernelPoint(0.5 - 0.4j)
         want = one_pass(np.conj(kernel_eval(grid.nodes, w, wp)) * f(grid.nodes), grid)
         assert reproduce(f, w, wp, grid) == want
+
+    @pytest.mark.parametrize("size", BLOCKED_SIZES + [(128, 512), (512, 2048)])
+    def test_blocks_are_the_outer_product_bit_for_bit(self, size):
+        # the nodes the grid stored before it kept only its factors
+        grid = QuadratureGrid(WeightParam(0.7), *size)
+        outer = np.sqrt(grid.radial_nodes)[:, None] * np.exp(1j * grid.angles)[None, :]
+        seen = []
+
+        def record(z):
+            rows = grid_rows(grid, z)
+            assert z.tobytes() == outer[rows].tobytes()
+            seen.append(rows)
+            return np.ones_like(z)
+
+        integrate(record, grid)
+        assert seen[0].start == 0 and seen[-1].stop == grid.radial_points
+        assert grid.nodes.tobytes() == outer.tobytes()
 
     def test_first_non_finite_node_in_a_later_block(self):
         # rows 0-15 are the first block and clean; the NaN at row 50 comes
