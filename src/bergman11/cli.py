@@ -164,6 +164,9 @@ def cmd_verify(args) -> int:
         )
     if cfg.trunc < 1:
         raise UsageError(f"--trunc must be >= 1, got {cfg.trunc}")
+    for name in ("tol_exact", "tol_quad"):
+        if not 0.0 <= getattr(cfg, name) < math.inf:  # false for NaN too
+            raise UsageError(f"--{name.replace('_', '-')} must be finite and >= 0, got {getattr(cfg, name):g}")
     report = run_suites(cfg, args.suite)
     if args.format == "json":
         _emit(reporting.dumps(report), args.out)

@@ -104,7 +104,7 @@ def consistency_check(f: CoeffVector, w: float, y: float, xi: WeightParam) -> fl
     """
     direct = soltani_up(f, w, y, xi)
     via_lie = lie_up(W_GEN, Y_GEN, f, -w, y, xi)
-    return max(abs(direct.lhs - via_lie.lhs / 2.0), abs(direct.rhs - via_lie.rhs / 2.0))
+    return float(np.maximum(abs(direct.lhs - via_lie.lhs / 2.0), abs(direct.rhs - via_lie.rhs / 2.0)))
 
 
 def optimal_shifts(f: CoeffVector, xi: WeightParam) -> tuple:

@@ -1,19 +1,23 @@
 """Property registry behind the ``verify`` CLI command and the acceptance tests.
 
-Each property is one function ``(cfg, rng, recipe) -> list[PropertyCheck]``
-that re-checks invariants of the engine and returns named checks with
-measured margins.  ``REGISTRY`` lists every property once: its suite, the
-tolerance of each of its checks, the recipe ``verify`` runs it with and, where
-it has one, the numbered acceptance criterion that runs it with its own seed
-and a larger recipe.  Everything is driven by a RunConfig and a seeded
-generator, so two runs with the same configuration produce identical reports.
+Each property is a generator ``(cfg, rng, recipe)`` that re-checks invariants
+of the engine and yields ``(check, value)`` or ``(check, value, detail)``,
+where ``value`` is a number or an array of measured values and ``detail`` a
+note reported with the check.  ``run_property`` reduces what a property
+yields to one ``PropertyCheck`` per check: its margin is the largest value
+yielded for it over all samples (NaN if any is NaN), and it passes iff
+margin <= tolerance.  ``REGISTRY`` lists every property once: its suite, the tolerance
+of each of its checks, the recipe ``verify`` runs it with and, where it has
+one, the numbered acceptance criterion that runs it with its own seed and a
+larger recipe.  Everything is driven by a RunConfig and a seeded generator,
+so two runs with the same configuration produce identical reports.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -84,13 +88,6 @@ class Recipe:
     points: Tuple[complex, ...] = ()
 
 
-def _check(cfg, name, margin, detail="") -> PropertyCheck:
-    """Passed iff margin <= tolerance, the registry's tolerance resolved against cfg."""
-    tol = _TOLERANCES[name]
-    margin, tol = float(margin), float(getattr(cfg, tol) if isinstance(tol, str) else tol)
-    return PropertyCheck(name, margin <= tol, margin, tol, detail)
-
-
 def _xis(cfg: RunConfig, recipe: Recipe):
     return (cfg.xi,) if recipe.xis is None else recipe.xis
 
@@ -156,13 +153,11 @@ XI_SCAN = (-0.5, 0.0, 1.0, 2.5)
 
 def norm_ratio_recurrence(cfg, rng, recipe):
     """||z^{k-1}||^2 = (xi+1+k)/k ||z^k||^2 at every listed xi and cfg.xi."""
-    worst = 0.0
     k = np.arange(1, recipe.degree + 1, dtype=float)
     for x in recipe.xis + (cfg.xi,):
         w = weights.monomial_norms_sq(WeightParam(x), recipe.degree)
         rhs = (x + 1.0 + k) / k * w[1:]
-        worst = max(worst, float(np.max(np.abs(w[:-1] - rhs) / np.abs(rhs))))
-    return [_check(cfg, "norm_ratio_recurrence", worst)]
+        yield "norm_ratio_recurrence", np.abs(w[:-1] - rhs) / np.abs(rhs)
 
 
 def shift_limit_monotone(cfg, rng, recipe):
@@ -182,14 +177,12 @@ def shift_limit_monotone(cfg, rng, recipe):
     n = recipe.degree + 1
     w = weights.monomial_norms_sq(wp, n + 2)
     a = (wp.xi + 1.0) / (np.arange(n + 2) + wp.xi + 2.0)
-    step = excess = -np.inf
     for ell in (1, 2, 3):
         dist = np.abs(w[ell : n + ell] / w[:n] - 1.0)
         lo = -np.expm1(ell * np.log1p(-a[ell - 1 : n + ell - 1]))
         hi = sum(a[j : n + j] for j in range(ell))
-        step = max(step, float(np.max(np.diff(dist))))
-        excess = max(excess, float(np.max(np.maximum(lo - dist, dist - hi))))
-    return [_check(cfg, "shift_limit_monotone", step), _check(cfg, "shift_limit_bound", excess)]
+        yield "shift_limit_monotone", np.diff(dist)
+        yield "shift_limit_bound", np.maximum(lo - dist, dist - hi)
 
 
 def oracle_equivalence_monomials(cfg, rng, recipe):
@@ -200,7 +193,6 @@ def oracle_equivalence_monomials(cfg, rng, recipe):
     the row's weight; one row at a time, so no (n+1) x R x M array is held.
     The grid is a product of radii and circle, so P_r = r^k * circle^k, with
     the circle's powers taken once per grid."""
-    worst = 0.0
     k = np.arange(recipe.degree + 1)[:, None]
     for x in recipe.xis:
         wp = WeightParam(x)
@@ -211,8 +203,7 @@ def oracle_equivalence_monomials(cfg, rng, recipe):
             powers = r**k * circle_powers
             gram += (powers * w_r) @ powers.conj().T
         expected = np.diag(weights.monomial_norms_sq(wp, recipe.degree))
-        worst = max(worst, float(np.max(np.abs(gram - expected))))
-    return [_check(cfg, "oracle_equivalence_monomials", worst)]
+        yield "oracle_equivalence_monomials", np.abs(gram - expected)
 
 
 def sobolev_norm_equivalence(cfg, rng, recipe):
@@ -234,8 +225,8 @@ def sobolev_norm_equivalence(cfg, rng, recipe):
     batch = np.array([_random_coeffs(rng, cfg.trunc) for _ in range(recipe.samples)])
     alt = weights.weighted_norm_sq(batch, wp, phi_alt)
     sob = weights.sobolev_norm_sq(batch, wp, 1)
-    worst = float(max(np.max((m * alt - sob) / (m * alt)), np.max((sob - big_m * alt) / (big_m * alt))))
-    return [_check(cfg, "sobolev_norm_equivalence", worst, detail=f"m={m:.6g} M={big_m:.6g}")]
+    yield "sobolev_norm_equivalence", (m * alt - sob) / (m * alt), f"m={m:.6g} M={big_m:.6g}"
+    yield "sobolev_norm_equivalence", (sob - big_m * alt) / (big_m * alt)
 
 
 # ---------------------------------------------------------------------------
@@ -247,23 +238,17 @@ def quadrature_rule(cfg, rng, recipe):
     exactly at the listed xi for k <= 2R - 1; the angular nodes annihilate
     0 < |k| < M."""
     grid = _grid(cfg, cfg.weight())
-    mass = abs(quad.integrate(lambda z: np.ones_like(z), grid) - 1.0)
-    worst_r = 0.0
+    yield "probability_measure", abs(quad.integrate(lambda z: np.ones_like(z), grid) - 1.0)
     for x in recipe.xis:
         wpx = WeightParam(x)
         g = _grid(cfg, wpx)
         # an R-point Gauss rule is exact for s^k with k <= 2R - 1 only
-        for k in range(0, min(recipe.degree, 2 * cfg.quad_r - 1) + 1, 5):
-            approx = float(np.sum(g.radial_weights * g.radial_nodes**k))
-            worst_r = max(worst_r, abs(approx - weights.monomial_norm_sq(wpx, k)))
-    worst_a = 0.0
-    for k in (1, 2, 7, cfg.quad_m // 2, cfg.quad_m - 1):
-        worst_a = max(worst_a, abs(np.sum(np.exp(1j * k * grid.angles))) / cfg.quad_m)
-    return [
-        _check(cfg, "probability_measure", mass),
-        _check(cfg, "radial_exactness", worst_r),
-        _check(cfg, "angular_exactness", worst_a),
-    ]
+        yield "radial_exactness", [
+            abs(float(np.sum(g.radial_weights * g.radial_nodes**k)) - weights.monomial_norm_sq(wpx, k))
+            for k in range(0, min(recipe.degree, 2 * cfg.quad_r - 1) + 1, 5)
+        ]
+    ks = (1, 2, 7, cfg.quad_m // 2, cfg.quad_m - 1)
+    yield "angular_exactness", [abs(np.sum(np.exp(1j * k * grid.angles))) / cfg.quad_m for k in ks]
 
 
 def kernel_series_consistency(cfg, rng, recipe):
@@ -296,7 +281,7 @@ def kernel_series_consistency(cfg, rng, recipe):
     n = converged[0]
     resid = np.abs(np.cumsum(terms[: n + 1]) - target)
     excess = (resid - bound[: n + 1])[gap[: n + 1] > 0.0]
-    return [_check(cfg, "kernel_series_consistency", np.max(excess) / abs(target))]
+    yield "kernel_series_consistency", np.max(excess) / abs(target)
 
 
 def reproducing_identity(cfg, rng, recipe):
@@ -305,13 +290,12 @@ def reproducing_identity(cfg, rng, recipe):
     wp = cfg.weight()
     f = CoeffVector([0.0, 0.0, 0.0, 1.0])
     w = quad.KernelPoint(0.3 + 0.2j)
-    worst = abs(quad.reproduce(f, w, wp, _grid(cfg, wp)) - f(w.w))
+    yield "reproducing_identity_spot", abs(quad.reproduce(f, w, wp, _grid(cfg, wp)) - f(w.w))
     for x in _xi_draws(cfg, rng, recipe):
         wpx = WeightParam(x)
         f = _random_poly(rng, _degree(rng, recipe))
         w = quad.KernelPoint(complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45)))
-        worst = max(worst, abs(quad.reproduce(f, w, wpx, _grid(cfg, wpx)) - f(w.w)))
-    return [_check(cfg, "reproducing_identity_spot", worst)]
+        yield "reproducing_identity_spot", abs(quad.reproduce(f, w, wpx, _grid(cfg, wpx)) - f(w.w))
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +304,11 @@ def reproducing_identity(cfg, rng, recipe):
 
 def basis_relations(cfg, rng, recipe):
     x, y, z, w = su11.basis_elements()
-    return [
-        _check(cfg, "bracket_WY_is_minus_2X", (su11.bracket(w, y) - (-2.0 * x)).norm()),
-        _check(cfg, "W_equals_Z_minus_X", (w - (z - x)).norm()),
-    ]
+    yield "bracket_WY_is_minus_2X", (su11.bracket(w, y) - (-2.0 * x)).norm()
+    yield "W_equals_Z_minus_X", (w - (z - x)).norm()
 
 
 def jacobi_and_coords_roundtrip(cfg, rng, recipe):
-    worst = 0.0
     for _ in range(recipe.samples):
         u, v, t = _random_element(rng), _random_element(rng), _random_element(rng)
         jac = (
@@ -335,8 +316,7 @@ def jacobi_and_coords_roundtrip(cfg, rng, recipe):
             + su11.bracket(v, su11.bracket(t, u))
             + su11.bracket(t, su11.bracket(u, v))
         )
-        worst = max(worst, jac.norm(), (su11.from_coords(su11.coords(u)) - u).norm())
-    return [_check(cfg, "jacobi_and_coords_roundtrip", worst)]
+        yield "jacobi_and_coords_roundtrip", (jac.norm(), (su11.from_coords(su11.coords(u)) - u).norm())
 
 
 def _norm_sq(g: su11.GroupElement) -> float:
@@ -347,16 +327,13 @@ def exp_group_law(cfg, rng, recipe):
     """exp((s+t)u) = exp(su) exp(tu) and det exp((s+t)u) = 1, each relative to
     the rounding scale ||g||^2 = |alpha|^2 + |beta|^2 of GroupElement, floored
     at 1: ||e^{su}|| ||e^{tu}|| for the product, ||e^{(s+t)u}||^2 for det."""
-    worst = 0.0
-    det_worst = 0.0
     for _ in range(recipe.samples):
         u = _random_element(rng)
         s, t = rng.uniform(-2, 2), rng.uniform(-2, 2)
         g, gs, gt = (su11.exp_at(u, x) for x in (s + t, s, t))
         diff = np.max(np.abs(g.matrix() - (gs @ gt).matrix()))
-        worst = max(worst, diff / max(1.0, np.sqrt(_norm_sq(gs) * _norm_sq(gt))))
-        det_worst = max(det_worst, abs(np.linalg.det(g.matrix()) - 1.0) / max(1.0, _norm_sq(g)))
-    return [_check(cfg, "exp_group_law", worst), _check(cfg, "exp_determinant", det_worst)]
+        yield "exp_group_law", diff / max(1.0, np.sqrt(_norm_sq(gs) * _norm_sq(gt)))
+        yield "exp_determinant", abs(np.linalg.det(g.matrix()) - 1.0) / max(1.0, _norm_sq(g))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +351,6 @@ def derivative_richardson_order(cfg, rng, recipe):
     of X, Y, Z and ``samples`` random elements at order >= 1.9."""
     pts = _sample_points()
     gens = list(su11.basis_elements()[:3]) + [_random_element(rng) for _ in range(recipe.samples)]
-    worst_order = np.inf
     for x in recipe.xis:
         wpx = WeightParam(x)
         f = _random_poly(rng, recipe.degree)
@@ -383,18 +359,15 @@ def derivative_richardson_order(cfg, rng, recipe):
             e2 = rep.derivative_check(u, f, 5e-4, wpx, pts)
             if e1 < 1e-11:
                 continue  # operator acts trivially; no order to measure
-            worst_order = min(worst_order, np.log2(e1 / e2))
-    return [_check(cfg, "derivative_richardson_order", -float(worst_order), detail="order >= 1.9")]
+            yield "derivative_richardson_order", -np.log2(e1 / e2), "order >= 1.9"
 
 
 def derived_op_skew_symmetry(cfg, rng, recipe):
     """Gram matrices of derived operators are skew-Hermitian."""
-    worst = 0.0
     for x in _xi_draws(cfg, rng, recipe):
         wp = WeightParam(x)
         g = ops.gram_matrix(ops.derived_op(_random_element(rng), wp), wp, recipe.n)
-        worst = max(worst, float(np.max(np.abs(g + g.conj().T))))
-    return [_check(cfg, "derived_op_skew_symmetry", worst)]
+        yield "derived_op_skew_symmetry", np.abs(g + g.conj().T)
 
 
 def xnorm_two_route(cfg, rng, recipe):
@@ -403,29 +376,24 @@ def xnorm_two_route(cfg, rng, recipe):
     batch = np.array([_random_coeffs(rng, cfg.trunc) for _ in range(recipe.samples)])
     direct = rep.xnorm_sq(batch, wp)
     via_op = weights.bergman_norm_sq(ops.apply(ops.derived_op(su11.X_GEN, wp), batch), wp)
-    worst = float(np.max(np.abs(direct - via_op) / np.maximum(1.0, direct), initial=0.0))
-    return [_check(cfg, "xnorm_two_route", worst)]
+    yield "xnorm_two_route", np.abs(direct - via_op) / np.maximum(1.0, direct)
 
 
 def norm_sandwich(cfg, rng, recipe):
     """Sobolev bounds around ||Pi(X) f||^2, one evaluation per xi."""
-    worst = 0.0
     for x, batch in _poly_batches(cfg, rng, recipe):
         wpx = WeightParam(x)
         mid = rep.xnorm_sq(batch, wpx)
         sob = weights.sobolev_norm_sq(batch, wpx, 1)
         lo = sob + ((x + 2.0) ** 2 - 1.0) * np.abs(batch[:, 0]) ** 2
         hi = 4.0 * (x + 2.0) ** 2 * sob
-        worst = max(worst, float(np.max(lo - mid)), float(np.max(mid - hi)))
-    return [_check(cfg, "norm_sandwich", worst)]
+        yield "norm_sandwich", np.maximum(lo - mid, mid - hi)
 
 
 def unitarity_integer_weight(cfg, rng, recipe):
     """The group action is unitary (by quadrature) and a homomorphism at
     integer weights."""
     pts = _sample_points()
-    worst_u = 0.0
-    worst_h = 0.0
     for x in recipe.xis:
         wpx = WeightParam(x)
         grid = _grid(cfg, wpx, max(cfg.quad_r, 96))
@@ -436,11 +404,10 @@ def unitarity_integer_weight(cfg, rng, recipe):
             g2 = su11.exp_at(v, 0.5 / max(1.0, v.norm()))
             f = _random_poly(rng, recipe.degree)
             nrm = quad.integrate(lambda z: np.abs(rep.group_act(g1, f, z, wpx)) ** 2, grid)
-            worst_u = max(worst_u, abs(nrm.real - weights.bergman_norm_sq(f, wpx)))
+            yield "unitarity_integer_weight", abs(nrm.real - weights.bergman_norm_sq(f, wpx))
             lhs = rep.group_act(g1, lambda z: rep.group_act(g2, f, z, wpx), pts, wpx)
             rhs = rep.group_act(g1 @ g2, f, pts, wpx)
-            worst_h = max(worst_h, float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs)))))
-    return [_check(cfg, "unitarity_integer_weight", worst_u), _check(cfg, "homomorphism_integer_weight", worst_h)]
+            yield "homomorphism_integer_weight", np.abs(np.asarray(lhs) - np.asarray(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +442,7 @@ def _perturb_operator(rng, op: ops.FirstOrderOp) -> ops.FirstOrderOp:
 def classification_iff_hermitian(cfg, rng, recipe):
     """The classification verdict agrees with Gram-matrix Hermiticity; every
     second operator is perturbed off the symmetric forms."""
-    agree = 0
-    total = 0
+    agree = []
     for i, x in enumerate(_xi_draws(cfg, rng, recipe)):
         wpx = WeightParam(x)
         op = _random_symmetric_form(rng, wpx).to_operator()
@@ -484,28 +450,23 @@ def classification_iff_hermitian(cfg, rng, recipe):
             op = _perturb_operator(rng, op)
         verdict = ops.classify_symmetric(op, wpx, 1e-9)
         gram_sym = ops.hermiticity_defect(ops.gram_matrix(op, wpx, recipe.n)) <= 1e-9
-        total += 1
-        agree += int(verdict.symmetric == gram_sym)
-    return [_check(cfg, "classification_iff_hermitian", float(total - agree), detail=f"{agree}/{total}")]
+        agree.append(verdict.symmetric == gram_sym)
+    yield "classification_iff_hermitian", float(len(agree) - sum(agree)), f"{sum(agree)}/{len(agree)}"
 
 
 def tridiagonal_equals_gram(cfg, rng, recipe):
     """The closed-form tridiagonal bands match the Gram matrix."""
-    worst = 0.0
     for x in _xi_draws(cfg, rng, recipe):
         wpx = WeightParam(x)
         form = _random_symmetric_form(rng, wpx)
         dense = ops.symmetric_tridiagonal(form, recipe.n).to_dense()
         gram = ops.gram_matrix(form.to_operator(), wpx, recipe.n)
-        worst = max(worst, float(np.max(np.abs(dense - gram))))
-    return [_check(cfg, "tridiagonal_equals_gram", worst)]
+        yield "tridiagonal_equals_gram", np.abs(dense - gram)
 
 
 def rep_decomposition_roundtrip(cfg, rng, recipe):
     """to_rep/from_rep round-trip, and i * rep + d is Hermitian."""
     wp = cfg.weight()
-    worst_rt = 0.0
-    worst_h = 0.0
     for _ in range(recipe.samples):
         a, b = float(rng.normal()), float(rng.normal())
         c = complex(rng.normal(), rng.normal())
@@ -513,36 +474,26 @@ def rep_decomposition_roundtrip(cfg, rng, recipe):
         target = ops.FirstOrderOp(
             CoeffVector([np.conj(c), a, c]), CoeffVector([b, (wp.xi + 2.0) * c])
         )
-        worst_rt = max(
-            worst_rt,
-            float(np.max(np.abs(op.fcoeffs.padded(2) - target.fcoeffs.padded(2)))),
-            float(np.max(np.abs(op.gcoeffs.padded(1) - target.gcoeffs.padded(1)))),
-        )
-        worst_h = max(worst_h, ops.hermiticity_defect(ops.gram_matrix(op, wp, recipe.n)))
-    return [_check(cfg, "rep_decomposition_roundtrip", worst_rt), _check(cfg, "i_rep_plus_d_hermitian", worst_h)]
+        yield "rep_decomposition_roundtrip", np.abs(op.fcoeffs.padded(2) - target.fcoeffs.padded(2))
+        yield "rep_decomposition_roundtrip", np.abs(op.gcoeffs.padded(1) - target.gcoeffs.padded(1))
+        yield "i_rep_plus_d_hermitian", ops.hermiticity_defect(ops.gram_matrix(op, wp, recipe.n))
 
 
 def commutator_bracket_compat(cfg, rng, recipe):
     """Operator commutators realize the Lie bracket."""
-    worst = 0.0
     for x in _xi_draws(cfg, rng, recipe):
         wp = WeightParam(x)
         u, v = _random_element(rng), _random_element(rng)
         cm = ops.commutator_matrix(ops.derived_op(u, wp), ops.derived_op(v, wp), wp, recipe.n)
         bm = ops.gram_matrix(ops.bracket_op(u, v, wp), wp, recipe.n)
-        worst = max(worst, float(np.max(np.abs(cm - bm))))
-    return [_check(cfg, "commutator_bracket_compat", worst)]
+        yield "commutator_bracket_compat", np.abs(cm - bm)
 
 
 def zhu_no_scalar_commutator(cfg, rng, recipe):
     """No derived commutator is close to a nonzero scalar (scan seed cfg.seed + 5)."""
-    worst = 0.0
-    hits = 0
-    for x in _xis(cfg, recipe):
-        report = ops.zhu_scan(recipe.samples, WeightParam(x), cfg.seed + 5)
-        worst = max(worst, report.max_scalar_magnitude)
-        hits += report.scalar_hits
-    return [_check(cfg, "zhu_no_scalar_commutator", worst, detail=f"scalar_hits={hits}")]
+    reports = [ops.zhu_scan(recipe.samples, WeightParam(x), cfg.seed + 5) for x in _xis(cfg, recipe)]
+    hits = sum(r.scalar_hits for r in reports)
+    yield "zhu_no_scalar_commutator", [r.max_scalar_magnitude for r in reports], f"scalar_hits={hits}"
 
 
 # ---------------------------------------------------------------------------
@@ -553,24 +504,19 @@ def uncertainty_inequality(cfg, rng, recipe):
     """The slack of soltani_up is nonnegative over random f and the shift
     grids, and vanishes at f = 1 with zero shifts.  Each xi is one soltani_up
     call on a (samples, w, y) grid."""
-    worst = 0.0
     shifts_w, shifts_y = (np.asarray(s, dtype=float) for s in recipe.shifts)
     for x, batch in _poly_batches(cfg, rng, recipe):
         slack = up.soltani_up(batch[:, None, None, :], shifts_w[:, None], shifts_y, WeightParam(x)).slack
-        worst = max(worst, float(np.max(-slack)))
-    worst_eq = 0.0
+        yield "uncertainty_slack_nonnegative", -slack
     for x in recipe.xis:
-        worst_eq = max(worst_eq, abs(up.soltani_up(CoeffVector([1.0]), 0.0, 0.0, WeightParam(x)).slack))
-    return [_check(cfg, "uncertainty_slack_nonnegative", worst), _check(cfg, "equality_at_constants", worst_eq)]
+        yield "equality_at_constants", abs(up.soltani_up(CoeffVector([1.0]), 0.0, 0.0, WeightParam(x)).slack)
 
 
 def two_route_consistency(cfg, rng, recipe):
     """soltani_up agrees with the lie_up route through (W, Y)."""
-    worst = 0.0
     for x in _xi_draws(cfg, rng, recipe):
         f = _random_poly(rng, recipe.degree)
-        worst = max(worst, up.consistency_check(f, float(rng.normal()), float(rng.normal()), WeightParam(x)))
-    return [_check(cfg, "two_route_consistency", worst)]
+        yield "two_route_consistency", up.consistency_check(f, float(rng.normal()), float(rng.normal()), WeightParam(x))
 
 
 def optimal_shift_slack(cfg, rng, recipe):
@@ -579,7 +525,7 @@ def optimal_shift_slack(cfg, rng, recipe):
     wp = cfg.weight()
     f = _random_poly(rng, recipe.degree)
     w_star, y_star = np.clip(up.optimal_shifts(f, wp), -4.0, 4.0)
-    return [_check(cfg, "optimal_shift_slack", -up.soltani_up(f, w_star, y_star, wp).slack)]
+    yield "optimal_shift_slack", -up.soltani_up(f, w_star, y_star, wp).slack
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +537,6 @@ def frame_sandwich(cfg, rng, recipe):
     over k <= n (relative to ||f||^2), and shift_invert undoes shift_apply."""
     wp = cfg.weight()
     wp_shift = WeightParam(wp.xi + 2.0)
-    worst_frame = 0.0
-    worst_rt = 0.0
     for c in (1.0 + 0j, 0.7 + 0.3j, wp.xi + 2.0 + 0j):
         op = ws.ShiftOp(c)
         fc = ws.frame_constants(op, wp, recipe.n)
@@ -600,10 +544,9 @@ def frame_sandwich(cfg, rng, recipe):
             f = _random_poly(rng, _degree(rng, recipe))
             nf = weights.bergman_norm_sq(f, wp)
             ns = weights.bergman_norm_sq(ws.shift_apply(op, f), wp_shift)
-            worst_frame = max(worst_frame, (fc.m * nf - ns) / nf, (ns - fc.M * nf) / nf)
+            yield "frame_sandwich", ((fc.m * nf - ns) / nf, (ns - fc.M * nf) / nf)
             back = ws.shift_invert(op, ws.shift_apply(op, f))
-            worst_rt = max(worst_rt, float(np.max(np.abs(back.coeffs - f.coeffs))))
-    return [_check(cfg, "frame_sandwich", worst_frame), _check(cfg, "shift_roundtrip", worst_rt)]
+            yield "shift_roundtrip", np.abs(back.coeffs - f.coeffs)
 
 
 def _tail_window_start(c: complex, xi: float, k0: int) -> int:
@@ -631,23 +574,20 @@ def monotone_tail(cfg, rng, recipe):
     tail = (wp.xi + 3.0) * (wp.xi + 2.0)
     start = _tail_window_start(op.c, wp.xi, int(2 * wp.xi + 2 * abs(op.c) + 10))
     dist = np.abs(ws.frame_ratio(op, wp, np.arange(start, start + recipe.n)) - tail)
-    return [_check(cfg, "monotone_tail", np.max(np.diff(dist)))]
+    yield "monotone_tail", np.diff(dist)
 
 
 def kernel_shift_derived_constant(cfg, rng, recipe):
     """The derived constant 1/(xi+2) annihilates the step-one kernel shift
     residual; the printed alternative 2/(xi+2) does not."""
-    worst_good = 0.0
-    best_bad = np.inf
+    good, bad = [], []
     for x in recipe.xis:
         wpx = WeightParam(x)
         for w in map(quad.KernelPoint, recipe.points):
-            worst_good = max(worst_good, ws.kernel_shift_residual(1.0 / (x + 2.0), w, wpx, recipe.degree))
-            best_bad = min(best_bad, ws.kernel_shift_residual(2.0 / (x + 2.0), w, wpx, recipe.degree))
-    return [
-        _check(cfg, "kernel_shift_derived_constant", worst_good, detail=f"printed-constant residual >= {best_bad:.6g}"),
-        _check(cfg, "kernel_shift_printed_constant_fails", -float(best_bad)),
-    ]
+            good.append(ws.kernel_shift_residual(1.0 / (x + 2.0), w, wpx, recipe.degree))
+            bad.append(ws.kernel_shift_residual(2.0 / (x + 2.0), w, wpx, recipe.degree))
+    yield "kernel_shift_derived_constant", good, f"printed-constant residual >= {np.min(bad):.6g}"
+    yield "kernel_shift_printed_constant_fails", -np.asarray(bad)
 
 
 def surjectivity_c_zero(cfg, rng, recipe):
@@ -656,7 +596,7 @@ def surjectivity_c_zero(cfg, rng, recipe):
     op0 = ws.ShiftOp(0.0, allow_singular=True)
     img = ws.shift_apply(op0, _random_poly(rng, recipe.degree))
     const = ws.shift_apply(op0, CoeffVector([3.7]))
-    return [_check(cfg, "surjectivity_c_zero", max(abs(img.coeffs[0]), np.max(np.abs(const.coeffs))))]
+    yield "surjectivity_c_zero", np.abs(np.append(img.coeffs[0], const.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +618,7 @@ class Property:
     """One property: its suite and, per check name, a tolerance that is a
     number or a RunConfig field name."""
 
-    fn: Callable[[RunConfig, np.random.Generator, Recipe], List[PropertyCheck]]
+    fn: Callable[[RunConfig, np.random.Generator, Recipe], Iterator[tuple]]
     suite: str
     checks: Dict[str, Union[float, str]]
     recipe: Recipe = Recipe()
@@ -765,7 +705,25 @@ REGISTRY: Tuple[Property, ...] = (
     Property(surjectivity_c_zero, "shift_iso", {"surjectivity_c_zero": 0.0}, Recipe(degree=10)),
 )
 
-_TOLERANCES = {name: tol for p in REGISTRY for name, tol in p.checks.items()}
+
+def run_property(p: Property, cfg: RunConfig, rng, recipe: Optional[Recipe] = None) -> List[PropertyCheck]:
+    """Run ``p`` (on its own recipe by default) and reduce what it yields to one
+    PropertyCheck per registered check, in registry order: the margin is the
+    largest value (np.maximum keeps a NaN, which then fails the check) and the
+    detail the last one yielded.  A yielded name that is not registered, or a
+    registered check never yielded, raises KeyError."""
+    margins: Dict[str, float] = {}
+    details: Dict[str, str] = {}
+    for name, value, *detail in p.fn(cfg, rng, p.recipe if recipe is None else recipe):
+        margins[name] = np.maximum(margins.get(name, -np.inf), np.max(value))
+        details.update((name, d) for d in detail)
+    if margins.keys() != p.checks.keys():
+        raise KeyError(f"{p.fn.__name__} yielded checks {sorted(margins)}, registered {sorted(p.checks)}")
+    checks = []
+    for name, tol in p.checks.items():
+        margin, tol = float(margins[name]), float(getattr(cfg, tol) if isinstance(tol, str) else tol)
+        checks.append(PropertyCheck(name, margin <= tol, margin, tol, details.get(name, "")))
+    return checks
 
 
 def _suite(name: str) -> Callable[[RunConfig], List[PropertyCheck]]:
@@ -773,7 +731,7 @@ def _suite(name: str) -> Callable[[RunConfig], List[PropertyCheck]]:
 
     def run(cfg: RunConfig) -> List[PropertyCheck]:
         rng = np.random.default_rng(cfg.seed + SUITE_SEED_OFFSETS[name])
-        return [check for p in props for check in p.fn(cfg, rng, p.recipe)]
+        return [check for p in props for check in run_property(p, cfg, rng)]
 
     run.__name__ = run.__qualname__ = f"suite_{name}"
     return run

@@ -8,7 +8,7 @@ seeded, so reruns are bit-identical.
 
 import numpy as np
 
-from bergman11.verification import REGISTRY, RunConfig
+from bergman11.verification import REGISTRY, RunConfig, run_property
 
 
 def criterion(num, label):
@@ -17,7 +17,7 @@ def criterion(num, label):
         for prop in REGISTRY:
             crit = prop.criterion
             if crit is not None and crit.number == num:
-                checks += prop.fn(RunConfig(seed=crit.seed), np.random.default_rng(crit.seed), crit.recipe)
+                checks += run_property(prop, RunConfig(seed=crit.seed), np.random.default_rng(crit.seed), crit.recipe)
         assert checks, f"criterion {num} maps to no property"
         for c in checks:
             status = "PASS" if c.passed else "FAIL"

@@ -94,6 +94,15 @@ class TestVerify:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("field", ["tol_exact", "tol_quad"])
+    def test_tolerance_not_finite_and_nonnegative_is_usage_error(self, capsys, tmp_path, value, field):
+        flag, cfg = "--" + field.replace("_", "-"), tmp_path / "run.cfg"
+        cfg.write_text(f"{field} = {value}\n")
+        for args in ([flag, value], ["--config", str(cfg)]):
+            code, out, err = run(capsys, "verify", "--suite", "su11_algebra", *args)
+            assert code == 2 and out == "" and len(err.splitlines()) == 1 and flag in err
+
     def test_config_file_rejects_unknown_key(self, capsys, tmp_path):
         # output format and path are flags, not part of the run's configuration
         cfg = tmp_path / "run.cfg"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bergman11 import reporting, verification
-from bergman11.verification import REGISTRY, SUITES, RunConfig, run_suites
+from bergman11.verification import REGISTRY, SUITES, Property, PropertyCheck, RunConfig, run_property, run_suites
 
 # every check of the default ``verify`` report, by suite, in report order
 DEFAULT_CHECKS = {
@@ -69,10 +69,39 @@ def test_sobolev_equivalence_bounds_include_the_constant_mode(xi):
     # random samples sit strictly inside, so the largest relative excess is < 0
     prop = next(p for p in REGISTRY if p.fn.__name__ == "sobolev_norm_equivalence")
     cfg = RunConfig(xi=xi)
-    (check,) = prop.fn(cfg, np.random.default_rng(cfg.seed), prop.recipe)
+    (check,) = run_property(prop, cfg, np.random.default_rng(cfg.seed))
     assert check.tolerance == 1e-12 and check.passed
     assert -1.0 < check.margin < 0.0
     assert check.detail == f"m={1.0 / (xi + 2.0):.6g} M=1"
+
+
+def test_run_property_reduces_exactly_the_registered_checks():
+    def prop(*yielded):
+        return Property(lambda cfg, rng, recipe: iter(yielded), "weight_core", {"a": "tol_exact", "b": 2.5})
+
+    checks = run_property(prop(("b", np.arange(4.0), "first"), ("a", -2.0), ("b", 2.0, "last")), RunConfig(), None)
+    assert checks == [PropertyCheck("a", True, -2.0, 1e-10), PropertyCheck("b", False, 3.0, 2.5, "last")]
+    for yielded in [("a", 0.0), ("b", 0.0), ("c", 0.0)], [("a", 0.0)]:  # an unregistered check; one never yielded
+        with pytest.raises(KeyError):
+            run_property(prop(*yielded), RunConfig(), None)
+
+
+def test_a_nan_in_a_later_sample_fails_its_check(monkeypatch):
+    # a running max(worst, nan) returns worst, so it dropped the third sample's NaN
+    gram_matrix, calls = verification.ops.gram_matrix, []
+
+    def nan_in_third(op, wp, n):
+        calls.append(n)
+        g = gram_matrix(op, wp, n).copy()
+        if len(calls) == 3:
+            g[1, 2] = np.nan
+        return g
+
+    monkeypatch.setattr(verification.ops, "gram_matrix", nan_in_third)
+    report = run_suites(RunConfig(), ["discrete_series"])
+    (check,) = [c for c in report["suites"]["discrete_series"] if c["name"] == "derived_op_skew_symmetry"]
+    assert np.isnan(check["margin"]) and check["passed"] is False
+    assert report["passed"] is False
 
 
 def test_dumps_converts_numpy_and_dataclasses_and_rejects_the_rest():
