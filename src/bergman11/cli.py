@@ -8,10 +8,11 @@ Subcommands: ``verify`` (run property suites, exit 0 iff all pass),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -19,21 +20,9 @@ from . import reporting
 from .operators import FirstOrderOp, classify_symmetric, to_rep
 from .quadrature import KernelPoint
 from .uncertainty import soltani_up
-from .verification import VERIFY_XI_MAX, RunConfig, SUITES, run_suites
+from .verification import FIELD_RULES, RunConfig, SUITES, run_suites
 from .weights import CoeffVector, WeightParam
 from .weightshift import ShiftOp, frame_constants, kernel_shift_residual
-
-
-class UsageError(Exception):
-    pass
-
-
-_HELP = {
-    "xi": f"weight parameter (-1 < xi <= {VERIFY_XI_MAX:g})",
-    "trunc": "working truncation degree (>= 1)",
-    "quad_r": "radial quadrature points",
-    "quad_m": "angular quadrature points",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,19 +30,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run verification suites")
-    # one flag per RunConfig field, with the field's default
+    # one flag per RunConfig field; a flag not given leaves its field to --config or the default
     for f in fields(RunConfig):
-        p.add_argument(
-            "--" + f.name.replace("_", "-"),
-            type=type(f.default),
-            default=f.default,
-            help=_HELP.get(f.name),
-        )
-    p.add_argument(
-        "--config",
-        default=None,
-        help="optional key=value file overriding the flag defaults",
-    )
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=argparse.SUPPRESS,
+                       help=f"{FIELD_RULES[f.name][0]}, {FIELD_RULES[f.name][2]} (default {f.default})")
+    p.add_argument("--config", default=None, help="optional key=value file of fields; a given flag beats it")
     p.add_argument("--suite", action="append", choices=sorted(SUITES), default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -87,45 +68,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str) -> dict:
-    overrides = {}
-    casts = {f.name: type(f.default) for f in fields(RunConfig)}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in casts:
-                raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-            overrides[key] = casts[key](value.strip())
-    return overrides
-
-
-def _emit(text: str, out):
-    if not out:
-        print(text)
-        return
+def _read_text(path: str) -> str:
     try:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        with open(path) as fh:
+            return fh.read()
     except OSError as e:
-        raise UsageError(f"cannot write {out}: {e.strerror}")
+        raise ValueError(f"cannot read {path}: {e}")
+
+
+def _load_config_file(path: str) -> dict:
+    values, casts = {}, {f.name: type(f.default) for f in fields(RunConfig)}
+    for line_no, line in enumerate(_read_text(path).splitlines(), 1):
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not key or key.startswith("#"):
+            continue
+        if not eq or key not in casts:
+            problem = f"unknown config key {key!r}" if eq else f"expected key=value, got {line.strip()!r}"
+            raise ValueError(f"{path}:{line_no}: {problem}")
+        try:
+            values[key] = casts[key](value)
+        except ValueError as e:  # a value that does not parse
+            raise ValueError(f"{path}:{line_no}: {e}") from None
+    return values
 
 
 def _read_json_file(path: str):
     try:
-        with open(path) as fh:
-            raw = fh.read()
-    except OSError as e:
-        raise UsageError(f"cannot read {path}: {e}")
-    try:
-        return json.loads(raw)
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as e:
-        raise UsageError(f"{path}: invalid JSON at byte {e.pos}: {e.msg}")
+        raise ValueError(f"{path}: invalid JSON at byte {e.pos}: {e.msg}")
 
 
 def _is_real(value) -> bool:
@@ -135,51 +106,43 @@ def _is_real(value) -> bool:
 def _coeff_vector(data) -> CoeffVector:
     """A JSON array of numbers or [re, im] pairs, index = degree."""
     if not isinstance(data, list):
-        raise UsageError(f"coefficient data must be a JSON array, got {data!r}")
+        raise ValueError(f"coefficient data must be a JSON array, got {data!r}")
     return CoeffVector([_complex_field(entry) for entry in data])
 
 
 def _real_field(data: dict, key: str) -> float:
     value = data[key]
     if not _is_real(value):
-        raise UsageError(f"{key!r}: expected a real number, got {value!r}")
+        raise ValueError(f"{key!r}: expected a real number, got {value!r}")
     return float(value)
 
 
 def _complex_field(value) -> complex:
     parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
     if not all(map(_is_real, parts)):
-        raise UsageError(f"expected number or [re, im] pair, got {value!r}")
+        raise ValueError(f"expected number or [re, im] pair, got {value!r}")
     return complex(*parts)
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
-    if args.config:
-        cfg = replace(cfg, **_load_config_file(args.config))
-    if not -1.0 < cfg.xi <= VERIFY_XI_MAX:
-        raise UsageError(
-            f"--xi must satisfy -1 < xi <= {VERIFY_XI_MAX:g} for verify "
-            f"(shift_iso uses the weight xi+2), got {cfg.xi:g}"
-        )
-    if cfg.trunc < 1:
-        raise UsageError(f"--trunc must be >= 1, got {cfg.trunc}")
-    for name in ("tol_exact", "tol_quad"):
-        if not 0.0 <= getattr(cfg, name) < math.inf:  # false for NaN too
-            raise UsageError(f"--{name.replace('_', '-')} must be finite and >= 0, got {getattr(cfg, name):g}")
-    report = run_suites(cfg, args.suite)
-    if args.format == "json":
-        _emit(reporting.dumps(report), args.out)
-    else:
-        lines = ["suite,check,passed,margin,tolerance"]
-        for suite_name, checks in report["suites"].items():
-            for c in checks:
-                lines.append(
-                    reporting.csv_row(
-                        [suite_name, c["name"], int(c["passed"]), c["margin"], c["tolerance"]]
-                    )
-                )
-        _emit("\n".join(lines), args.out)
+    # a given flag beats the --config file, which beats the field default
+    values = _load_config_file(args.config) if args.config else {}
+    values.update((f.name, getattr(args, f.name)) for f in fields(RunConfig) if hasattr(args, f.name))
+    cfg = RunConfig(**values)
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as e:
+        raise ValueError(f"cannot write {args.out}: {e.strerror}")
+    with out as fh:
+        report = run_suites(cfg, args.suite)
+        if args.format == "json":
+            fh.write(reporting.dumps(report) + "\n")
+        else:
+            fh.write("suite,check,passed,margin,tolerance\n")
+            for suite, checks in report["suites"].items():
+                for c in checks:
+                    row = [suite, c["name"], int(c["passed"]), c["margin"], c["tolerance"]]
+                    fh.write(reporting.csv_row(row) + "\n")
     return 0 if report["passed"] else 1
 
 
@@ -193,7 +156,7 @@ def cmd_uncertainty(args) -> int:
 def cmd_classify(args) -> int:
     data = _read_json_file(args.op_file)
     if not isinstance(data, dict) or "f" not in data or "g" not in data:
-        raise UsageError(f'{args.op_file}: expected {{"f": [...], "g": [...]}}')
+        raise ValueError(f'{args.op_file}: expected {{"f": [...], "g": [...]}}')
     op = FirstOrderOp(_coeff_vector(data["f"]), _coeff_vector(data["g"]))
     verdict = classify_symmetric(op, WeightParam(args.xi), args.tol)
     if verdict.symmetric:
@@ -208,7 +171,7 @@ def cmd_classify(args) -> int:
 def cmd_rep(args) -> int:
     data = _read_json_file(args.abc_file)
     if not isinstance(data, dict) or not {"a", "b", "c"} <= set(data):
-        raise UsageError(f'{args.abc_file}: expected {{"a": .., "b": .., "c": ..}}')
+        raise ValueError(f'{args.abc_file}: expected {{"a": .., "b": .., "c": ..}}')
     dec = to_rep(_real_field(data, "a"), _real_field(data, "b"), _complex_field(data["c"]), WeightParam(args.xi))
     c = dec.coords
     print(reporting.dumps({"sigma": c.sigma, "tau": c.tau, "lambda": c.lam, "d": dec.d}))
@@ -217,7 +180,7 @@ def cmd_rep(args) -> int:
 
 def cmd_shift(args) -> int:
     if args.k_range < 0:
-        raise UsageError(f"k_range must be >= 0, got {args.k_range}")
+        raise ValueError(f"k_range must be >= 0, got {args.k_range}")
     op = ShiftOp(complex(args.c_re, args.c_im))
     fc = frame_constants(op, WeightParam(args.xi), args.k_range)
     print("xi,c_re,c_im,k_range,m,M")
@@ -227,7 +190,7 @@ def cmd_shift(args) -> int:
 
 def cmd_kernel(args) -> int:
     if args.trunc < 1:
-        raise UsageError(f"--trunc must be >= 1, got {args.trunc}")
+        raise ValueError(f"--trunc must be >= 1, got {args.trunc}")
     wp = WeightParam(args.xi)
     w = KernelPoint(args.w)
     derived = 1.0 / (wp.xi + 2.0)
@@ -245,7 +208,7 @@ def cmd_kernel(args) -> int:
             result["residual"] = kernel_shift_residual(args.alpha, w, wp, args.trunc)
     bad = [key for key, value in result.items() if not math.isfinite(value)]
     if bad:
-        raise UsageError(
+        raise ValueError(
             f"{', '.join(bad)} not finite at --xi {args.xi} --w {args.w} --trunc {args.trunc}: "
             "the kernel coefficients or --alpha leave the double range"
         )
@@ -271,7 +234,7 @@ def main(argv=None) -> int:
         return 2 if e.code else 0
     try:
         return COMMANDS[args.command](args)
-    except (UsageError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

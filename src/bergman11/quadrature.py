@@ -274,7 +274,9 @@ def integrate(F, grid: QuadratureGrid) -> complex:
 def kernel_eval(z, w: KernelPoint, xi: WeightParam):
     """Reproducing kernel K(z, w) = (1 - z*conj(w))^{-(xi+2)}, principal branch.
 
-    Well-defined on the disc since Re(1 - z*conj(w)) > 0 there.  With
+    Defined wherever |z conj(w)| < 1, since Re(1 - z*conj(w)) > 0 there:
+    every z when w = 0, else |z| < 1/|w|, which admits disc nodes that round
+    onto |z| = 1 + 2.2e-16 as xi -> -1; other z raise ValueError.  With
     b = 1 - z*conj(w) and p = -(xi+2) the power is taken in real polar form,
     |b|^p = exp(p/2 * log(Re(b)^2 + Im(b)^2)) and arg b^p = p * arctan2(Im b, Re b),
     in one complex and two real buffers the shape of ``z``, which is only read
@@ -288,8 +290,8 @@ def kernel_eval(z, w: KernelPoint, xi: WeightParam):
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     modulus = np.abs(z)
-    if np.any(modulus >= 1.0):
-        raise ValueError("kernel evaluation requires |z| < 1")
+    if w.w != 0 and np.any(modulus >= 1.0 / abs(w.w)):
+        raise ValueError("kernel evaluation requires |z conj(w)| < 1")
     p = -(xi.xi + 2.0)
     out = np.multiply(z, np.conj(complex(w.w)))
     np.subtract(1.0, out, out=out)

@@ -1,7 +1,7 @@
 """Report serialization helpers.
 
 All numbers are emitted with 17 significant digits so that reports are
-bit-reproducible and round-trip exactly through text.
+bit-reproducible and round-trip exactly through text (non-finite ones as json's NaN and ±Infinity).
 """
 
 from __future__ import annotations
@@ -12,10 +12,12 @@ import json
 import numpy as np
 
 _MARK = "\x00f17\x00"
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    return _NON_FINITE.get(text, text)
 
 
 def _wrap(obj):

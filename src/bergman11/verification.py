@@ -42,9 +42,27 @@ CONVENTIONS = [
 VERIFY_XI_MAX = weights.XI_MAX - 2.0
 
 
+_FINITE = (lambda v: 0.0 <= v < np.inf, "finite and >= 0")  # false for NaN too
+# Each RunConfig field: what it is, a test of its value, and the rule its error and --help state
+FIELD_RULES = {
+    "xi": ("weight parameter", lambda v: -1.0 < v <= VERIFY_XI_MAX, f"in (-1, {VERIFY_XI_MAX:g}]"),
+    "trunc": ("working truncation degree", lambda v: v >= 1, ">= 1"),
+    "quad_r": ("radial quadrature points", lambda v: v >= 8, ">= 8"),
+    "quad_m": ("angular quadrature points", lambda v: v >= 48, ">= 48"),
+    "seed": ("generator seed", lambda v: v >= 0, ">= 0"),
+    "tol_exact": ("tolerance of the exact checks", *_FINITE),
+    "tol_quad": ("tolerance of the quadrature checks", *_FINITE),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines the emitted numbers."""
+    """Everything that determines the emitted numbers; construction checks
+    every field by ``FIELD_RULES`` and raises ValueError naming its flag.
+
+    The quad_m floor is measured over 12 seeds x xi in {0, -0.999, 1.5, 98}:
+    M = 32 failed 60 checks, and the worst unitarity margin was 3.9e-7 at
+    M = 40 (2.6x under tol_quad), 1.7e-9 at M = 48 and 3.6e-14 at M = 64."""
 
     xi: float = 0.0
     trunc: int = 24
@@ -53,6 +71,11 @@ class RunConfig:
     seed: int = 20240901
     tol_exact: float = 1e-10
     tol_quad: float = 1e-6
+
+    def __post_init__(self):
+        for name, (_, accepts, rule) in FIELD_RULES.items():
+            if not accepts(getattr(self, name)):
+                raise ValueError(f"--{name.replace('_', '-')} must be {rule}, got {getattr(self, name)}")
 
     def weight(self) -> WeightParam:
         return WeightParam(self.xi)
@@ -172,6 +195,12 @@ def shift_limit_monotone(cfg, rng, recipe):
     shift_limit_bound the largest excess of dist_l(k) outside the interval, an
     absolute one since the interval has zero width at l = 1.  The lower end is
     -expm1(l log1p(-a)), which does not cancel near xi = -1.
+
+    Rounding floor, u = 2^-53: the ratio 1 - dist_l(k) <= 1 takes two exps
+    (1 ulp each) and a quotient, 5u, and 1 - ratio at most u dist; the L_k
+    cumsum adds 3u|L_k| <= 24u(xi+1), far below the exact decrease >= 8e-7
+    (xi+1).  A step thus reads <= 10u = 1.1e-15 above its exact value <= 0;
+    the tolerance rounds that up to 1.2e-15 (measured: 1 eps near xi = -1).
     """
     wp = cfg.weight()
     n = recipe.degree + 1
@@ -568,13 +597,22 @@ def _tail_window_start(c: complex, xi: float, k0: int) -> int:
 
 def monotone_tail(cfg, rng, recipe):
     """|r_k - tail| decreases over ``n`` steps for c = 1.5+0.5i from the start
-    that ``_tail_window_start`` derives; the margin is the largest step."""
+    that ``_tail_window_start`` derives; the margin is the largest step / tail.
+
+    Rounding floor, u = 2^-53: ``frame_ratio`` rounds r_k = tail rho_k within
+    12u (|k+c| by hypot to 1 ulp, squared: 5u; times tail: u; k+xi+3 and
+    k+xi+2: 2u each; product and quotient: u each) and r_k - tail adds u tail.
+    rho_k - 1 = (a k + b)/((k+xi+3)(k+xi+2)) with a = -2 - 2xi < 0, b < 1/2
+    and k >= 11, so rho_k < 1.004 and a step, exactly <= 0, reads at most
+    2 (12u 1.004 + u) tail = 2.9e-15 tail; the tolerance is 3e-15 (measured:
+    4 eps = 8.9e-16 at xi = -0.999997, where the steps are rounding noise).
+    """
     wp = cfg.weight()
     op = ws.ShiftOp(1.5 + 0.5j)
     tail = (wp.xi + 3.0) * (wp.xi + 2.0)
     start = _tail_window_start(op.c, wp.xi, int(2 * wp.xi + 2 * abs(op.c) + 10))
     dist = np.abs(ws.frame_ratio(op, wp, np.arange(start, start + recipe.n)) - tail)
-    yield "monotone_tail", np.diff(dist)
+    yield "monotone_tail", np.diff(dist) / tail
 
 
 def kernel_shift_derived_constant(cfg, rng, recipe):
@@ -646,7 +684,7 @@ _KERNEL_XIS = (0.0, 0.5, 1.0, 3.0)
 REGISTRY: Tuple[Property, ...] = (
     Property(norm_ratio_recurrence, "weight_core", {"norm_ratio_recurrence": "tol_exact"},
              Recipe(xis=XI_SCAN, degree=300)),
-    Property(shift_limit_monotone, "weight_core", {"shift_limit_monotone": 1e-15, "shift_limit_bound": 1e-12},
+    Property(shift_limit_monotone, "weight_core", {"shift_limit_monotone": 1.2e-15, "shift_limit_bound": 1e-12},
              Recipe(degree=1000)),
     Property(oracle_equivalence_monomials, "weight_core", {"oracle_equivalence_monomials": "tol_quad"},
              Recipe(xis=XI_SCAN, degree=12), Criterion(1, 100, Recipe(xis=XI_SCAN, degree=20))),
@@ -697,7 +735,7 @@ REGISTRY: Tuple[Property, ...] = (
     Property(frame_sandwich, "shift_iso", {"frame_sandwich": 1e-12, "shift_roundtrip": 1e-12},
              Recipe(samples=30, degree=32, n=64),
              Criterion(10, 109, Recipe(samples=200, degree=32, random_degree=True, n=256))),
-    Property(monotone_tail, "shift_iso", {"monotone_tail": 1e-15}, Recipe(n=200)),
+    Property(monotone_tail, "shift_iso", {"monotone_tail": 3e-15}, Recipe(n=200)),
     Property(kernel_shift_derived_constant, "shift_iso",
              {"kernel_shift_derived_constant": 1e-12, "kernel_shift_printed_constant_fails": -1e-3},
              Recipe(xis=_KERNEL_XIS, points=(0.2, 0.4 + 0.3j), degree=60),
@@ -710,13 +748,18 @@ def run_property(p: Property, cfg: RunConfig, rng, recipe: Optional[Recipe] = No
     """Run ``p`` (on its own recipe by default) and reduce what it yields to one
     PropertyCheck per registered check, in registry order: the margin is the
     largest value (np.maximum keeps a NaN, which then fails the check) and the
-    detail the last one yielded.  A yielded name that is not registered, or a
-    registered check never yielded, raises KeyError."""
+    detail the last one yielded; if ``p`` raises, each check gets margin NaN
+    and detail "<Type>: <message>".  A yielded name that is not registered,
+    or a registered check never yielded, raises KeyError."""
     margins: Dict[str, float] = {}
     details: Dict[str, str] = {}
-    for name, value, *detail in p.fn(cfg, rng, p.recipe if recipe is None else recipe):
-        margins[name] = np.maximum(margins.get(name, -np.inf), np.max(value))
-        details.update((name, d) for d in detail)
+    try:
+        for name, value, *detail in p.fn(cfg, rng, p.recipe if recipe is None else recipe):
+            margins[name] = np.maximum(margins.get(name, -np.inf), np.max(value))
+            details.update((name, d) for d in detail)
+    except Exception as e:  # a partly sampled check must not pass
+        margins = dict.fromkeys(p.checks, np.nan)
+        details = dict.fromkeys(p.checks, f"{type(e).__name__}: {e}")
     if margins.keys() != p.checks.keys():
         raise KeyError(f"{p.fn.__name__} yielded checks {sorted(margins)}, registered {sorted(p.checks)}")
     checks = []

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from bergman11 import verification
 from bergman11.cli import main
+from bergman11.verification import FIELD_RULES
 
 
 def run(capsys, *argv):
@@ -78,14 +80,6 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "su11_algebra", "--out", str(target))
         assert code == 2 and err.startswith("error: cannot write") and len(err.splitlines()) == 1
 
-    def test_zero_trunc_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "--trunc", "0")
-        assert code == 2 and "--trunc" in err
-
-    def test_xi_above_verify_range_names_the_range(self, capsys):
-        code, _, err = run(capsys, "verify", "--xi", "99")
-        assert code == 2 and "--xi" in err and "98" in err and "101" not in err
-
     def test_config_file_overrides(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\ntol_exact = 1e-30\n")
@@ -94,14 +88,54 @@ class TestVerify:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-    @pytest.mark.parametrize("field", ["tol_exact", "tol_quad"])
-    def test_tolerance_not_finite_and_nonnegative_is_usage_error(self, capsys, tmp_path, value, field):
+    def test_flag_beats_config_file_beats_default(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\nxi = 1.5\n")
+        defaults = json.loads(run(capsys, "verify", "--suite", "su11_algebra")[1])["config"]
+        for args in (["--seed", "5", "--config", str(cfg)], ["--config", str(cfg), "--seed", "5"]):
+            code, out, _ = run(capsys, "verify", "--suite", "su11_algebra", *args)
+            assert code == 0 and json.loads(out)["config"] == dict(defaults, seed=5, xi=1.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("xi", v) for v in ("-1", "-2.0", "99", "nan")]
+        + [("trunc", "0"), ("quad_r", "4"), ("quad_r", "7"), ("quad_m", "47"), ("seed", "-1")]
+        + [(f, v) for f in ("tol_exact", "tol_quad") for v in ("nan", "inf", "-1")],
+    )
+    def test_out_of_range_field_is_usage_error(self, capsys, tmp_path, field, value):
+        # every RunConfig field, by flag and by --config, is checked by one rule that names the flag
         flag, cfg = "--" + field.replace("_", "-"), tmp_path / "run.cfg"
         cfg.write_text(f"{field} = {value}\n")
-        for args in ([flag, value], ["--config", str(cfg)]):
+        for args in ([f"{flag}={value}"], ["--config", str(cfg)]):
             code, out, err = run(capsys, "verify", "--suite", "su11_algebra", *args)
-            assert code == 2 and out == "" and len(err.splitlines()) == 1 and flag in err
+            assert code == 2 and out == "" and len(err.splitlines()) == 1
+            assert err.startswith(f"error: {flag} must be {FIELD_RULES[field][2]}, got ")
+
+    def test_unparsable_or_unreadable_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\nseed = abc\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2 and out == "" and err.startswith(f"error: {cfg}:2: ") and len(err.splitlines()) == 1
+        code, out, err = run(capsys, "verify", "--config", str(tmp_path / "absent.cfg"))
+        assert code == 2 and out == "" and err.startswith("error: cannot read") and len(err.splitlines()) == 1
+
+    def test_property_that_raises_fails_its_checks_in_a_parseable_report(self, capsys, monkeypatch):
+        _, baseline, _ = run(capsys, "verify")
+
+        def boom(*args):
+            raise RuntimeError("scan failed")
+
+        monkeypatch.setattr(verification.ops, "zhu_scan", boom)
+        code, out, err = run(capsys, "verify")
+        assert code == 1 and err == ""
+        report, expected = json.loads(out), json.loads(baseline)
+        (check,) = [c for c in report["suites"]["first_order_ops"] if c["name"] == "zhu_no_scalar_commutator"]
+        assert np.isnan(check["margin"]) and check["passed"] is False
+        assert check["detail"] == "RuntimeError: scan failed"
+        for suite, checks in expected["suites"].items():
+            unaffected = [c for c in checks if c["name"] != "zhu_no_scalar_commutator"]
+            assert [c for c in report["suites"][suite] if c["name"] != "zhu_no_scalar_commutator"] == unaffected
+        assert report["passed"] is False
 
     def test_config_file_rejects_unknown_key(self, capsys, tmp_path):
         # output format and path are flags, not part of the run's configuration
@@ -279,10 +313,6 @@ class TestUsage:
 
     def test_unknown_suite_rejected(self, capsys):
         assert run(capsys, "verify", "--suite", "nope")[0] == 2
-
-    def test_bad_xi(self, capsys):
-        code, _, err = run(capsys, "verify", "--xi", "-2.0")
-        assert code == 2
 
 
 class TestRuntimeDependencies:

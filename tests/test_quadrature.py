@@ -309,8 +309,13 @@ class TestKernel:
         )
 
     def test_rejects_boundary(self):
-        with pytest.raises(ValueError):
-            kernel_eval(1.0, KernelPoint(0.5), WeightParam(0.0))
+        # the kernel is defined wherever |z conj(w)| < 1, so z = 1 is inside at
+        # w = 0.5 (where K = 0.5^-2) and every z is inside at w = 0
+        assert kernel_eval(1.0, KernelPoint(0.5), WeightParam(0.0)) == 4.0
+        assert kernel_eval(7.0, KernelPoint(0.0), WeightParam(0.0)) == 1.0
+        for z in (2.0, 2.5, [0.5, 2.5j]):
+            with pytest.raises(ValueError):
+                kernel_eval(z, KernelPoint(0.5), WeightParam(0.0))
 
     def test_series_consistency(self):
         # partial sums of sum ((xi+2)_k/k!) (z conj(w))^k converge geometrically

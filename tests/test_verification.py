@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -49,15 +50,28 @@ class TestRegistry:
         assert {s: [c["name"] for c in cs] for s, cs in report["suites"].items()} == expected
 
 
+def _domain_draws(count, rng):
+    """Configurations drawn from every field's documented range."""
+    for i in range(count):
+        fields = dict(xi=float(rng.uniform(-1.0, 98.0)), trunc=int(rng.integers(1, 65)))
+        fields.update(quad_r=int(rng.integers(8, 129)), quad_m=int(rng.integers(48, 513)), seed=int(rng.integers(0, 2**31)))
+        yield pytest.param(fields, id=f"draw-{i}")
+
+
 @pytest.mark.parametrize(
-    "field, value",
-    [("xi", x) for x in (-0.999, -0.99, -0.5, 0.0, 2.35, 2.4, 4.5, 5.0, 10.0, 40.0, 98.0)]
-    + [("quad_r", 8), ("trunc", 1)],
+    "fields",
+    [
+        pytest.param({field: value}, id=f"{field}-{value}")
+        for field, value in [("xi", x) for x in (-0.999, -0.99, -0.5, 0.0, 2.35, 2.4, 4.5, 5.0, 10.0, 40.0, 98.0)]
+        + [("quad_r", 8), ("trunc", 1)] + [("xi", x) for x in (-1.0 + 1e-12, -0.999997, -0.999999)]
+    ]
+    + list(_domain_draws(8, np.random.default_rng(13))),
 )
-def test_verify_passes_over_its_domain_by_the_reported_margins(field, value):
+def test_verify_passes_over_its_domain_by_the_reported_margins(fields):
     # the documented domain is -1 < xi <= 98; a check passes iff margin <= tolerance.
-    # xi = -0.99 and -0.999 run every suite, shift_iso included, near xi = -1
-    report = run_suites(RunConfig(**{field: value}))
+    # xi = -0.99 ... -1 + 1e-12 run every suite, shift_iso included, near xi = -1,
+    # where disc nodes round onto |z| = 1 and monotone_tail's steps are rounding noise
+    report = run_suites(RunConfig(**fields))
     checks = [c for cs in report["suites"].values() for c in cs]
     assert all(c["passed"] == (c["margin"] <= c["tolerance"]) for c in checks)
     assert report["passed"], [c for c in checks if not c["passed"]]
@@ -112,6 +126,10 @@ def test_dumps_converts_numpy_and_dataclasses_and_rejects_the_rest():
 
     text = reporting.dumps({"p": Point(np.float64(0.5), np.bool_(True)), "n": np.int64(3)}, indent=None)
     assert text == '{"p": {"x": 0.5, "ok": true}, "n": 3}'
+    # non-finite floats as Python's json writes and reads them
+    text = reporting.dumps([np.nan, np.inf, -np.inf], indent=None)
+    assert text == "[NaN, Infinity, -Infinity]"
+    assert np.array_equal(json.loads(text), [np.nan, np.inf, -np.inf], equal_nan=True)
     with pytest.raises(TypeError):
         reporting.dumps({"f": object()})
 
