@@ -2,7 +2,11 @@
 
 Subcommands: ``verify`` (run property suites, exit 0 iff all pass),
 ``uncertainty``, ``classify``, ``rep``, ``shift``, ``kernel``.  Exit codes:
-0 pass, 1 violated property, 2 usage or parse error.
+0 pass, 1 violated property, 2 rejected input, with one line on stderr.
+Input is rejected by three rules: an argument outside its rule
+(``verification.FIELD_RULES`` for ``verify``, ``ARGUMENTS`` for the others,
+and the same for every number of a JSON input file), a printed result outside
+the double range, and an input too large to allocate.
 """
 
 from __future__ import annotations
@@ -20,9 +24,50 @@ from . import reporting
 from .operators import FirstOrderOp, classify_symmetric, to_rep
 from .quadrature import KernelPoint
 from .uncertainty import soltani_up
-from .verification import FIELD_RULES, RunConfig, SUITES, run_suites
-from .weights import CoeffVector, WeightParam
+from .verification import FIELD_RULES, TOLERANCE, RunConfig, SUITES, check_rule, run_suites
+from .weights import XI_MAX, CoeffVector, WeightParam
 from .weightshift import ShiftOp, frame_constants, kernel_shift_residual
+
+_XI = ("weight parameter", lambda v: -1.0 < v <= XI_MAX, f"in (-1, {XI_MAX:g}]")
+# kernel builds the weight xi + 1, which must stay within XI_MAX
+_KERNEL_XI = ("weight parameter", lambda v: -1.0 < v <= XI_MAX - 1.0, f"in (-1, {XI_MAX - 1.0:g}]")
+_REAL = (math.isfinite, "finite")
+
+# The ruled arguments of the five engine commands, each beside its rule in
+# FIELD_RULES' shape (what it is, a test of its value, the rule text its error
+# and --help state); main checks every given value by its rule before the
+# command runs.
+ARGUMENTS = {
+    "uncertainty": (
+        ("--w", dict(type=float, default=0.0), ("shift w of the first operator", *_REAL)),
+        ("--y", dict(type=float, default=0.0), ("shift y of the second operator", *_REAL)),
+        ("--xi", dict(type=float, default=0.0), _XI),
+    ),
+    "classify": (
+        ("--xi", dict(type=float, default=0.0), _XI),
+        ("--tol", dict(type=float, default=1e-10), ("tolerance of the symmetry conditions", *TOLERANCE)),
+    ),
+    "rep": (("--xi", dict(type=float, default=0.0), _XI),),
+    "shift": (
+        ("c_re", dict(type=float), ("real part of the shift constant c", *_REAL)),
+        ("xi", dict(type=float), _XI),
+        ("k_range", dict(type=int), ("largest degree of the frame-ratio scan", lambda v: v >= 0, ">= 0")),
+        ("--c-im", dict(type=float, default=0.0), ("imaginary part of c", *_REAL)),
+    ),
+    "kernel": (
+        ("--alpha", dict(type=float), ("constant tested besides 1/(xi+2) and 2/(xi+2)", *_REAL)),
+        ("--w", dict(type=float, default=0.4), ("kernel point", lambda v: -1.0 < v < 1.0, "in (-1, 1)")),
+        ("--xi", dict(type=float, default=0.0), _KERNEL_XI),
+        ("--trunc", dict(type=int, default=60), ("kernel truncation degree", lambda v: v >= 1, ">= 1")),
+    ),
+}
+
+
+def _add_ruled(p: argparse.ArgumentParser, command: str) -> None:
+    for name, kwargs, (what, _, rule) in ARGUMENTS[command]:
+        default = kwargs.get("default")
+        suffix = "" if default is None else f" (default {default})"
+        p.add_argument(name, help=f"{what}, {rule}{suffix}", **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,30 +86,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uncertainty", help="evaluate the uncertainty inequality")
     p.add_argument("f_file", help="JSON coefficient file ([re,im] pairs)")
-    p.add_argument("--w", type=float, default=0.0)
-    p.add_argument("--y", type=float, default=0.0)
-    p.add_argument("--xi", type=float, default=0.0)
+    _add_ruled(p, "uncertainty")
 
     p = sub.add_parser("classify", help="classify a first-order operator")
     p.add_argument("op_file", help='JSON {"f": [...], "g": [...]}')
-    p.add_argument("--xi", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    _add_ruled(p, "classify")
 
     p = sub.add_parser("rep", help="decompose (c z^2 + a z + conj(c)) d/dz + ((xi+2) c z + b)")
     p.add_argument("abc_file", help='JSON {"a": real, "b": real, "c": [re, im] or real}')
-    p.add_argument("--xi", type=float, default=0.0)
+    _add_ruled(p, "rep")
 
-    p = sub.add_parser("shift", help="frame constants of z d/dz + c")
-    p.add_argument("c_re", type=float)
-    p.add_argument("xi", type=float)
-    p.add_argument("k_range", type=int)
-    p.add_argument("--c-im", type=float, default=0.0)
-
-    p = sub.add_parser("kernel", help="step-one kernel shift residual")
-    p.add_argument("--alpha", type=float, default=None, help="default: the derived 1/(xi+2)")
-    p.add_argument("--w", type=float, default=0.4)
-    p.add_argument("--xi", type=float, default=0.0)
-    p.add_argument("--trunc", type=int, default=60)
+    _add_ruled(sub.add_parser("shift", help="frame constants of z d/dz + c"), "shift")
+    _add_ruled(sub.add_parser("kernel", help="step-one kernel shift residual"), "kernel")
     return parser
 
 
@@ -100,28 +133,33 @@ def _read_json_file(path: str):
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # json parses NaN, +-Infinity and integers of any size; only doubles pass
+    return type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
 
 
-def _coeff_vector(data) -> CoeffVector:
-    """A JSON array of numbers or [re, im] pairs, index = degree."""
-    if not isinstance(data, list):
-        raise ValueError(f"coefficient data must be a JSON array, got {data!r}")
-    return CoeffVector([_complex_field(entry) for entry in data])
+_JSON_REAL = ("JSON number", _is_real, "a finite real number")
+_JSON_COMPLEX = ("JSON number", lambda v: all(map(_is_real, _parts(v))), "a finite number or [re, im] pair")
+
+
+def _parts(value) -> list:
+    return value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
 
 
 def _real_field(data: dict, key: str) -> float:
-    value = data[key]
-    if not _is_real(value):
-        raise ValueError(f"{key!r}: expected a real number, got {value!r}")
-    return float(value)
+    check_rule(repr(key), data[key], _JSON_REAL)
+    return float(data[key])
 
 
-def _complex_field(value) -> complex:
-    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
-    if not all(map(_is_real, parts)):
-        raise ValueError(f"expected number or [re, im] pair, got {value!r}")
-    return complex(*parts)
+def _complex_field(name: str, value) -> complex:
+    check_rule(name, value, _JSON_COMPLEX)
+    return complex(*_parts(value))
+
+
+def _coeff_vector(name: str, data) -> CoeffVector:
+    """A JSON array of numbers or [re, im] pairs, index = degree."""
+    if not isinstance(data, list):
+        raise ValueError(f"{name} must be a JSON array, got {data!r}")
+    return CoeffVector([_complex_field(f"{name}[{k}]", entry) for k, entry in enumerate(data)])
 
 
 def cmd_verify(args) -> int:
@@ -146,78 +184,58 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def cmd_uncertainty(args) -> int:
-    f = _coeff_vector(_read_json_file(args.f_file))
+def cmd_uncertainty(args) -> dict:
+    f = _coeff_vector(args.f_file, _read_json_file(args.f_file))
     r = soltani_up(f, args.w, args.y, WeightParam(args.xi))
-    print(reporting.dumps({"lhs": r.lhs, "rhs": r.rhs, "slack": r.slack, "inputs": r.inputs}))
-    return 0
+    return {"lhs": r.lhs, "rhs": r.rhs, "slack": r.slack, "inputs": r.inputs}
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     data = _read_json_file(args.op_file)
     if not isinstance(data, dict) or "f" not in data or "g" not in data:
         raise ValueError(f'{args.op_file}: expected {{"f": [...], "g": [...]}}')
-    op = FirstOrderOp(_coeff_vector(data["f"]), _coeff_vector(data["g"]))
+    op = FirstOrderOp(_coeff_vector("'f'", data["f"]), _coeff_vector("'g'", data["g"]))
     verdict = classify_symmetric(op, WeightParam(args.xi), args.tol)
     if verdict.symmetric:
         a0 = complex(verdict.form.a0)
-        result = {"symmetric": True, "a0": [a0.real, a0.imag], "a1": verdict.form.a1, "b0": verdict.form.b0}
-    else:
-        result = {"symmetric": False, "violation": verdict.violation}
-    print(reporting.dumps(result))
-    return 0
+        return {"symmetric": True, "a0": [a0.real, a0.imag], "a1": verdict.form.a1, "b0": verdict.form.b0}
+    return {"symmetric": False, "violation": verdict.violation}
 
 
-def cmd_rep(args) -> int:
+def cmd_rep(args) -> dict:
     data = _read_json_file(args.abc_file)
     if not isinstance(data, dict) or not {"a", "b", "c"} <= set(data):
         raise ValueError(f'{args.abc_file}: expected {{"a": .., "b": .., "c": ..}}')
-    dec = to_rep(_real_field(data, "a"), _real_field(data, "b"), _complex_field(data["c"]), WeightParam(args.xi))
+    dec = to_rep(_real_field(data, "a"), _real_field(data, "b"), _complex_field("'c'", data["c"]),
+                 WeightParam(args.xi))
     c = dec.coords
-    print(reporting.dumps({"sigma": c.sigma, "tau": c.tau, "lambda": c.lam, "d": dec.d}))
-    return 0
+    return {"sigma": c.sigma, "tau": c.tau, "lambda": c.lam, "d": dec.d}
 
 
-def cmd_shift(args) -> int:
-    if args.k_range < 0:
-        raise ValueError(f"k_range must be >= 0, got {args.k_range}")
+def cmd_shift(args) -> dict:
     op = ShiftOp(complex(args.c_re, args.c_im))
     fc = frame_constants(op, WeightParam(args.xi), args.k_range)
-    print("xi,c_re,c_im,k_range,m,M")
-    print(reporting.csv_row([args.xi, args.c_re, args.c_im, fc.k_range, fc.m, fc.M]))
-    return 0
+    return {"xi": args.xi, "c_re": args.c_re, "c_im": args.c_im, "k_range": fc.k_range, "m": fc.m, "M": fc.M}
 
 
-def cmd_kernel(args) -> int:
-    if args.trunc < 1:
-        raise ValueError(f"--trunc must be >= 1, got {args.trunc}")
+def cmd_kernel(args) -> dict:
     wp = WeightParam(args.xi)
     w = KernelPoint(args.w)
     derived = 1.0 / (wp.xi + 2.0)
     printed = 2.0 / (wp.xi + 2.0)
-    # an overflowing kernel coefficient shows as a non-finite residual below
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = {
-            "derived_alpha": derived,
-            "derived_residual": kernel_shift_residual(derived, w, wp, args.trunc),
-            "printed_alpha": printed,
-            "printed_residual": kernel_shift_residual(printed, w, wp, args.trunc),
-        }
-        if args.alpha is not None:
-            result["alpha"] = args.alpha
-            result["residual"] = kernel_shift_residual(args.alpha, w, wp, args.trunc)
-    bad = [key for key, value in result.items() if not math.isfinite(value)]
-    if bad:
-        raise ValueError(
-            f"{', '.join(bad)} not finite at --xi {args.xi} --w {args.w} --trunc {args.trunc}: "
-            "the kernel coefficients or --alpha leave the double range"
-        )
-    print(reporting.dumps(result))
-    return 0
+    result = {
+        "derived_alpha": derived,
+        "derived_residual": kernel_shift_residual(derived, w, wp, args.trunc),
+        "printed_alpha": printed,
+        "printed_residual": kernel_shift_residual(printed, w, wp, args.trunc),
+    }
+    if args.alpha is not None:
+        result["alpha"] = args.alpha
+        result["residual"] = kernel_shift_residual(args.alpha, w, wp, args.trunc)
+    return result
 
 
 COMMANDS = {
-    "verify": cmd_verify,
     "uncertainty": cmd_uncertainty,
     "classify": cmd_classify,
     "rep": cmd_rep,
@@ -233,9 +251,28 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        return COMMANDS[args.command](args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+        if args.command == "verify":
+            return cmd_verify(args)
+        for name, _, rule in ARGUMENTS[args.command]:
+            value = getattr(args, name.lstrip("-").replace("-", "_"))
+            if value is not None:  # an optional argument not given
+                check_rule(name, value, rule)
+        # each engine command returns its printed numbers by name; an overflow
+        # or invalid operation shows as a non-finite number among them
+        with np.errstate(all="ignore"):
+            result = COMMANDS[args.command](args)
+        # a nested dict echoes the inputs, which their rules have checked
+        numbers = {key: value for key, value in result.items() if not isinstance(value, (str, dict))}
+        bad = [key for key, value in numbers.items() if not np.all(np.isfinite(value))]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} not finite: the result leaves the double range")
+        if args.command == "shift":
+            print(",".join(result) + "\n" + reporting.csv_row(result.values()))
+        else:
+            print(reporting.dumps(result))
+        return 0
+    except (ValueError, MemoryError) as e:  # a MemoryError is an input too large to allocate
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -42,7 +42,7 @@ CONVENTIONS = [
 VERIFY_XI_MAX = weights.XI_MAX - 2.0
 
 
-_FINITE = (lambda v: 0.0 <= v < np.inf, "finite and >= 0")  # false for NaN too
+TOLERANCE = (lambda v: 0.0 <= v < np.inf, "finite and >= 0")  # false for NaN too
 # Each RunConfig field: what it is, a test of its value, and the rule its error and --help state
 FIELD_RULES = {
     "xi": ("weight parameter", lambda v: -1.0 < v <= VERIFY_XI_MAX, f"in (-1, {VERIFY_XI_MAX:g}]"),
@@ -50,9 +50,17 @@ FIELD_RULES = {
     "quad_r": ("radial quadrature points", lambda v: v >= 8, ">= 8"),
     "quad_m": ("angular quadrature points", lambda v: v >= 48, ">= 48"),
     "seed": ("generator seed", lambda v: v >= 0, ">= 0"),
-    "tol_exact": ("tolerance of the exact checks", *_FINITE),
-    "tol_quad": ("tolerance of the quadrature checks", *_FINITE),
+    "tol_exact": ("tolerance of the exact checks", *TOLERANCE),
+    "tol_quad": ("tolerance of the quadrature checks", *TOLERANCE),
 }
+
+
+def check_rule(name: str, value, rule) -> None:
+    """Raise the one message every command prints for a value outside its
+    rule (what it is, a test of its value, the rule text)."""
+    _, accepts, text = rule
+    if not accepts(value):
+        raise ValueError(f"{name} must be {text}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,9 +81,8 @@ class RunConfig:
     tol_quad: float = 1e-6
 
     def __post_init__(self):
-        for name, (_, accepts, rule) in FIELD_RULES.items():
-            if not accepts(getattr(self, name)):
-                raise ValueError(f"--{name.replace('_', '-')} must be {rule}, got {getattr(self, name)}")
+        for name, rule in FIELD_RULES.items():
+            check_rule("--" + name.replace("_", "-"), getattr(self, name), rule)
 
     def weight(self) -> WeightParam:
         return WeightParam(self.xi)

@@ -41,6 +41,8 @@ class ShiftOp:
 
     def __post_init__(self):
         c = complex(self.c)
+        if not cmath.isfinite(c):
+            raise ValueError(f"shift constant must be finite, got {c}")
         if not self.allow_singular and _distance_to_forbidden(c) <= SINGULAR_DISTANCE:
             raise ValueError(
                 f"shift constant {c} within {SINGULAR_DISTANCE} of 0 or a negative integer"

@@ -25,6 +25,12 @@ class TestShiftOp:
             with pytest.raises(ValueError):
                 ShiftOp(c)
 
+    @pytest.mark.parametrize("c", [complex("nan"), complex(1, math.inf), -math.inf])
+    @pytest.mark.parametrize("allow_singular", [False, True])
+    def test_rejects_non_finite_constants(self, c, allow_singular):
+        with pytest.raises(ValueError, match="shift constant must be finite"):
+            ShiftOp(c, allow_singular=allow_singular)
+
     def test_allow_singular_escape_hatch(self):
         assert ShiftOp(0.0, allow_singular=True).c == 0.0
 
