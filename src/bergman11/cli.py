@@ -70,8 +70,16 @@ def _add_ruled(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument(name, help=f"{what}, {rule}{suffix}", **kwargs)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors as ValueError, which ``main`` prints as one
+    line; subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bergman11")
+    parser = _Parser(prog="bergman11")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -245,12 +253,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "verify":
             return cmd_verify(args)
         for name, _, rule in ARGUMENTS[args.command]:
@@ -270,6 +274,8 @@ def main(argv=None) -> int:
             print(",".join(result) + "\n" + reporting.csv_row(result.values()))
         else:
             print(reporting.dumps(result))
+        return 0
+    except SystemExit:  # --help has printed; a usage error raises ValueError instead
         return 0
     except (ValueError, MemoryError) as e:  # a MemoryError is an input too large to allocate
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)

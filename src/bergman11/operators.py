@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .su11 import BasisCoords, LieElement, bracket, coords, from_coords
+from .su11 import BasisCoords, LieElement, bracket, coords
 from .weights import CoeffVector, WeightParam, _coeffs, _derivative, basis_scales
 
 

@@ -39,9 +39,6 @@ class LieElement:
     def __sub__(self, other):
         return LieElement(self.a - other.a, self.b - other.b)
 
-    def __neg__(self):
-        return LieElement(-self.a, -self.b)
-
     def __rmul__(self, scalar: float):
         return LieElement(scalar * self.a, scalar * self.b)
 

@@ -80,14 +80,6 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "su11_algebra", "--out", str(target))
         assert code == 2 and err.startswith("error: cannot write") and len(err.splitlines()) == 1
 
-    def test_config_file_overrides(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\ntol_exact = 1e-30\n")
-        code, out, _ = run(
-            capsys, "verify", "--suite", "weight_core", "--config", str(cfg)
-        )
-        assert code == 1
-
     def test_flag_beats_config_file_beats_default(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 3\nxi = 1.5\n")
@@ -270,18 +262,6 @@ class TestKernel:
         assert result["alpha"] == 0.5
         assert result["residual"] <= 1e-12
 
-    def test_large_weight_and_truncation_stay_finite(self, capsys):
-        # s_k^2 = (xi+2)_k/k! overflows from k ~ 4.3e4 and 0.4^k underflows
-        # long before; their product does neither
-        code, out, err = run(capsys, "kernel", "--xi", "98", "--trunc", "50000")
-        assert "NaN" not in out and "Infinity" not in out
-        assert code in (0, 2)
-        if code == 0:
-            result = json.loads(out)
-            assert all(np.isfinite(result[k]) for k in ("derived_residual", "printed_residual"))
-        else:
-            assert out == "" and len(err.strip().splitlines()) == 1
-
     def test_large_weight_residuals_are_relative(self, capsys):
         # relative to ||K_{xi+1}|| = 4.2e21 the derived constant leaves
         # rounding and the printed one 0.40
@@ -342,7 +322,6 @@ def _rule_cases():
                     argv.append(f"{name}={value}")
                 yield pytest.param(argv, f"{name} must be {rule}, got ", id=" ".join(argv))
     for argv, name in (
-        (["verify", "--xi=101"], "--xi"),
         (["uncertainty", "{f_nan}"], "[1]"),
         (["classify", "{op_inf}"], "'f'[1]"),
         (["rep", "{abc_nan}"], "'a'"),
@@ -400,10 +379,16 @@ class TestInputBoundary:
 
 class TestUsage:
     def test_no_command(self, capsys):
-        assert run(capsys, )[0] == 2
+        assert run(capsys) == (2, "", "error: the following arguments are required: command\n")
+        assert run(capsys, "--help")[0] == 0
 
     def test_unknown_suite_rejected(self, capsys):
-        assert run(capsys, "verify", "--suite", "nope")[0] == 2
+        # argparse's own errors print one line too: a bad choice or type, an
+        # unknown flag, a missing positional (argparse reads -inf as a flag)
+        for argv in (["verify", "--suite", "nope"], ["kernel", "--trunc", "nan"], ["verify", "--bogus"],
+                     ["shift", "-inf", "0", "5"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestRuntimeDependencies:

@@ -317,24 +317,6 @@ class TestKernel:
             with pytest.raises(ValueError):
                 kernel_eval(z, KernelPoint(0.5), WeightParam(0.0))
 
-    def test_series_consistency(self):
-        # partial sums of sum ((xi+2)_k/k!) (z conj(w))^k converge geometrically
-        wp = WeightParam(1.0)
-        z, w = 0.5, 0.4 + 0.2j
-        target = kernel_eval(z, KernelPoint(w), wp)
-        # terms ((xi+2)_k/k!)(z conj(w))^k built by recurrence
-        c = np.empty(61, dtype=np.complex128)
-        c[0] = 1.0
-        zw = z * np.conj(w)
-        for i in range(1, 61):
-            c[i] = c[i - 1] * (wp.xi + 1.0 + i) / i * zw
-        partials = np.cumsum(c)
-        resid = np.abs(partials - target)
-        rate = abs(zw)
-        # compare before the residual hits the rounding floor
-        assert resid[18] <= resid[8] * rate**8
-        assert resid[50] < 1e-10
-
 
 class TestKernelPrecision:
     """kernel_eval against 40-digit mpmath at the same double inputs."""

@@ -13,7 +13,6 @@ from bergman11 import (
     derivative_check,
     derived_op,
     exp_at,
-    gram_matrix,
     group_act,
     integrate,
     xnorm_sq,
@@ -56,19 +55,6 @@ class TestGroupAction:
         with pytest.raises(BranchError):
             group_act(far, CoeffVector([1]), 0.1, wp)
 
-    def test_homomorphism_integer_weight(self):
-        rng = np.random.default_rng(8)
-        for x in (0.0, 1.0, 2.0):
-            wp = WeightParam(x)
-            u = LieElement(rng.normal(), complex(rng.normal(), rng.normal()))
-            v = LieElement(rng.normal(), complex(rng.normal(), rng.normal()))
-            g1 = exp_at(u, 0.4 / max(1.0, u.norm()))
-            g2 = exp_at(v, 0.4 / max(1.0, v.norm()))
-            f = CoeffVector([1, 0.5j, -0.2])
-            lhs = group_act(g1, lambda z: group_act(g2, f, z, wp), SAMPLE_PTS, wp)
-            rhs = group_act(g1 @ g2, f, SAMPLE_PTS, wp)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-8)
-
     def test_unitarity_integer_weight(self):
         wp = WeightParam(1.0)
         grid = QuadratureGrid(wp, radial_points=96)
@@ -94,15 +80,6 @@ class TestDerivedOp:
         op = derived_op(W, WeightParam(1.0))
         assert op.fcoeffs == CoeffVector([1j, 0, 1j])
         assert op.gcoeffs == CoeffVector([0, 3j])
-
-    def test_skew_symmetric_gram(self):
-        rng = np.random.default_rng(9)
-        for x in (0.0, 0.5, 2.0):
-            wp = WeightParam(x)
-            for _ in range(5):
-                u = LieElement(rng.normal(), complex(rng.normal(), rng.normal()))
-                g = gram_matrix(derived_op(u, wp), wp, 16)
-                assert np.max(np.abs(g + g.conj().T)) <= 1e-10
 
 
 class TestDerivativeCheck:

@@ -5,7 +5,6 @@ from bergman11 import (
     CoeffVector,
     WeightParam,
     basis_elements,
-    consistency_check,
     lie_up,
     optimal_shifts,
     soltani_up,
@@ -61,19 +60,6 @@ class TestLie:
     def test_same_element_has_zero_lhs(self):
         report = lie_up(X, X, CoeffVector([1, 2]), 0.3, -0.1, WeightParam(0.0))
         assert report.lhs == pytest.approx(0.0, abs=1e-13)
-
-
-class TestConsistency:
-    def test_routes_agree(self):
-        rng = np.random.default_rng(32)
-        for x in (0.0, 1.0, 2.5):
-            wp = WeightParam(x)
-            for _ in range(10):
-                f = rand_poly(rng, int(rng.integers(0, 12)))
-                w, y = rng.uniform(-2, 2, size=2)
-                assert consistency_check(f, float(w), float(y), wp) <= 1e-10 * max(
-                    1.0, float(np.max(np.abs(f.coeffs))) ** 2
-                )
 
 
 class TestOptimalShifts:

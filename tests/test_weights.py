@@ -59,14 +59,6 @@ class TestMonomialNorms:
         assert monomial_norm_sq(wp, 1) == pytest.approx(0.5, rel=1e-14)
         assert monomial_norm_sq(wp, 2) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
-    @pytest.mark.parametrize("x", [-0.5, 0.0, 1.0, 2.5])
-    def test_recurrence(self, x):
-        # ||z^{k-1}||^2 = (xi+1+k)/k ||z^k||^2
-        wp = WeightParam(x)
-        w = monomial_norms_sq(wp, 200)
-        for k in range(1, 201):
-            assert w[k - 1] == pytest.approx((x + 1.0 + k) / k * w[k], rel=1e-10)
-
     def test_shift_limit(self):
         wp = WeightParam(1.0)
         w = monomial_norms_sq(wp, 1003)
