@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 from dataclasses import fields
 
@@ -32,6 +33,12 @@ _XI = ("weight parameter", lambda v: -1.0 < v <= XI_MAX, f"in (-1, {XI_MAX:g}]")
 # kernel builds the weight xi + 1, which must stay within XI_MAX
 _KERNEL_XI = ("weight parameter", lambda v: -1.0 < v <= XI_MAX - 1.0, f"in (-1, {XI_MAX - 1.0:g}]")
 _REAL = (math.isfinite, "finite")
+# the largest degree shift and kernel scan: a few arrays of this length stay
+# within tens of MB, and a larger one used to fail in numpy with a message
+# that named no argument
+_DEGREE_MAX = 10**6
+# a negative number, -inf and -nan included, is a value and never a flag
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
 # The ruled arguments of the five engine commands, each beside its rule in
 # FIELD_RULES' shape (what it is, a test of its value, the rule text its error
@@ -51,14 +58,16 @@ ARGUMENTS = {
     "shift": (
         ("c_re", dict(type=float), ("real part of the shift constant c", *_REAL)),
         ("xi", dict(type=float), _XI),
-        ("k_range", dict(type=int), ("largest degree of the frame-ratio scan", lambda v: v >= 0, ">= 0")),
+        ("k_range", dict(type=int),
+         ("largest degree of the frame-ratio scan", lambda v: 0 <= v <= _DEGREE_MAX, f"in [0, {_DEGREE_MAX}]")),
         ("--c-im", dict(type=float, default=0.0), ("imaginary part of c", *_REAL)),
     ),
     "kernel": (
         ("--alpha", dict(type=float), ("constant tested besides 1/(xi+2) and 2/(xi+2)", *_REAL)),
         ("--w", dict(type=float, default=0.4), ("kernel point", lambda v: -1.0 < v < 1.0, "in (-1, 1)")),
         ("--xi", dict(type=float, default=0.0), _KERNEL_XI),
-        ("--trunc", dict(type=int, default=60), ("kernel truncation degree", lambda v: v >= 1, ">= 1")),
+        ("--trunc", dict(type=int, default=60),
+         ("kernel truncation degree", lambda v: 1 <= v <= _DEGREE_MAX, f"in [1, {_DEGREE_MAX}]")),
     ),
 }
 
@@ -72,7 +81,13 @@ def _add_ruled(p: argparse.ArgumentParser, command: str) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Raises its usage errors as ValueError, which ``main`` prints as one
-    line; subparsers are built from the same class."""
+    line; subparsers are built from the same class.  Any negative number is
+    an argument value, so that ``shift -inf 0 5`` reaches the rule of
+    ``c_re`` (argparse's own pattern misses -inf, -nan and -1e5)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise ValueError(message)

@@ -79,22 +79,28 @@ def gram_matrix(op: FirstOrderOp, xi: WeightParam, degree: int) -> np.ndarray:
     M[m, n] = (s_n / s_m)(n f_{m-n+1} + g_{m-n}), evaluated band by band as
     (f_{k+1} (n s_n) + g_k s_n) / s_m for each offset k = m - n.
     """
-    return _band_matrix(op, xi, degree)
+    return _band_matrix(op.fcoeffs.coeffs, op.gcoeffs.coeffs, xi, degree)
 
 
-def _band_matrix(op: FirstOrderOp, xi: WeightParam, degree: int) -> np.ndarray:
+def _band_matrix(f: np.ndarray, g: np.ndarray, xi: WeightParam, degree: int) -> np.ndarray:
+    """The matrices of ``gram_matrix`` for the operators f D + g whose
+    coefficients are the rows of f (..., nf) and g (..., ng), all at one xi:
+    shape (..., degree+1, degree+1), one ``basis_scales`` call for the batch.
+    Every entry is one elementwise expression, so an operator's matrix has
+    the same bits alone (a batch of one) and inside any batch."""
     # shared by gram_matrix and commutator_matrix; private, so that call
     # tracing sees a commutator as one commutator_matrix call, not also a Gram one
-    f, g = op.fcoeffs.coeffs, op.gcoeffs.coeffs
     s = basis_scales(xi, degree)
     n_all = np.arange(degree + 1)
     ns = n_all * s
-    m = np.zeros((degree + 1, degree + 1), dtype=np.complex128)
-    for k in range(-1, max(len(f) - 2, len(g) - 1) + 1):
+    lead = np.broadcast_shapes(f.shape[:-1], g.shape[:-1])
+    m = np.zeros(lead + (degree + 1, degree + 1), dtype=np.complex128)
+    nf, ng = f.shape[-1], g.shape[-1]
+    for k in range(-1, max(nf - 2, ng - 1) + 1):
         n = n_all[max(0, -k) : max(0, degree + 1 - k)]  # clamped: a band past N is empty
-        fk = f[k + 1] if k + 1 < len(f) else 0.0
-        gk = g[k] if 0 <= k < len(g) else 0.0
-        m[n + k, n] = (fk * ns[n] + gk * s[n]) / s[n + k]
+        fk = f[..., k + 1, None] if k + 1 < nf else 0.0
+        gk = g[..., k, None] if 0 <= k < ng else 0.0
+        m[..., n + k, n] = (fk * ns[n] + gk * s[n]) / s[n + k]
     return m
 
 
@@ -238,17 +244,36 @@ def derived_op(u: LieElement, xi: WeightParam) -> FirstOrderOp:
     return rep_operator(coords(u), xi)
 
 
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of the polynomial rows of a and b, each row pair by np.convolve."""
+    lead = a.shape[:-1]
+    rows = [np.convolve(x, y) for x, y in zip(a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1]))]
+    return np.reshape(rows, lead + (a.shape[-1] + b.shape[-1] - 1,))
+
+
+def _commutator_coeffs(f1, g1, f2, g2):
+    """Coefficient rows (f, g) of L1 L2 - L2 L1 = (f1 f2' - f2 f1') D + (f1 g2' - f2 g1')
+    for operator rows over the same leading axes; each difference is taken
+    after zero-padding both products to the longer one.  np.convolve orders
+    its sums by the lengths of its factors, so a row rounds as the operator
+    alone does when its coefficient arrays have the row's lengths."""
+
+    def diff(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        out = np.zeros(p.shape[:-1] + (max(p.shape[-1], q.shape[-1]),), dtype=np.complex128)
+        out[..., : p.shape[-1]] = p
+        out[..., : q.shape[-1]] -= q
+        return out
+
+    return (
+        diff(_times(f1, _derivative(f2)), _times(f2, _derivative(f1))),
+        diff(_times(f1, _derivative(g2)), _times(f2, _derivative(g1))),
+    )
+
+
 def _commutator_op(op1: FirstOrderOp, op2: FirstOrderOp) -> FirstOrderOp:
     """The first-order operator L1 L2 - L2 L1 = (f1 f2' - f2 f1') D + (f1 g2' - f2 g1')."""
-    f1, g1, f2, g2 = op1.fcoeffs, op1.gcoeffs, op2.fcoeffs, op2.gcoeffs
-
-    def times(a: CoeffVector, b: CoeffVector) -> CoeffVector:
-        return CoeffVector(np.convolve(a.coeffs, b.coeffs))
-
-    return FirstOrderOp(
-        times(f1, f2.derivative()) - times(f2, f1.derivative()),
-        times(f1, g2.derivative()) - times(f2, g1.derivative()),
-    )
+    f, g = _commutator_coeffs(op1.fcoeffs.coeffs, op1.gcoeffs.coeffs, op2.fcoeffs.coeffs, op2.gcoeffs.coeffs)
+    return FirstOrderOp(CoeffVector(f), CoeffVector(g))
 
 
 def commutator_matrix(
@@ -259,7 +284,8 @@ def commutator_matrix(
     L1 L2 - L2 L1 = (f1 f2' - f2 f1') D + (f1 g2' - f2 g1') is first order, so
     this is the banded matrix of that operator, exact at any coefficient degree.
     """
-    return _band_matrix(_commutator_op(op1, op2), xi, degree)
+    f1, g1, f2, g2 = op1.fcoeffs.coeffs, op1.gcoeffs.coeffs, op2.fcoeffs.coeffs, op2.gcoeffs.coeffs
+    return _band_matrix(*_commutator_coeffs(f1, g1, f2, g2), xi, degree)
 
 
 @dataclass(frozen=True)
@@ -310,6 +336,8 @@ def bracket_op(u: LieElement, v: LieElement, xi: WeightParam) -> FirstOrderOp:
     return derived_op(bracket(u, v), xi)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max entrywise deviation of a matrix from its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T)))
+def hermiticity_defect(m: np.ndarray):
+    """Max entrywise deviation of a matrix from its conjugate transpose: a
+    float, or an array over the leading axes of a stack of matrices."""
+    defect = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect

@@ -27,47 +27,89 @@ class BranchError(ValueError):
     """Raised when a non-integer weight multiplier leaves its validity region."""
 
 
-def group_act(x: GroupElement, f, z, xi: WeightParam):
+def group_act(x, f, z, xi: WeightParam):
     """Evaluate (pi(x) f)(z) = (-conj(beta) z + alpha)^{-(xi+2)} f(m(z)).
 
     ``f`` is a CoeffVector or a callable; ``z`` a scalar or array with |z| < 1.
+    ``x`` is a GroupElement, or a sequence of them evaluated together, which
+    puts a leading axis over the elements in front of the shape of ``z``.
     Integer weights use the exact integer power of the multiplier; other
     weights use the principal branch, valid when Re(alpha) > |beta| so the
     multiplier base stays in the right half-plane.
+
+    ``z`` is only read.  An array is evaluated in one buffer of the result's
+    shape besides what ``f`` returns: the Moebius argument, whose denominator
+    is a second buffer freed before ``f`` runs, and then the denominator again,
+    the multiplier and the result.  So inside ``integrate`` no more than two
+    blocks of rows are alive at once, and the heap reuses them rather than
+    returning them to the system and faulting them in again.  For one
+    element, a scalar or one-element ``z`` is evaluated as a numpy scalar by
+    the same operations in the same operand order, so that a point rounds the
+    same alone and inside a block (as ``CoeffVector.__call__`` does).
     """
     z = np.asarray(z, dtype=np.complex128)
+    shape = z.shape
+    if z.size == 1:
+        z = z.reshape(())
     if np.any(np.abs(z) >= 1.0):
         raise ValueError("group action requires |z| < 1")
-    alpha, beta = complex(x.alpha), complex(x.beta)
+    single = isinstance(x, GroupElement)
+    elements = [(complex(e.alpha), complex(e.beta)) for e in ([x] if single else x)]
     integer_weight = float(xi.xi).is_integer()
-    if not integer_weight and not (alpha.real > abs(beta)):
-        raise BranchError(
-            f"non-integer weight requires Re(alpha) > |beta|; got alpha={alpha}, beta={beta}"
-        )
-    denom = -np.conj(beta) * z + alpha
-    arg = (np.conj(alpha) * z - beta) / denom
+    for alpha, beta in elements:
+        if not integer_weight and not (alpha.real > abs(beta)):
+            raise BranchError(
+                f"non-integer weight requires Re(alpha) > |beta|; got alpha={alpha}, beta={beta}"
+            )
+    if single:
+        ((alpha, beta),) = elements
+    else:  # one row per element, broadcast against z
+        alpha, beta = (np.reshape(c, (-1,) + (1,) * z.ndim) for c in np.array(elements).T)
+
+    def update(ufunc, *operands, into):
+        # into a buffer of ours, or a new scalar for a point
+        return ufunc(*operands, out=into if np.ndim(into) else None)
+
+    def denominator(into=None):
+        d = np.multiply(-np.conj(beta), z, out=into)
+        return update(np.add, d, alpha, into=d)
+
+    arg = np.multiply(np.conj(alpha), z)
+    arg = update(np.subtract, arg, beta, into=arg)
+    arg = update(np.divide, arg, denominator(), into=arg)
+    values = np.asarray(f(arg), dtype=np.complex128)
+    if np.may_share_memory(values, arg):  # f returned its argument or a view of it
+        values = values.copy()
+    # f has read arg, so its buffer takes the multiplier and then the product
+    mult = denominator(arg if np.ndim(arg) else None)
     power = xi.xi + 2.0
     if integer_weight:
-        mult = denom ** (-int(round(power)))
+        mult = update(np.power, mult, -int(round(power)), into=mult)
     else:
-        mult = np.exp(-power * np.log(denom))
-    out = mult * np.asarray(f(arg), dtype=np.complex128)
-    return out if out.ndim else complex(out)
+        mult = update(np.log, mult, into=mult)
+        mult = update(np.multiply, -power, mult, into=mult)
+        mult = update(np.exp, mult, into=mult)
+    out = update(np.multiply, mult, values, into=mult)
+    if out.ndim:
+        return out
+    return np.reshape(out, shape) if shape else complex(out)
 
 
-def derivative_check(
-    u: LieElement, f: CoeffVector, t: float, xi: WeightParam, sample_points
-) -> float:
+def derivative_check(u: LieElement, f: CoeffVector, t, xi: WeightParam, sample_points):
     """Max abs error of the central difference of the group action against the
-    derived operator on the sample points.  Contract: O(t^2)."""
-    if not (0.0 < t <= 1e-3):
+    derived operator on the sample points.  Contract: O(t^2).
+
+    ``t`` is a step, giving a float, or a sequence of steps, giving an array
+    of errors; the group elements exp(+-t u) of all steps are acted with in
+    one ``group_act`` call, and the derived operator is applied once."""
+    steps = [float(s) for s in np.atleast_1d(t)]
+    if not all(0.0 < s <= 1e-3 for s in steps):
         raise ValueError("step must satisfy 0 < t <= 1e-3")
     pts = np.asarray(sample_points, dtype=np.complex128)
-    plus = group_act(exp_at(u, t), f, pts, xi)
-    minus = group_act(exp_at(u, -t), f, pts, xi)
-    fd = (np.asarray(plus) - np.asarray(minus)) / (2.0 * t)
-    direct = apply(derived_op(u, xi), f)(pts)
-    return float(np.max(np.abs(fd - np.asarray(direct))))
+    acted = group_act([exp_at(u, sign * s) for s in steps for sign in (1.0, -1.0)], f, pts, xi)
+    direct = np.asarray(apply(derived_op(u, xi), f)(pts))
+    errors = [np.max(np.abs((plus - minus) / (2.0 * s) - direct)) for s, plus, minus in zip(steps, acted[::2], acted[1::2])]
+    return float(errors[0]) if np.ndim(t) == 0 else np.array(errors)
 
 
 def xnorm_sq(f, xi: WeightParam):

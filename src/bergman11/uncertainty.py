@@ -34,28 +34,42 @@ class UncertaintyReport:
         return self.rhs - self.lhs
 
 
-def _shifted_apply(op, u: CoeffVector, shift: float) -> CoeffVector:
-    return apply(op, u) + shift * u
+def _shifted_apply(op, a: np.ndarray, shift) -> np.ndarray:
+    """(L + shift) applied to the coefficient rows a; shift broadcasts against
+    their leading axes."""
+    out = apply(op, a)
+    out[..., : a.shape[-1]] += a * np.asarray(shift, dtype=float)[..., None]
+    return out
+
+
+def _scalar_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def lie_up(
     u_elt: LieElement,
     v_elt: LieElement,
-    u: CoeffVector,
-    x: float,
-    y: float,
+    u,
+    x,
+    y,
     xi: WeightParam,
 ) -> UncertaintyReport:
-    """Evaluate the abstract Lie-algebra uncertainty inequality."""
-    lb = bracket_op(u_elt, v_elt, xi)
-    lhs = abs(inner_product(apply(lb, u), u, xi))
-    nu = np.sqrt(bergman_norm_sq(_shifted_apply(derived_op(u_elt, xi), u, x), xi))
-    nv = np.sqrt(bergman_norm_sq(_shifted_apply(derived_op(v_elt, xi), u, y), xi))
+    """Evaluate the abstract Lie-algebra uncertainty inequality.
+
+    ``u`` is a CoeffVector, giving floats, or a (..., deg+1) coefficient
+    batch with shifts x, y that broadcast against its leading axes, as in
+    ``soltani_up``.
+    """
+    a = _coeffs(u)
+    s = inner_product(apply(bracket_op(u_elt, v_elt, xi), a), a, xi)
+    lhs = np.hypot(np.real(s), np.imag(s))  # |s|, rounded as abs() of a Python complex
+    nu = np.sqrt(bergman_norm_sq(_shifted_apply(derived_op(u_elt, xi), a, x), xi))
+    nv = np.sqrt(bergman_norm_sq(_shifted_apply(derived_op(v_elt, xi), a, y), xi))
     rhs = 2.0 * nu * nv
     return UncertaintyReport(
-        lhs=float(lhs),
-        rhs=float(rhs),
-        inputs={"kind": "lie", "x": x, "y": y, "xi": xi.xi, "deg": u.degree},
+        lhs=_scalar_or_array(lhs),
+        rhs=_scalar_or_array(rhs),
+        inputs={"kind": "lie", "x": x, "y": y, "xi": xi.xi, "deg": a.shape[-1] - 1},
     )
 
 
@@ -91,20 +105,22 @@ def soltani_up(f, w, y, xi: WeightParam) -> UncertaintyReport:
     rhs = np.sqrt(bergman_norm_sq(a_op_f + iw * f_pad, xi)) * np.sqrt(bergman_norm_sq(b_op_f + yy * f_pad, xi))
     return UncertaintyReport(
         lhs=lhs,
-        rhs=float(rhs) if np.ndim(rhs) == 0 else rhs,
+        rhs=_scalar_or_array(rhs),
         inputs={"kind": "soltani", "w": w, "y": y, "xi": xi.xi, "deg": a.shape[-1] - 1},
     )
 
 
-def consistency_check(f: CoeffVector, w: float, y: float, xi: WeightParam) -> float:
-    """Max discrepancy between soltani_up and the lie_up route through (W, Y).
+def consistency_check(f, w, y, xi: WeightParam):
+    """Max discrepancy between soltani_up and the lie_up route through (W, Y):
+    a float for a CoeffVector, an array over a batch (shifts as in ``soltani_up``).
 
     The first rhs factor equals ||(Pi(W) - w) f|| and both sides of the lie
     route carry an overall factor 2 that cancels.
     """
     direct = soltani_up(f, w, y, xi)
-    via_lie = lie_up(W_GEN, Y_GEN, f, -w, y, xi)
-    return float(np.maximum(abs(direct.lhs - via_lie.lhs / 2.0), abs(direct.rhs - via_lie.rhs / 2.0)))
+    via_lie = lie_up(W_GEN, Y_GEN, f, np.negative(w), y, xi)
+    gap = np.maximum(np.abs(direct.lhs - via_lie.lhs / 2.0), np.abs(direct.rhs - via_lie.rhs / 2.0))
+    return _scalar_or_array(gap)
 
 
 def optimal_shifts(f: CoeffVector, xi: WeightParam) -> tuple:

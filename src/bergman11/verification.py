@@ -16,6 +16,7 @@ so two runs with the same configuration produce identical reports.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -133,6 +134,20 @@ def _xi_draws(cfg: RunConfig, rng, recipe: Recipe):
                 yield x
 
 
+def _draws_by_xi(cfg: RunConfig, rng, recipe: Recipe, draw) -> List[Tuple[float, list]]:
+    """(xi, samples) for each run of samples that share their xi: every
+    sample is ``draw(rng, xi)``, drawn just after its xi as a per-sample loop
+    draws it, so that a property can evaluate each run as one batch."""
+    runs: List[Tuple[float, list]] = []
+    for x in _xi_draws(cfg, rng, recipe):
+        sample = draw(rng, x)
+        if runs and runs[-1][0] == x:
+            runs[-1][1].append(sample)
+        else:
+            runs.append((x, [sample]))
+    return runs
+
+
 def _degree(rng, recipe: Recipe) -> int:
     return int(rng.integers(0, recipe.degree + 1)) if recipe.random_degree else recipe.degree
 
@@ -141,24 +156,56 @@ def _random_coeffs(rng, degree) -> np.ndarray:
     return rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
 
 
+def _random_rows(rng, samples: int, degree: int) -> np.ndarray:
+    """``samples`` rows of ``_random_coeffs(rng, degree)`` in one draw: the
+    generator fills the array in the order the rows would draw it."""
+    d = rng.normal(size=(samples, 2, degree + 1))
+    return d[:, 0] + 1j * d[:, 1]
+
+
 def _random_poly(rng, degree) -> CoeffVector:
     return CoeffVector(_random_coeffs(rng, degree))
 
 
+def _poly_batch(rng, recipe: Recipe) -> np.ndarray:
+    """``samples`` random polynomials as rows zero-padded to ``recipe.degree``,
+    each drawn (degree, then coefficients) in the order a per-sample loop
+    draws them."""
+    if not recipe.random_degree:
+        return _random_rows(rng, recipe.samples, recipe.degree)
+    batch = np.zeros((recipe.samples, recipe.degree + 1), dtype=np.complex128)
+    for row in batch:
+        d = _degree(rng, recipe)
+        row[: d + 1] = _random_coeffs(rng, d)
+    return batch
+
+
 def _poly_batches(cfg: RunConfig, rng, recipe: Recipe):
-    """(xi, batch) for each xi of the recipe: ``samples`` random polynomials as
-    rows zero-padded to ``recipe.degree``, each drawn (degree, then
-    coefficients) in the order a per-sample loop draws them."""
+    """(xi, ``_poly_batch``) for each xi of the recipe."""
     for x in _xis(cfg, recipe):
-        batch = np.zeros((recipe.samples, recipe.degree + 1), dtype=np.complex128)
-        for row in batch:
-            d = _degree(rng, recipe)
-            row[: d + 1] = _random_coeffs(rng, d)
-        yield x, batch
+        yield x, _poly_batch(rng, recipe)
 
 
 def _random_element(rng) -> su11.LieElement:
     return su11.LieElement(rng.normal(), complex(rng.normal(), rng.normal()))
+
+
+def _stacked(elements) -> su11.LieElement:
+    """One LieElement whose fields are arrays over ``elements``."""
+    return su11.LieElement(np.array([e.a for e in elements]), np.array([e.b for e in elements]))
+
+
+def _derived_rows(u: su11.LieElement, wp: WeightParam):
+    """Coefficient rows (f, g) of the derived operators of a stacked element,
+    each entry as ``ops.derived_op`` forms it for one element."""
+    p, q = ops._rep_coeffs(su11.coords(u), wp)
+    return p.T, q.T
+
+
+def _padded_rows(vectors) -> np.ndarray:
+    """CoeffVectors as rows zero-padded to the largest degree among them."""
+    n = max(v.degree for v in vectors)
+    return np.array([v.padded(n) for v in vectors])
 
 
 @functools.lru_cache(maxsize=8)
@@ -258,7 +305,7 @@ def sobolev_norm_equivalence(cfg, rng, recipe):
     phi_alt[0] = phi_sob[0] = 1.0
     ratio = phi_sob / phi_alt
     m, big_m = float(np.min(ratio)), float(np.max(ratio))
-    batch = np.array([_random_coeffs(rng, cfg.trunc) for _ in range(recipe.samples)])
+    batch = _random_rows(rng, recipe.samples, cfg.trunc)
     alt = weights.weighted_norm_sq(batch, wp, phi_alt)
     sob = weights.sobolev_norm_sq(batch, wp, 1)
     yield "sobolev_norm_equivalence", (m * alt - sob) / (m * alt), f"m={m:.6g} M={big_m:.6g}"
@@ -391,25 +438,25 @@ def derivative_richardson_order(cfg, rng, recipe):
         wpx = WeightParam(x)
         f = _random_poly(rng, recipe.degree)
         for u in gens:
-            e1 = rep.derivative_check(u, f, 1e-3, wpx, pts)
-            e2 = rep.derivative_check(u, f, 5e-4, wpx, pts)
+            e1, e2 = rep.derivative_check(u, f, (1e-3, 5e-4), wpx, pts)
             if e1 < 1e-11:
                 continue  # operator acts trivially; no order to measure
             yield "derivative_richardson_order", -np.log2(e1 / e2), "order >= 1.9"
 
 
 def derived_op_skew_symmetry(cfg, rng, recipe):
-    """Gram matrices of derived operators are skew-Hermitian."""
-    for x in _xi_draws(cfg, rng, recipe):
+    """Gram matrices of derived operators are skew-Hermitian; one band fill
+    per xi."""
+    for x, elements in _draws_by_xi(cfg, rng, recipe, lambda rng, x: _random_element(rng)):
         wp = WeightParam(x)
-        g = ops.gram_matrix(ops.derived_op(_random_element(rng), wp), wp, recipe.n)
-        yield "derived_op_skew_symmetry", np.abs(g + g.conj().T)
+        g = ops._band_matrix(*_derived_rows(_stacked(elements), wp), wp, recipe.n)
+        yield "derived_op_skew_symmetry", np.abs(g + np.swapaxes(g, -1, -2).conj())
 
 
 def xnorm_two_route(cfg, rng, recipe):
     """The closed formula for ||Pi(X) f||^2 equals the operator route."""
     wp = cfg.weight()
-    batch = np.array([_random_coeffs(rng, cfg.trunc) for _ in range(recipe.samples)])
+    batch = _random_rows(rng, recipe.samples, cfg.trunc)
     direct = rep.xnorm_sq(batch, wp)
     via_op = weights.bergman_norm_sq(ops.apply(ops.derived_op(su11.X_GEN, wp), batch), wp)
     yield "xnorm_two_route", np.abs(direct - via_op) / np.maximum(1.0, direct)
@@ -426,6 +473,16 @@ def norm_sandwich(cfg, rng, recipe):
         yield "norm_sandwich", np.maximum(lo - mid, mid - hi)
 
 
+def _modulus_sq(g: su11.GroupElement, f: CoeffVector, wp: WeightParam, z):
+    """|pi(g) f|^2 at the nodes z, as the real part of the action's own buffer:
+    np.abs(v) ** 2 converted to complex, with one float block besides it."""
+    v = rep.group_act(g, f, z, wp)
+    mod = np.abs(v)
+    np.square(mod, out=mod)
+    v.real, v.imag = mod, 0.0
+    return v
+
+
 def unitarity_integer_weight(cfg, rng, recipe):
     """The group action is unitary (by quadrature) and a homomorphism at
     integer weights."""
@@ -439,7 +496,7 @@ def unitarity_integer_weight(cfg, rng, recipe):
             v = _random_element(rng)
             g2 = su11.exp_at(v, 0.5 / max(1.0, v.norm()))
             f = _random_poly(rng, recipe.degree)
-            nrm = quad.integrate(lambda z: np.abs(rep.group_act(g1, f, z, wpx)) ** 2, grid)
+            nrm = quad.integrate(functools.partial(_modulus_sq, g1, f, wpx), grid)
             yield "unitarity_integer_weight", abs(nrm.real - weights.bergman_norm_sq(f, wpx))
             lhs = rep.group_act(g1, lambda z: rep.group_act(g2, f, z, wpx), pts, wpx)
             rhs = rep.group_act(g1 @ g2, f, pts, wpx)
@@ -477,16 +534,21 @@ def _perturb_operator(rng, op: ops.FirstOrderOp) -> ops.FirstOrderOp:
 
 def classification_iff_hermitian(cfg, rng, recipe):
     """The classification verdict agrees with Gram-matrix Hermiticity; every
-    second operator is perturbed off the symmetric forms."""
+    second operator is perturbed off the symmetric forms.  The Gram matrices
+    of each xi are one band fill."""
+    count = itertools.count()
+
+    def draw(rng, x):
+        op = _random_symmetric_form(rng, WeightParam(x)).to_operator()
+        return _perturb_operator(rng, op) if next(count) % 2 == 1 else op
+
     agree = []
-    for i, x in enumerate(_xi_draws(cfg, rng, recipe)):
+    for x, batch in _draws_by_xi(cfg, rng, recipe, draw):
         wpx = WeightParam(x)
-        op = _random_symmetric_form(rng, wpx).to_operator()
-        if i % 2 == 1:
-            op = _perturb_operator(rng, op)
-        verdict = ops.classify_symmetric(op, wpx, 1e-9)
-        gram_sym = ops.hermiticity_defect(ops.gram_matrix(op, wpx, recipe.n)) <= 1e-9
-        agree.append(verdict.symmetric == gram_sym)
+        grams = ops._band_matrix(_padded_rows([op.fcoeffs for op in batch]),
+                                 _padded_rows([op.gcoeffs for op in batch]), wpx, recipe.n)
+        gram_sym = ops.hermiticity_defect(grams) <= 1e-9
+        agree += [ops.classify_symmetric(op, wpx, 1e-9).symmetric == h for op, h in zip(batch, gram_sym)]
     yield "classification_iff_hermitian", float(len(agree) - sum(agree)), f"{sum(agree)}/{len(agree)}"
 
 
@@ -516,12 +578,15 @@ def rep_decomposition_roundtrip(cfg, rng, recipe):
 
 
 def commutator_bracket_compat(cfg, rng, recipe):
-    """Operator commutators realize the Lie bracket."""
-    for x in _xi_draws(cfg, rng, recipe):
+    """Operator commutators realize the Lie bracket; the pairs of each xi are
+    one batch."""
+    draw = lambda rng, x: (_random_element(rng), _random_element(rng))
+    for x, pairs in _draws_by_xi(cfg, rng, recipe, draw):
         wp = WeightParam(x)
-        u, v = _random_element(rng), _random_element(rng)
-        cm = ops.commutator_matrix(ops.derived_op(u, wp), ops.derived_op(v, wp), wp, recipe.n)
-        bm = ops.gram_matrix(ops.bracket_op(u, v, wp), wp, recipe.n)
+        u, v = (_stacked(elements) for elements in zip(*pairs))
+        commutator = ops._commutator_coeffs(*_derived_rows(u, wp), *_derived_rows(v, wp))
+        cm = ops._band_matrix(*commutator, wp, recipe.n)
+        bm = ops._band_matrix(*_derived_rows(su11.bracket(u, v), wp), wp, recipe.n)
         yield "commutator_bracket_compat", np.abs(cm - bm)
 
 
@@ -549,10 +614,12 @@ def uncertainty_inequality(cfg, rng, recipe):
 
 
 def two_route_consistency(cfg, rng, recipe):
-    """soltani_up agrees with the lie_up route through (W, Y)."""
-    for x in _xi_draws(cfg, rng, recipe):
-        f = _random_poly(rng, recipe.degree)
-        yield "two_route_consistency", up.consistency_check(f, float(rng.normal()), float(rng.normal()), WeightParam(x))
+    """soltani_up agrees with the lie_up route through (W, Y); the samples of
+    each xi are one batch."""
+    draw = lambda rng, x: (_random_coeffs(rng, recipe.degree), float(rng.normal()), float(rng.normal()))
+    for x, samples in _draws_by_xi(cfg, rng, recipe, draw):
+        batch, w, y = (np.array(column) for column in zip(*samples))
+        yield "two_route_consistency", up.consistency_check(batch, w, y, WeightParam(x))
 
 
 def optimal_shift_slack(cfg, rng, recipe):
@@ -570,19 +637,19 @@ def optimal_shift_slack(cfg, rng, recipe):
 
 def frame_sandwich(cfg, rng, recipe):
     """z d/dz + c maps weight xi onto weight xi+2 within its frame constants
-    over k <= n (relative to ||f||^2), and shift_invert undoes shift_apply."""
+    over k <= n (relative to ||f||^2), and shift_invert undoes shift_apply;
+    the samples of each c are one batch."""
     wp = cfg.weight()
     wp_shift = WeightParam(wp.xi + 2.0)
     for c in (1.0 + 0j, 0.7 + 0.3j, wp.xi + 2.0 + 0j):
         op = ws.ShiftOp(c)
         fc = ws.frame_constants(op, wp, recipe.n)
-        for _ in range(recipe.samples):
-            f = _random_poly(rng, _degree(rng, recipe))
-            nf = weights.bergman_norm_sq(f, wp)
-            ns = weights.bergman_norm_sq(ws.shift_apply(op, f), wp_shift)
-            yield "frame_sandwich", ((fc.m * nf - ns) / nf, (ns - fc.M * nf) / nf)
-            back = ws.shift_invert(op, ws.shift_apply(op, f))
-            yield "shift_roundtrip", np.abs(back.coeffs - f.coeffs)
+        batch = _poly_batch(rng, recipe)
+        shifted = ws.shift_apply(op, batch)
+        nf = weights.bergman_norm_sq(batch, wp)
+        ns = weights.bergman_norm_sq(shifted, wp_shift)
+        yield "frame_sandwich", ((fc.m * nf - ns) / nf, (ns - fc.M * nf) / nf)
+        yield "shift_roundtrip", np.abs(ws.shift_invert(op, shifted) - batch)
 
 
 def _tail_window_start(c: complex, xi: float, k0: int) -> int:

@@ -55,15 +55,15 @@ class CoeffVector:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        arr = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
+        # np.array copies, so the caller's array stays writable and ours is not
+        arr = np.array(coeffs, dtype=np.complex128, ndmin=1)
         if arr.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
         if arr.size == 0:
             arr = np.zeros(1, dtype=np.complex128)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
     def __setattr__(self, name, value):
@@ -81,10 +81,7 @@ class CoeffVector:
 
     def padded(self, degree: int) -> np.ndarray:
         """Coefficients as an array of length ``degree + 1``."""
-        out = np.zeros(degree + 1, dtype=np.complex128)
-        n = min(degree + 1, len(self.coeffs))
-        out[:n] = self.coeffs[:n]
-        return out
+        return _padded(self.coeffs, degree + 1)
 
     def derivative(self) -> "CoeffVector":
         return CoeffVector(_derivative(self.coeffs))
@@ -145,6 +142,14 @@ def _coeffs(f) -> np.ndarray:
     return f.coeffs if isinstance(f, CoeffVector) else np.asarray(f, dtype=np.complex128)
 
 
+def _padded(a: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients over the last axis, zero-padded or cut to length n."""
+    out = np.zeros(a.shape[:-1] + (n,), dtype=np.complex128)
+    m = min(n, a.shape[-1])
+    out[..., :m] = a[..., :m]
+    return out
+
+
 def _derivative(a: np.ndarray) -> np.ndarray:
     """Coefficients of f' over the last axis; a constant gives one zero."""
     n = a.shape[-1]
@@ -179,11 +184,14 @@ def monomial_norm_sq(xi: WeightParam, k: int) -> float:
     return float(monomial_norms_sq(xi, k)[k])
 
 
-def inner_product(f: CoeffVector, g: CoeffVector, xi: WeightParam) -> complex:
-    """Bergman inner product <f, g> via the diagonal coefficient sum."""
-    n = max(f.degree, g.degree)
-    w = monomial_norms_sq(xi, n)
-    return complex(np.sum(f.padded(n) * np.conj(g.padded(n)) * w))
+def inner_product(f, g, xi: WeightParam):
+    """Bergman inner product <f, g> via the diagonal coefficient sum over the
+    last axis: two CoeffVectors give a complex, batches an array over their
+    leading axes."""
+    a, b = _coeffs(f), _coeffs(g)
+    n = max(a.shape[-1], b.shape[-1])
+    s = np.sum(_padded(a, n) * np.conj(_padded(b, n)) * monomial_norms_sq(xi, n - 1), axis=-1)
+    return complex(s) if s.ndim == 0 else s
 
 
 def weighted_norm_sq(f, xi: WeightParam, phi):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import KernelPoint
-from .weights import CoeffVector, WeightParam, _log_norms_sq
+from .weights import CoeffVector, WeightParam, _coeffs, _log_norms_sq
 
 SINGULAR_DISTANCE = 1e-12
 
@@ -49,16 +49,22 @@ class ShiftOp:
             )
 
 
-def shift_apply(op: ShiftOp, f: CoeffVector) -> CoeffVector:
-    k = np.arange(f.degree + 1)
-    return CoeffVector((k + complex(op.c)) * f.coeffs)
+def shift_apply(op: ShiftOp, f):
+    """a_k -> (k+c) a_k over the last axis of a CoeffVector (giving one) or
+    a coefficient batch (giving an array)."""
+    a = _coeffs(f)
+    out = (np.arange(a.shape[-1]) + complex(op.c)) * a
+    return CoeffVector(out) if isinstance(f, CoeffVector) else out
 
 
-def shift_invert(op: ShiftOp, f: CoeffVector) -> CoeffVector:
-    factors = np.arange(f.degree + 1) + complex(op.c)
+def shift_invert(op: ShiftOp, f):
+    """a_k -> a_k / (k+c), over the last axis as ``shift_apply``."""
+    a = _coeffs(f)
+    factors = np.arange(a.shape[-1]) + complex(op.c)
     if np.any(np.abs(factors) <= SINGULAR_DISTANCE):
         raise ZeroDivisionError(f"shift constant {op.c} makes a mode non-invertible")
-    return CoeffVector(f.coeffs / factors)
+    out = a / factors
+    return CoeffVector(out) if isinstance(f, CoeffVector) else out
 
 
 @dataclass(frozen=True)

@@ -106,19 +106,17 @@ def test_run_property_reduces_exactly_the_registered_checks():
 
 
 def test_a_nan_in_a_later_sample_fails_its_check(monkeypatch):
-    # a running max(worst, nan) returns worst, so it dropped the third sample's NaN
-    gram_matrix, calls = verification.ops.gram_matrix, []
+    # a running max(worst, nan) returns worst, so it dropped the third sample's NaN;
+    # unitarity_integer_weight yields once per sample, one integral each
+    integrate, calls = verification.quad.integrate, []
 
-    def nan_in_third(op, wp, n):
-        calls.append(n)
-        g = gram_matrix(op, wp, n).copy()
-        if len(calls) == 3:
-            g[1, 2] = np.nan
-        return g
+    def nan_in_third(F, grid):
+        calls.append(grid)
+        return complex(np.nan) if len(calls) == 3 else integrate(F, grid)
 
-    monkeypatch.setattr(verification.ops, "gram_matrix", nan_in_third)
+    monkeypatch.setattr(verification.quad, "integrate", nan_in_third)
     report = run_suites(RunConfig(), ["discrete_series"])
-    (check,) = [c for c in report["suites"]["discrete_series"] if c["name"] == "derived_op_skew_symmetry"]
+    (check,) = [c for c in report["suites"]["discrete_series"] if c["name"] == "unitarity_integer_weight"]
     assert np.isnan(check["margin"]) and check["passed"] is False
     assert report["passed"] is False
 
