@@ -31,11 +31,13 @@ from .operators import (
     apply,
     bracket_op,
     classify_symmetric,
+    commutator,
     commutator_matrix,
     derived_op,
     from_rep,
     gram_matrix,
     hermiticity_defect,
+    stack,
     symmetric_tridiagonal,
     to_rep,
     zhu_scan,

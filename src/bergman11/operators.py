@@ -16,10 +16,11 @@ a time.  The commutator of two first-order operators is again first order,
 so its matrix is the Gram matrix of that operator, exact at any coefficient
 degree.
 
-``apply`` acts on the last axis of a coefficient batch: a CoeffVector maps to
-a CoeffVector, and a (..., deg+1) array of zero-padded rows maps to the array
-of their images.  ``zhu_scan`` draws its pairs at once and decides them on
-coefficient arrays through the same formulas as ``rep_operator``.
+A ``FirstOrderOp`` holds f and g with the coefficient index last; leading
+axes are a batch of operators at one xi, and a single operator is a batch of
+one.  ``derived_op``, ``commutator`` and both matrix builders take batches,
+and ``stack`` zero-pads single operators into one.  ``apply`` maps a
+coefficient batch (or a CoeffVector) through one operator.
 """
 
 from __future__ import annotations
@@ -30,38 +31,62 @@ from typing import Optional
 import numpy as np
 
 from .su11 import BasisCoords, LieElement, bracket, coords
-from .weights import CoeffVector, WeightParam, _coeffs, _derivative, basis_scales
+from .weights import CoeffVector, WeightParam, _coeffs, _derivative, _padded, basis_scales
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FirstOrderOp:
-    """The operator fcoeffs * d/dz + gcoeffs with polynomial coefficient data."""
+    """The operator fcoeffs * d/dz + gcoeffs, or a batch over their leading axes.
 
-    fcoeffs: CoeffVector
-    gcoeffs: CoeffVector
+    Each field is a read-only complex copy of the CoeffVector or array passed,
+    which must be finite."""
+
+    fcoeffs: np.ndarray
+    gcoeffs: np.ndarray
+
+    def __post_init__(self):
+        for name in ("fcoeffs", "gcoeffs"):
+            arr = np.array(_coeffs(getattr(self, name)), dtype=np.complex128, ndmin=1)
+            if not np.isfinite(arr).all():
+                raise ValueError("coefficients must be finite")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __add__(self, other: "FirstOrderOp") -> "FirstOrderOp":
-        return FirstOrderOp(self.fcoeffs + other.fcoeffs, self.gcoeffs + other.gcoeffs)
+        f = CoeffVector(self.fcoeffs) + CoeffVector(other.fcoeffs)
+        return FirstOrderOp(f, CoeffVector(self.gcoeffs) + CoeffVector(other.gcoeffs))
 
     def __rmul__(self, scalar) -> "FirstOrderOp":
-        return FirstOrderOp(scalar * self.fcoeffs, scalar * self.gcoeffs)
+        return FirstOrderOp(self.fcoeffs * complex(scalar), self.gcoeffs * complex(scalar))
 
     def plus_scalar(self, scalar) -> "FirstOrderOp":
-        g = self.gcoeffs.padded(self.gcoeffs.degree)
-        g = g.copy()
-        g[0] += complex(scalar)
-        return FirstOrderOp(self.fcoeffs, CoeffVector(g))
+        g = self.gcoeffs.copy()
+        g[..., 0] += complex(scalar)
+        return FirstOrderOp(self.fcoeffs, g)
+
+
+def stack(ops) -> FirstOrderOp:
+    """One batch of ``ops``, each zero-padded to the longest f and g among them."""
+
+    def rows(arrays):
+        n = max(a.shape[-1] for a in arrays)
+        return np.array([_padded(a, n) for a in arrays])
+
+    return FirstOrderOp(rows([op.fcoeffs for op in ops]), rows([op.gcoeffs for op in ops]))
 
 
 def apply(op: FirstOrderOp, h, degree: Optional[int] = None):
-    """Coefficients of f*h' + g*h, optionally truncated at ``degree``.
+    """Coefficients of f*h' + g*h for one operator, optionally truncated at
+    ``degree``.
 
     ``h`` is a CoeffVector, giving a CoeffVector, or a (..., deg+1) coefficient
     batch, giving the batch of images over the same leading axes.  The
     products f_j z^j h' and then g_j z^j h are added in that order.
     """
+    if op.fcoeffs.ndim > 1 or op.gcoeffs.ndim > 1:
+        raise ValueError("apply takes one operator, not a batch")
     a = _coeffs(h)
-    terms = ((op.fcoeffs.coeffs, _derivative(a)), (op.gcoeffs.coeffs, a))
+    terms = ((op.fcoeffs, _derivative(a)), (op.gcoeffs, a))
     n = max(len(c) + x.shape[-1] for c, x in terms) - 1
     out = np.zeros(a.shape[:-1] + (n,), dtype=np.complex128)
     for c, x in terms:
@@ -74,22 +99,21 @@ def apply(op: FirstOrderOp, h, degree: Optional[int] = None):
 
 
 def gram_matrix(op: FirstOrderOp, xi: WeightParam, degree: int) -> np.ndarray:
-    """Matrix M[m, n] = <L e_n, e_m> over the orthonormal basis, 0 <= m,n <= degree.
+    """Matrix M[m, n] = <L e_n, e_m> over the orthonormal basis, 0 <= m,n <= degree,
+    or the stack of them for a batch.
 
     M[m, n] = (s_n / s_m)(n f_{m-n+1} + g_{m-n}), evaluated band by band as
-    (f_{k+1} (n s_n) + g_k s_n) / s_m for each offset k = m - n.
+    (f_{k+1} (n s_n) + g_k s_n) / s_m for each offset k = m - n.  Each entry is
+    one elementwise expression, so a matrix has the same bits in any batch.
     """
-    return _band_matrix(op.fcoeffs.coeffs, op.gcoeffs.coeffs, xi, degree)
+    return _band_matrix(op, xi, degree)
 
 
-def _band_matrix(f: np.ndarray, g: np.ndarray, xi: WeightParam, degree: int) -> np.ndarray:
-    """The matrices of ``gram_matrix`` for the operators f D + g whose
-    coefficients are the rows of f (..., nf) and g (..., ng), all at one xi:
-    shape (..., degree+1, degree+1), one ``basis_scales`` call for the batch.
-    Every entry is one elementwise expression, so an operator's matrix has
-    the same bits alone (a batch of one) and inside any batch."""
+def _band_matrix(op: FirstOrderOp, xi: WeightParam, degree: int) -> np.ndarray:
+    """The matrices of ``gram_matrix``, shape (..., degree+1, degree+1)."""
     # shared by gram_matrix and commutator_matrix; private, so that call
     # tracing sees a commutator as one commutator_matrix call, not also a Gram one
+    f, g = op.fcoeffs, op.gcoeffs
     s = basis_scales(xi, degree)
     n_all = np.arange(degree + 1)
     ns = n_all * s
@@ -119,10 +143,7 @@ class SymmetricForm:
 
     def to_operator(self) -> FirstOrderOp:
         a0 = complex(self.a0)
-        return FirstOrderOp(
-            CoeffVector([a0, self.a1, np.conj(a0)]),
-            CoeffVector([self.b0, (self.xi.xi + 2.0) * np.conj(a0)]),
-        )
+        return FirstOrderOp([a0, self.a1, np.conj(a0)], [self.b0, (self.xi.xi + 2.0) * np.conj(a0)])
 
 
 @dataclass(frozen=True)
@@ -140,8 +161,8 @@ def classify_symmetric(op: FirstOrderOp, xi: WeightParam, tol: float = 1e-10) ->
     Symmetry forces f = a0 + a1 z + conj(a0) z^2, g = b0 + (xi+2) conj(a0) z
     with a1, b0 real; the first violated condition is reported.
     """
-    f = op.fcoeffs.trimmed()
-    g = op.gcoeffs.trimmed()
+    f = CoeffVector(op.fcoeffs).trimmed()
+    g = CoeffVector(op.gcoeffs).trimmed()
     if f.degree > 2:
         return ClassifyVerdict(False, None, f"deg f = {f.degree} > 2")
     if g.degree > 1:
@@ -191,25 +212,18 @@ def symmetric_tridiagonal(form: SymmetricForm, degree: int) -> TriDiag:
     return TriDiag(sub.astype(np.complex128), diag, sup.astype(np.complex128))
 
 
-def _rep_coeffs(c: BasisCoords, xi: WeightParam):
-    """Coefficients (p, q) of ``rep_operator``, coefficient index first: shapes
-    (3, ...) and (2, ...) for coordinates of shape (...).  Each entry is formed
-    exactly from its parts, so an array entry equals the scalar result."""
-    s, t, l = c.sigma, c.tau, c.lam
-    w = xi.xi + 2.0
-    p = np.array([-t + 1j * l, 1j * (-2.0 * s - 2.0 * l), t + 1j * l])
-    q = np.array([1j * (w * (-s - l)), w * t + 1j * (w * l)])
-    return p, q
-
-
 def rep_operator(c: BasisCoords, xi: WeightParam) -> FirstOrderOp:
     """The derived-representation operator for coordinates (sigma, tau, lam).
 
     p(z) = (tau+i lam) z^2 + (-2i sigma - 2i lam) z + (-tau + i lam),
     q(z) = (xi+2)(tau+i lam) z + (xi+2) i (-sigma - lam).
+    Array coordinates give a batch, whose entries have the bits of each alone.
     """
-    p, q = _rep_coeffs(c, xi)
-    return FirstOrderOp(CoeffVector(p), CoeffVector(q))
+    s, t, l = c.sigma, c.tau, c.lam
+    w = xi.xi + 2.0
+    p = np.array([-t + 1j * l, 1j * (-2.0 * s - 2.0 * l), t + 1j * l])
+    q = np.array([1j * (w * (-s - l)), w * t + 1j * (w * l)])
+    return FirstOrderOp(np.moveaxis(p, 0, -1), np.moveaxis(q, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -240,7 +254,8 @@ def from_rep(dec: RepDecomposition, xi: WeightParam) -> FirstOrderOp:
 
 
 def derived_op(u: LieElement, xi: WeightParam) -> FirstOrderOp:
-    """Derived-representation operator of the algebra element u."""
+    """Derived-representation operator of the algebra element u; a stacked
+    element (array fields) gives the batch of its operators."""
     return rep_operator(coords(u), xi)
 
 
@@ -251,41 +266,27 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.reshape(rows, lead + (a.shape[-1] + b.shape[-1] - 1,))
 
 
-def _commutator_coeffs(f1, g1, f2, g2):
-    """Coefficient rows (f, g) of L1 L2 - L2 L1 = (f1 f2' - f2 f1') D + (f1 g2' - f2 g1')
-    for operator rows over the same leading axes; each difference is taken
-    after zero-padding both products to the longer one.  np.convolve orders
-    its sums by the lengths of its factors, so a row rounds as the operator
-    alone does when its coefficient arrays have the row's lengths."""
+def commutator(op1: FirstOrderOp, op2: FirstOrderOp) -> FirstOrderOp:
+    """The first-order operator L1 L2 - L2 L1 = (f1 f2' - f2 f1') D + (f1 g2' - f2 g1'),
+    or their batch for batches over the same leading axes.  np.convolve orders
+    its sums by the lengths of its factors, so a batch entry rounds as the
+    operator alone does when its arrays have the batch's lengths."""
+    f1, g1, f2, g2 = op1.fcoeffs, op1.gcoeffs, op2.fcoeffs, op2.gcoeffs
 
     def diff(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        out = np.zeros(p.shape[:-1] + (max(p.shape[-1], q.shape[-1]),), dtype=np.complex128)
-        out[..., : p.shape[-1]] = p
-        out[..., : q.shape[-1]] -= q
-        return out
+        n = max(p.shape[-1], q.shape[-1])
+        return _padded(p, n) - _padded(q, n)
 
-    return (
+    return FirstOrderOp(
         diff(_times(f1, _derivative(f2)), _times(f2, _derivative(f1))),
         diff(_times(f1, _derivative(g2)), _times(f2, _derivative(g1))),
     )
 
 
-def _commutator_op(op1: FirstOrderOp, op2: FirstOrderOp) -> FirstOrderOp:
-    """The first-order operator L1 L2 - L2 L1 = (f1 f2' - f2 f1') D + (f1 g2' - f2 g1')."""
-    f, g = _commutator_coeffs(op1.fcoeffs.coeffs, op1.gcoeffs.coeffs, op2.fcoeffs.coeffs, op2.gcoeffs.coeffs)
-    return FirstOrderOp(CoeffVector(f), CoeffVector(g))
-
-
-def commutator_matrix(
-    op1: FirstOrderOp, op2: FirstOrderOp, xi: WeightParam, degree: int
-) -> np.ndarray:
-    """Gram matrix of L1 L2 - L2 L1 on e_0..e_N.
-
-    L1 L2 - L2 L1 = (f1 f2' - f2 f1') D + (f1 g2' - f2 g1') is first order, so
-    this is the banded matrix of that operator, exact at any coefficient degree.
-    """
-    f1, g1, f2, g2 = op1.fcoeffs.coeffs, op1.gcoeffs.coeffs, op2.fcoeffs.coeffs, op2.gcoeffs.coeffs
-    return _band_matrix(*_commutator_coeffs(f1, g1, f2, g2), xi, degree)
+def commutator_matrix(op1: FirstOrderOp, op2: FirstOrderOp, xi: WeightParam, degree: int) -> np.ndarray:
+    """Gram matrix of ``commutator(op1, op2)`` on e_0..e_N, or the stack of them:
+    a commutator is first order, so this is exact at any coefficient degree."""
+    return _band_matrix(commutator(op1, op2), xi, degree)
 
 
 @dataclass(frozen=True)
@@ -313,10 +314,10 @@ def zhu_scan(samples: int, xi: WeightParam, seed: int, tol: float = 1e-8) -> Zhu
     d = np.random.default_rng(seed).normal(size=(samples, 6))
     u = LieElement(d[:, 0], d[:, 1] + 1j * d[:, 2])
     v = LieElement(d[:, 3], d[:, 4] + 1j * d[:, 5])
-    p, q = _rep_coeffs(coords(bracket(u, v)), xi)
-    distance = np.maximum(np.max(np.abs(p), axis=0), np.abs(q[1]))
+    op = bracket_op(u, v, xi)
+    distance = np.maximum(np.max(np.abs(op.fcoeffs), axis=-1), np.abs(op.gcoeffs[:, 1]))
     hit = distance <= tol
-    eta = q[0, hit]
+    eta = op.gcoeffs[hit, 0]
     if np.any(np.abs(eta) > tol):
         raise RuntimeError(
             f"commutator operator within {tol} of nonzero scalar {eta[np.argmax(np.abs(eta))]}"

@@ -101,6 +101,9 @@ def _initial_angles(n: int, a: float) -> np.ndarray:
         g = np.sqrt(np.maximum(A * A * st * st - B * B, 0.0))
         phase = np.pi * (A - B) + 2.0 * (B * np.arctan2(B * ct, g) - A * np.arcsin(np.minimum(A * ct / c, 1.0)))
         step = (phase - target) / np.maximum(g / st, 1e-2 * A)
+        # at B = 0 the phase rounds to 0 near theta = 1e-8, and a step clipped onto
+        # theta = turn = 0 would make g / st 0/0; such a step is not taken
+        step = np.where(theta - step > 0.0, step, 0.0)
         theta = np.clip(theta - step, turn, np.pi)
         if np.max(np.abs(step)) * n < 1e-6:
             break

@@ -77,8 +77,8 @@ def _unshifted_images(a: np.ndarray, xi: WeightParam):
     """A0 f = (1+z^2) f' + (xi+2) z f and B0 f = (z^2-1) f' + (xi+2) z f for a
     coefficient batch, and f zero-padded to their length."""
     p = xi.xi + 2.0
-    a_op_f = apply(FirstOrderOp(CoeffVector([1.0, 0.0, 1.0]), CoeffVector([0.0, p])), a)
-    b_op_f = apply(FirstOrderOp(CoeffVector([-1.0, 0.0, 1.0]), CoeffVector([0.0, p])), a)
+    a_op_f = apply(FirstOrderOp([1.0, 0.0, 1.0], [0.0, p]), a)
+    b_op_f = apply(FirstOrderOp([-1.0, 0.0, 1.0], [0.0, p]), a)
     f_pad = np.zeros_like(a_op_f)
     f_pad[..., : a.shape[-1]] = a
     return a_op_f, b_op_f, f_pad

@@ -47,9 +47,9 @@ TOLERANCE = (lambda v: 0.0 <= v < np.inf, "finite and >= 0")  # false for NaN to
 # Each RunConfig field: what it is, a test of its value, and the rule its error and --help state
 FIELD_RULES = {
     "xi": ("weight parameter", lambda v: -1.0 < v <= VERIFY_XI_MAX, f"in (-1, {VERIFY_XI_MAX:g}]"),
-    "trunc": ("working truncation degree", lambda v: v >= 1, ">= 1"),
-    "quad_r": ("radial quadrature points", lambda v: v >= 8, ">= 8"),
-    "quad_m": ("angular quadrature points", lambda v: v >= 48, ">= 48"),
+    "trunc": ("working truncation degree", lambda v: 1 <= v <= 10**5, "in [1, 100000]"),
+    "quad_r": ("radial quadrature points", lambda v: 8 <= v <= 1100, "in [8, 1100]"),
+    "quad_m": ("angular quadrature points", lambda v: 48 <= v <= 16384, "in [48, 16384]"),
     "seed": ("generator seed", lambda v: v >= 0, ">= 0"),
     "tol_exact": ("tolerance of the exact checks", *TOLERANCE),
     "tol_quad": ("tolerance of the quadrature checks", *TOLERANCE),
@@ -71,7 +71,11 @@ class RunConfig:
 
     The quad_m floor is measured over 12 seeds x xi in {0, -0.999, 1.5, 98}:
     M = 32 failed 60 checks, and the worst unitarity margin was 3.9e-7 at
-    M = 40 (2.6x under tol_quad), 1.7e-9 at M = 48 and 3.6e-14 at M = 64."""
+    M = 40 (2.6x under tol_quad), 1.7e-9 at M = 48 and 3.6e-14 at M = 64.
+    The caps: angular_exactness's margin grows as about 3.9e-17 M and
+    crosses its 1e-12 near M = 25 700 (6.3e-13 at M = 16384); quad_r is the
+    radial rule's validated range; and trunc = 1e5 keeps a run near 1 s and
+    200 MB, where 1e11 fails to allocate."""
 
     xi: float = 0.0
     trunc: int = 24
@@ -193,19 +197,6 @@ def _random_element(rng) -> su11.LieElement:
 def _stacked(elements) -> su11.LieElement:
     """One LieElement whose fields are arrays over ``elements``."""
     return su11.LieElement(np.array([e.a for e in elements]), np.array([e.b for e in elements]))
-
-
-def _derived_rows(u: su11.LieElement, wp: WeightParam):
-    """Coefficient rows (f, g) of the derived operators of a stacked element,
-    each entry as ``ops.derived_op`` forms it for one element."""
-    p, q = ops._rep_coeffs(su11.coords(u), wp)
-    return p.T, q.T
-
-
-def _padded_rows(vectors) -> np.ndarray:
-    """CoeffVectors as rows zero-padded to the largest degree among them."""
-    n = max(v.degree for v in vectors)
-    return np.array([v.padded(n) for v in vectors])
 
 
 @functools.lru_cache(maxsize=8)
@@ -449,7 +440,7 @@ def derived_op_skew_symmetry(cfg, rng, recipe):
     per xi."""
     for x, elements in _draws_by_xi(cfg, rng, recipe, lambda rng, x: _random_element(rng)):
         wp = WeightParam(x)
-        g = ops._band_matrix(*_derived_rows(_stacked(elements), wp), wp, recipe.n)
+        g = ops.gram_matrix(ops.derived_op(_stacked(elements), wp), wp, recipe.n)
         yield "derived_op_skew_symmetry", np.abs(g + np.swapaxes(g, -1, -2).conj())
 
 
@@ -516,8 +507,8 @@ def _random_symmetric_form(rng, wp) -> ops.SymmetricForm:
 def _perturb_operator(rng, op: ops.FirstOrderOp) -> ops.FirstOrderOp:
     """Break symmetry in one of several ways; perturbation size 1e-2."""
     mode = rng.integers(5)
-    f = op.fcoeffs.padded(3).copy()
-    g = op.gcoeffs.padded(2).copy()
+    f = np.append(op.fcoeffs, 0.0)  # room for a degree-3 term
+    g = op.gcoeffs.copy()
     eps = 1e-2
     if mode == 0:
         f[1] += 1j * eps  # a1 not real
@@ -529,7 +520,7 @@ def _perturb_operator(rng, op: ops.FirstOrderOp) -> ops.FirstOrderOp:
         g[1] += eps  # g1 mismatch
     else:
         f[3] += eps  # degree too high
-    return ops.FirstOrderOp(CoeffVector(f), CoeffVector(g))
+    return ops.FirstOrderOp(f, g)
 
 
 def classification_iff_hermitian(cfg, rng, recipe):
@@ -545,9 +536,7 @@ def classification_iff_hermitian(cfg, rng, recipe):
     agree = []
     for x, batch in _draws_by_xi(cfg, rng, recipe, draw):
         wpx = WeightParam(x)
-        grams = ops._band_matrix(_padded_rows([op.fcoeffs for op in batch]),
-                                 _padded_rows([op.gcoeffs for op in batch]), wpx, recipe.n)
-        gram_sym = ops.hermiticity_defect(grams) <= 1e-9
+        gram_sym = ops.hermiticity_defect(ops.gram_matrix(ops.stack(batch), wpx, recipe.n)) <= 1e-9
         agree += [ops.classify_symmetric(op, wpx, 1e-9).symmetric == h for op, h in zip(batch, gram_sym)]
     yield "classification_iff_hermitian", float(len(agree) - sum(agree)), f"{sum(agree)}/{len(agree)}"
 
@@ -569,11 +558,8 @@ def rep_decomposition_roundtrip(cfg, rng, recipe):
         a, b = float(rng.normal()), float(rng.normal())
         c = complex(rng.normal(), rng.normal())
         op = ops.from_rep(ops.to_rep(a, b, c, wp), wp)
-        target = ops.FirstOrderOp(
-            CoeffVector([np.conj(c), a, c]), CoeffVector([b, (wp.xi + 2.0) * c])
-        )
-        yield "rep_decomposition_roundtrip", np.abs(op.fcoeffs.padded(2) - target.fcoeffs.padded(2))
-        yield "rep_decomposition_roundtrip", np.abs(op.gcoeffs.padded(1) - target.gcoeffs.padded(1))
+        yield "rep_decomposition_roundtrip", np.abs(op.fcoeffs - [np.conj(c), a, c])
+        yield "rep_decomposition_roundtrip", np.abs(op.gcoeffs - [b, (wp.xi + 2.0) * c])
         yield "i_rep_plus_d_hermitian", ops.hermiticity_defect(ops.gram_matrix(op, wp, recipe.n))
 
 
@@ -584,9 +570,8 @@ def commutator_bracket_compat(cfg, rng, recipe):
     for x, pairs in _draws_by_xi(cfg, rng, recipe, draw):
         wp = WeightParam(x)
         u, v = (_stacked(elements) for elements in zip(*pairs))
-        commutator = ops._commutator_coeffs(*_derived_rows(u, wp), *_derived_rows(v, wp))
-        cm = ops._band_matrix(*commutator, wp, recipe.n)
-        bm = ops._band_matrix(*_derived_rows(su11.bracket(u, v), wp), wp, recipe.n)
+        cm = ops.commutator_matrix(ops.derived_op(u, wp), ops.derived_op(v, wp), wp, recipe.n)
+        bm = ops.gram_matrix(ops.bracket_op(u, v, wp), wp, recipe.n)
         yield "commutator_bracket_compat", np.abs(cm - bm)
 
 

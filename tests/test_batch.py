@@ -1,7 +1,7 @@
 """A coefficient batch is rows of zero-padded polynomials; every batched
 function gives, row by row, what it gives for the row alone.  A batch of
-operators is the rows of their coefficients, and a batch of group elements a
-sequence; both give, bit for bit, what each gives alone."""
+operators is one FirstOrderOp, and a batch of group elements a sequence; both
+give, bit for bit, what each gives alone."""
 
 import numpy as np
 import pytest
@@ -27,9 +27,9 @@ from bergman11 import (
     shift_invert,
     soltani_up,
     sobolev_norm_sq,
+    stack,
     xnorm_sq,
 )
-from bergman11 import operators
 from bergman11.su11 import W_GEN, Y_GEN, LieElement
 from bergman11.weights import weighted_norm_sq
 
@@ -73,6 +73,8 @@ def test_apply_maps_rows_to_their_images():
             assert_rel(image, apply(op, f).padded(DEGREE + 1))
         # leading axes are kept
         assert_rel(apply(op, batch.reshape(13, 1, DEGREE + 1))[:, 0], images)
+    with pytest.raises(ValueError, match="one operator"):
+        apply(stack(ops), batch)
 
 
 def test_apply_keeps_coeffvector_type():
@@ -125,19 +127,17 @@ def test_lie_route_matches_rows(x):
 
 def random_ops(rng, count, degrees=None):
     """Operators of random degrees (f up to 4, g up to 3), or of the given
-    (deg f, deg g), and their coefficients as zero-padded rows."""
-    ops = [FirstOrderOp(*(CoeffVector(rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1))
-                          for d in (degrees or rng.integers(0, (5, 4))))) for _ in range(count)]
-    return ops, [np.array([c.padded(max(c.degree for c in cs)) for c in cs])
-                 for cs in ([op.fcoeffs for op in ops], [op.gcoeffs for op in ops])]
+    (deg f, deg g)."""
+    return [FirstOrderOp(*(rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+                           for d in (degrees or rng.integers(0, (5, 4))))) for _ in range(count)]
 
 
 @pytest.mark.parametrize("x", [-0.9, 0.0, 2.5])
 def test_band_fill_of_a_batch_is_each_operators_matrix_bit_for_bit(x):
     rng = np.random.default_rng(45)
     wp = WeightParam(x)
-    ops, (f, g) = random_ops(rng, 9)
-    grams = operators._band_matrix(f, g, wp, 14)
+    ops = random_ops(rng, 9)
+    grams = gram_matrix(stack(ops), wp, 14)
     defects = hermiticity_defect(grams)
     for i, op in enumerate(ops):
         assert np.array_equal(grams[i], gram_matrix(op, wp, 14))
@@ -145,8 +145,8 @@ def test_band_fill_of_a_batch_is_each_operators_matrix_bit_for_bit(x):
     # np.convolve orders a product's sums by the lengths of its factors, so a
     # batch of commutators holds operators with coefficient rows of one length
     for degrees in ((2, 1), (4, 0)):
-        (ops1, (f1, g1)), (ops2, (f2, g2)) = random_ops(rng, 9, degrees), random_ops(rng, 9, degrees)
-        commutators = operators._band_matrix(*operators._commutator_coeffs(f1, g1, f2, g2), wp, 14)
+        ops1, ops2 = random_ops(rng, 9, degrees), random_ops(rng, 9, degrees)
+        commutators = commutator_matrix(stack(ops1), stack(ops2), wp, 14)
         for i, (op1, op2) in enumerate(zip(ops1, ops2)):
             assert np.array_equal(commutators[i], commutator_matrix(op1, op2, wp, 14))
 

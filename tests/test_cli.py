@@ -92,6 +92,7 @@ class TestVerify:
         "field, value",
         [("xi", v) for v in ("-1", "-2.0", "99", "nan")]
         + [("trunc", "0"), ("quad_r", "4"), ("quad_r", "7"), ("quad_m", "47"), ("seed", "-1")]
+        + [("trunc", "100001"), ("quad_r", "1101"), ("quad_m", "16385")]
         + [(f, v) for f in ("tol_exact", "tol_quad") for v in ("nan", "inf", "-1")],
     )
     def test_out_of_range_field_is_usage_error(self, capsys, tmp_path, field, value):

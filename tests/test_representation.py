@@ -67,19 +67,19 @@ class TestGroupAction:
 class TestDerivedOp:
     def test_rotation_generator(self):
         op = derived_op(X, WeightParam(0.0))
-        assert op.fcoeffs == CoeffVector([0, -2j])
-        assert op.gcoeffs == CoeffVector([-2j])
+        assert CoeffVector(op.fcoeffs) == CoeffVector([0, -2j])
+        assert CoeffVector(op.gcoeffs) == CoeffVector([-2j])
 
     def test_boost_generator(self):
         op = derived_op(Y, WeightParam(0.0))
-        assert op.fcoeffs == CoeffVector([-1, 0, 1])
-        assert op.gcoeffs == CoeffVector([0, 2])
+        assert CoeffVector(op.fcoeffs) == CoeffVector([-1, 0, 1])
+        assert CoeffVector(op.gcoeffs) == CoeffVector([0, 2])
 
     def test_w_generator(self):
         # W = Z - X gives i(1+z^2) d/dz + (xi+2) i z
         op = derived_op(W, WeightParam(1.0))
-        assert op.fcoeffs == CoeffVector([1j, 0, 1j])
-        assert op.gcoeffs == CoeffVector([0, 3j])
+        assert CoeffVector(op.fcoeffs) == CoeffVector([1j, 0, 1j])
+        assert CoeffVector(op.gcoeffs) == CoeffVector([0, 3j])
 
 
 class TestDerivativeCheck:

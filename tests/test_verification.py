@@ -70,6 +70,7 @@ SWEEP_XIS = (-0.999, -0.99, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.35, 2.4, 4.5, 5.0, 
         for field, value in [("xi", x) for x in SWEEP_XIS]
         + [("quad_r", 8), ("trunc", 1)] + [("xi", x) for x in (-1.0 + 1e-12, -0.999997, -0.999999)]
     ]
+    + [pytest.param({"xi": -1.0 + 1e-12, "quad_r": 128}, id=f"xi-{-1.0 + 1e-12}-quad_r-128")]
     + list(_domain_draws(8, np.random.default_rng(13))),
 )
 def test_verify_passes_over_its_domain_by_the_reported_margins(fields):
