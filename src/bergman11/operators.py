@@ -52,10 +52,6 @@ class FirstOrderOp:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def __add__(self, other: "FirstOrderOp") -> "FirstOrderOp":
-        f = CoeffVector(self.fcoeffs) + CoeffVector(other.fcoeffs)
-        return FirstOrderOp(f, CoeffVector(self.gcoeffs) + CoeffVector(other.gcoeffs))
-
     def __rmul__(self, scalar) -> "FirstOrderOp":
         return FirstOrderOp(self.fcoeffs * complex(scalar), self.gcoeffs * complex(scalar))
 

@@ -63,11 +63,6 @@ Z_GEN = LieElement(1.0, -1j)
 W_GEN = LieElement(0.0, -1j)
 
 
-def basis_elements():
-    """The four named elements (X, Y, Z, W)."""
-    return X_GEN, Y_GEN, Z_GEN, W_GEN
-
-
 def bracket(u: LieElement, v: LieElement) -> LieElement:
     """The commutator uv - vu in closed form: for u = (a, b) and v = (c, d) it
     is (2 Im(b conj(d)), 2i(a d - c b)).  Written in real arithmetic, so it acts
@@ -115,10 +110,6 @@ class GroupElement:
             s = 1.0 / np.sqrt(det)
             object.__setattr__(self, "alpha", complex(self.alpha) * s)
             object.__setattr__(self, "beta", complex(self.beta) * s)
-
-    @classmethod
-    def identity(cls) -> "GroupElement":
-        return cls(1.0 + 0j, 0j)
 
     def matrix(self) -> np.ndarray:
         return np.array(

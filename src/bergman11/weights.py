@@ -83,9 +83,6 @@ class CoeffVector:
         """Coefficients as an array of length ``degree + 1``."""
         return _padded(self.coeffs, degree + 1)
 
-    def derivative(self) -> "CoeffVector":
-        return CoeffVector(_derivative(self.coeffs))
-
     def __call__(self, z):
         """Evaluate the polynomial at scalar or array argument.
 
@@ -112,9 +109,6 @@ class CoeffVector:
         if not isinstance(other, CoeffVector):
             return NotImplemented
         return np.array_equal(self.trimmed().coeffs, other.trimmed().coeffs)
-
-    def __hash__(self):
-        return hash(self.trimmed().coeffs.tobytes())
 
     def __add__(self, other):
         if not isinstance(other, CoeffVector):
@@ -175,13 +169,6 @@ def basis_scales(xi: WeightParam, degree: int) -> np.ndarray:
     """Scales s_n with e_n(z) = s_n z^n, i.e. s_n = sqrt((xi+2)_n/n!) = exp(-L_n/2);
     not a power of ``monomial_norms_sq``, which underflows to 0 where s_n is finite."""
     return np.exp(-0.5 * _log_norms_sq(xi, degree))
-
-
-def monomial_norm_sq(xi: WeightParam, k: int) -> float:
-    """||z^k||^2 in the weight-xi Bergman space."""
-    if k < 0:
-        raise ValueError(f"monomial degree must be >= 0, got {k}")
-    return float(monomial_norms_sq(xi, k)[k])
 
 
 def inner_product(f, g, xi: WeightParam):

@@ -6,32 +6,27 @@ give, bit for bit, what each gives alone."""
 import numpy as np
 import pytest
 
-from bergman11 import (
+from bergman11.weights import (
     CoeffVector,
-    FirstOrderOp,
-    ShiftOp,
     WeightParam,
-    apply,
     bergman_norm_sq,
-    commutator_matrix,
-    consistency_check,
-    derivative_check,
-    derived_op,
-    exp_at,
-    gram_matrix,
-    group_act,
-    hermiticity_defect,
     inner_product,
-    lie_up,
-    shift_apply,
-    shift_invert,
-    soltani_up,
     sobolev_norm_sq,
-    stack,
-    xnorm_sq,
+    weighted_norm_sq,
 )
-from bergman11.su11 import W_GEN, Y_GEN, LieElement
-from bergman11.weights import weighted_norm_sq
+from bergman11.su11 import LieElement, W_GEN, Y_GEN, exp_at
+from bergman11.representation import derivative_check, group_act, xnorm_sq
+from bergman11.operators import (
+    FirstOrderOp,
+    apply,
+    commutator_matrix,
+    derived_op,
+    gram_matrix,
+    hermiticity_defect,
+    stack,
+)
+from bergman11.uncertainty import consistency_check, lie_up, soltani_up
+from bergman11.weightshift import ShiftOp, shift_apply, shift_invert
 
 DEGREE = 12
 
@@ -149,6 +144,16 @@ def test_band_fill_of_a_batch_is_each_operators_matrix_bit_for_bit(x):
         commutators = commutator_matrix(stack(ops1), stack(ops2), wp, 14)
         for i, (op1, op2) in enumerate(zip(ops1, ops2)):
             assert np.array_equal(commutators[i], commutator_matrix(op1, op2, wp, 14))
+
+
+def test_scalar_arithmetic_of_a_batch_is_each_operators_bit_for_bit():
+    # from_rep forms i * (derived operator) + d with these two on a batch
+    ops = random_ops(np.random.default_rng(48), 9)
+    for got, want in ((2j * stack(ops), [2j * op for op in ops]),
+                      (stack(ops).plus_scalar(0.5 - 1.5j), [op.plus_scalar(0.5 - 1.5j) for op in ops])):
+        for i, op in enumerate(want):
+            for batch, row in ((got.fcoeffs, op.fcoeffs), (got.gcoeffs, op.gcoeffs)):
+                assert np.array_equal(batch[i, : row.size], row) and not batch[i, row.size :].any()
 
 
 def test_group_action_reads_z_only():

@@ -50,10 +50,15 @@ class TestVerify:
         assert report["passed"] is True
         assert all(c["passed"] for c in report["suites"]["su11_algebra"])
 
-    def test_suite_filter(self, capsys):
+    def test_suite_filter(self, capsys, monkeypatch):
         code, out, _ = run(capsys, "verify", "--suite", "su11_algebra")
         assert code == 0
         assert list(json.loads(out)["suites"]) == ["su11_algebra"]
+        # a repeated flag selects its suite once and runs it once
+        calls, suite = [], verification.SUITES["su11_algebra"]
+        monkeypatch.setitem(verification.SUITES, "su11_algebra", lambda cfg: calls.append(cfg) or suite(cfg))
+        assert run(capsys, "verify", "--suite", "su11_algebra", "--suite", "su11_algebra") == (0, out, "")
+        assert len(calls) == 1
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "--suite", "uncertainty", "--seed", "7")
@@ -404,3 +409,19 @@ class TestRuntimeDependencies:
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "module, unloaded",
+        [
+            ("quadrature", ["operators", "representation", "uncertainty", "weightshift", "verification", "cli"]),
+            ("operators", ["quadrature"]),
+        ],
+    )
+    def test_a_module_loads_only_what_it_imports(self, module, unloaded):
+        # the package binds no names, so importing one module runs only its own imports
+        code = (
+            f"import sys, bergman11.{module}; "
+            f"print([m for m in {unloaded!r} if 'bergman11.' + m in sys.modules])"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from bergman11 import (
-    CoeffVector,
+from bergman11.weights import CoeffVector, WeightParam, basis_scales
+from bergman11.su11 import LieElement, W_GEN, X_GEN, Y_GEN, bracket
+from bergman11.operators import (
     FirstOrderOp,
     SymmetricForm,
-    WeightParam,
     apply,
-    basis_elements,
     bracket_op,
     classify_symmetric,
     commutator,
@@ -21,10 +20,6 @@ from bergman11 import (
     zhu_scan,
 )
 from bergman11 import operators, reporting
-from bergman11.su11 import LieElement, bracket
-from bergman11.weights import basis_scales
-
-X, Y, Z, W = basis_elements()
 
 D_DZ = FirstOrderOp(CoeffVector([1.0]), CoeffVector([0.0]))
 Z_D_DZ = FirstOrderOp(CoeffVector([0.0, 1.0]), CoeffVector([0.0]))
@@ -104,11 +99,11 @@ class TestApply:
 
     def test_bracket_operator_on_constant(self):
         # [pi(W), pi(Y)] = pi(-2X) sends 1 to 4i at weight zero
-        op = bracket_op(W, Y, WeightParam(0.0))
+        op = bracket_op(W_GEN, Y_GEN, WeightParam(0.0))
         assert apply(op, CoeffVector([1.0])) == CoeffVector([4j])
 
     def test_linearity_in_operator(self):
-        op = D_DZ + 2.0 * Z_D_DZ
+        op = FirstOrderOp(CoeffVector([1.0, 2.0]), CoeffVector([0.0]))  # D_DZ + 2 Z_D_DZ
         f = CoeffVector([1, 1, 1])
         assert apply(op, f) == apply(D_DZ, f) + 2.0 * apply(Z_D_DZ, f)
 
@@ -269,7 +264,7 @@ class TestRepDecomposition:
 class TestCommutators:
     def test_commuting_pair_vanishes(self):
         wp = WeightParam(0.0)
-        m = commutator_matrix(derived_op(X, wp), derived_op(X, wp), wp, 8)
+        m = commutator_matrix(derived_op(X_GEN, wp), derived_op(X_GEN, wp), wp, 8)
         assert np.max(np.abs(m)) <= 1e-13
 
 

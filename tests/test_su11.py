@@ -5,18 +5,19 @@ import pytest
 from scipy.linalg import expm
 
 from bergman11 import reporting
-from bergman11 import (
+from bergman11.su11 import (
     BasisCoords,
     GroupElement,
     LieElement,
-    basis_elements,
+    W_GEN,
+    X_GEN,
+    Y_GEN,
+    Z_GEN,
     bracket,
     coords,
     exp_at,
     from_coords,
 )
-
-X, Y, Z, W = basis_elements()
 
 
 def rand_elt(rng):
@@ -25,13 +26,13 @@ def rand_elt(rng):
 
 class TestAlgebra:
     def test_named_matrices(self):
-        np.testing.assert_array_equal(X.matrix(), [[1j, 0], [0, -1j]])
-        np.testing.assert_array_equal(Y.matrix(), [[0, 1], [1, 0]])
-        np.testing.assert_array_equal(Z.matrix(), [[1j, -1j], [1j, -1j]])
-        np.testing.assert_array_equal(W.matrix(), [[0, -1j], [1j, 0]])
+        np.testing.assert_array_equal(X_GEN.matrix(), [[1j, 0], [0, -1j]])
+        np.testing.assert_array_equal(Y_GEN.matrix(), [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(Z_GEN.matrix(), [[1j, -1j], [1j, -1j]])
+        np.testing.assert_array_equal(W_GEN.matrix(), [[0, -1j], [1j, 0]])
 
     def test_w_is_z_minus_x(self):
-        np.testing.assert_array_equal(W.matrix(), (Z - X).matrix())
+        np.testing.assert_array_equal(W_GEN.matrix(), (Z_GEN - X_GEN).matrix())
 
     def test_trace_free_shape(self):
         rng = np.random.default_rng(0)
@@ -41,10 +42,10 @@ class TestAlgebra:
             assert m[1, 0] == np.conj(m[0, 1])
 
     def test_bracket_self_vanishes(self):
-        assert bracket(Y, Y).norm() == 0.0
+        assert bracket(Y_GEN, Y_GEN).norm() == 0.0
 
     def test_bracket_wy(self):
-        assert bracket(W, Y) == -2.0 * X
+        assert bracket(W_GEN, Y_GEN) == -2.0 * X_GEN
 
     def test_bracket_closes_in_algebra(self):
         rng = np.random.default_rng(1)
@@ -76,10 +77,10 @@ class TestAlgebra:
 
 class TestCoords:
     def test_basis_coordinates(self):
-        assert coords(X) == BasisCoords(1.0, 0.0, 0.0)
-        assert coords(Y) == BasisCoords(0.0, 1.0, 0.0)
-        assert coords(Z) == BasisCoords(0.0, 0.0, 1.0)
-        assert coords(W) == BasisCoords(-1.0, 0.0, 1.0)
+        assert coords(X_GEN) == BasisCoords(1.0, 0.0, 0.0)
+        assert coords(Y_GEN) == BasisCoords(0.0, 1.0, 0.0)
+        assert coords(Z_GEN) == BasisCoords(0.0, 0.0, 1.0)
+        assert coords(W_GEN) == BasisCoords(-1.0, 0.0, 1.0)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -89,7 +90,7 @@ class TestCoords:
 
     def test_from_coords_is_linear_combination(self):
         c = BasisCoords(0.4, -1.1, 0.9)
-        expected = c.sigma * X.matrix() + c.tau * Y.matrix() + c.lam * Z.matrix()
+        expected = c.sigma * X_GEN.matrix() + c.tau * Y_GEN.matrix() + c.lam * Z_GEN.matrix()
         np.testing.assert_allclose(from_coords(c).matrix(), expected, atol=1e-15)
 
 
@@ -111,7 +112,7 @@ class TestGroupElement:
         assert abs(e.alpha - 1.0) <= 1e-12 and abs(e.beta) <= 1e-12
 
     def test_serialization_roundtrip(self):
-        g = exp_at(Y, 0.7)
+        g = exp_at(Y_GEN, 0.7)
         d = json.loads(reporting.dumps(g))
         h = GroupElement(complex(d["alpha"]["re"], d["alpha"]["im"]), complex(d["beta"]["re"], d["beta"]["im"]))
         assert h.alpha == g.alpha and h.beta == g.beta
@@ -123,12 +124,12 @@ class TestExponential:
         assert g.alpha == 1.0 and g.beta == 0.0
 
     def test_rotation_generator(self):
-        g = exp_at(X, 0.7)
+        g = exp_at(X_GEN, 0.7)
         assert g.alpha == pytest.approx(np.exp(0.7j), abs=1e-14)
         assert g.beta == 0.0
 
     def test_boost_generator(self):
-        g = exp_at(Y, 0.7)
+        g = exp_at(Y_GEN, 0.7)
         assert g.alpha == pytest.approx(np.cosh(0.7), abs=1e-14)
         assert g.beta == pytest.approx(np.sinh(0.7), abs=1e-14)
 

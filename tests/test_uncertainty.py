@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from bergman11 import (
-    CoeffVector,
-    WeightParam,
-    basis_elements,
-    lie_up,
-    optimal_shifts,
-    soltani_up,
-)
-
-X, Y, Z, W = basis_elements()
+from bergman11.weights import CoeffVector, WeightParam
+from bergman11.su11 import W_GEN, X_GEN, Y_GEN, Z_GEN
+from bergman11.uncertainty import lie_up, optimal_shifts, soltani_up
 
 
 def rand_poly(rng, deg):
@@ -54,11 +47,11 @@ class TestLie:
         for _ in range(20):
             f = rand_poly(rng, int(rng.integers(0, 8)))
             x, y = rng.uniform(-2, 2, size=2)
-            for u, v in ((X, Y), (W, Y), (Y, Z)):
+            for u, v in ((X_GEN, Y_GEN), (W_GEN, Y_GEN), (Y_GEN, Z_GEN)):
                 assert lie_up(u, v, f, float(x), float(y), wp).slack >= -1e-10
 
     def test_same_element_has_zero_lhs(self):
-        report = lie_up(X, X, CoeffVector([1, 2]), 0.3, -0.1, WeightParam(0.0))
+        report = lie_up(X_GEN, X_GEN, CoeffVector([1, 2]), 0.3, -0.1, WeightParam(0.0))
         assert report.lhs == pytest.approx(0.0, abs=1e-13)
 
 

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bergman11 import (
-    CoeffVector,
+from bergman11.weights import CoeffVector, WeightParam
+from bergman11.quadrature import KernelPoint
+from bergman11.weightshift import (
     FrameConstants,
-    KernelPoint,
     ShiftOp,
-    WeightParam,
     frame_constants,
     frame_ratio,
     kernel_coeffs,
