@@ -8,8 +8,13 @@ uniform angles with trapezoid weights.
 
 The grid is rank one, so it is stored as its two factors: the radii
 sqrt(s_i) (R values) and the unit circle exp(i theta_j) (M values).
-``integrate`` forms the nodes r_i exp(i theta_j) one block of rows at a time
-and holds no R x M node array; ``QuadratureGrid.nodes`` builds one on request.
+``integrate`` and ``reproduce`` form the nodes r_i exp(i theta_j) one block
+of rows at a time and hold no R x M node array; ``QuadratureGrid.nodes``
+builds one on request.  Since the angular rule is the trapezoid rule on M
+equispaced points, the angular sum of conj(K) z^k on a row is one bin of the
+discrete Fourier transform of the row's kernel values (Trefethen and
+Weideman, SIAM Rev. 56, 2014, on the trapezoid rule), so ``reproduce``
+transforms the kernel once per row instead of evaluating f at every node.
 
 The radial rule is computed in numpy (``gauss_jacobi``): Halley steps on the
 three-term recurrence from asymptotic initial guesses, as Hale and Townsend
@@ -38,9 +43,10 @@ STEP_TOL = 1e-6
 # Above this xi the initial guesses near s = 1 use Airy-zero phases (the
 # zeros there sit past a turning point); at or below it, Bessel zeros.
 _AIRY_XI = 3.0
-# Nodes per block of whole rows in ``integrate``: 16 Ki complex samples are
-# 256 KiB, so the integrand's passes over a block stay in L2.  A sweep over
-# 4-128 Ki on the benchmark grids put 16 and 32 Ki ahead (see CHANGES.md).
+# Nodes per block of whole rows in ``integrate`` and ``reproduce``: 16 Ki
+# complex samples are 256 KiB, so the integrand's passes over a block stay in
+# L2.  A sweep over 4-128 Ki on the benchmark grids put 16 and 32 Ki ahead
+# (see CHANGES.md).
 BLOCK_POINTS = 16384
 
 
@@ -234,6 +240,28 @@ class QuadratureGrid:
         return nodes
 
 
+def _blocks(grid: QuadratureGrid):
+    """Each block of whole radial rows as (start, stop, nodes): ``BLOCK_POINTS``
+    nodes, or one row when a row is longer.  The nodes are read-only and are
+    formed in one buffer that every block reuses: a fresh 256 KiB array per
+    block is mapped and faulted in anew, which costs more than forming its
+    nodes."""
+    step = max(1, BLOCK_POINTS // grid.angular_points)
+    buffer = np.empty((min(step, grid.radial_points), grid.angular_points), dtype=np.complex128)
+    for start in range(0, grid.radial_points, step):
+        stop = min(start + step, grid.radial_points)
+        block = grid._rows(start, stop, buffer[: stop - start])
+        block.flags.writeable = False
+        yield start, stop, block
+
+
+def _radial_sum(rows: np.ndarray, grid: QuadratureGrid) -> complex:
+    """The row sums against the radial weights, divided by the angular count."""
+    with np.errstate(invalid="ignore"):
+        total = complex(rows.real @ grid.radial_weights, rows.imag @ grid.radial_weights)
+    return total / grid.angular_points
+
+
 def integrate(F, grid: QuadratureGrid) -> complex:
     """Approximate the integral of F over the disc against d(nu_xi).
 
@@ -248,19 +276,12 @@ def integrate(F, grid: QuadratureGrid) -> complex:
     block with such a row sum is scanned, and the first non-finite node of the
     grid is named in a ValueError (earlier blocks hold none).
     """
-    step = max(1, BLOCK_POINTS // grid.angular_points)
     rows = np.empty(grid.radial_points, dtype=np.complex128)
-    # one buffer serves every block: a fresh 256 KiB array per block is mapped
-    # and faulted in anew, which costs more than forming its nodes
-    buffer = np.empty((min(step, grid.radial_points), grid.angular_points), dtype=np.complex128)
-    for start in range(0, grid.radial_points, step):
-        stop = min(start + step, grid.radial_points)
-        block = grid._rows(start, stop, buffer[: stop - start])
-        block.flags.writeable = False
+    for start, stop, block in _blocks(grid):
         samples = np.asarray(F(block), dtype=np.complex128)
         if samples.shape != block.shape:
             samples = np.broadcast_to(samples, block.shape)
-        sums = rows[start : start + step]
+        sums = rows[start:stop]
         # inf - inf only arises from non-finite samples, which the scan reports
         with np.errstate(invalid="ignore"):
             np.sum(samples, axis=1, out=sums)
@@ -269,9 +290,7 @@ def integrate(F, grid: QuadratureGrid) -> complex:
             if len(bad):
                 i, j = bad[0]
                 raise ValueError(f"non-finite sample at quadrature node z={block[i, j]}")
-    with np.errstate(invalid="ignore"):
-        total = complex(rows.real @ grid.radial_weights, rows.imag @ grid.radial_weights)
-    return total / grid.angular_points
+    return _radial_sum(rows, grid)
 
 
 def kernel_eval(z, w: KernelPoint, xi: WeightParam):
@@ -281,13 +300,19 @@ def kernel_eval(z, w: KernelPoint, xi: WeightParam):
     every z when w = 0, else |z| < 1/|w|, which admits disc nodes that round
     onto |z| = 1 + 2.2e-16 as xi -> -1; other z raise ValueError.  With
     b = 1 - z*conj(w) and p = -(xi+2) the power is taken in real polar form,
-    |b|^p = exp(p/2 * log(Re(b)^2 + Im(b)^2)) and arg b^p = p * arctan2(Im b, Re b),
-    in one complex and two real buffers the shape of ``z``, which is only read
-    (inside ``integrate``, one block of rows).  Against 40-digit mpmath the
-    relative error stays below 5e-13 for -0.9 <= xi <= 98, |w| <= 0.99 and
-    |z| <= 0.999 (4.4e-13 at xi = 98 with z at the boundary facing w), the
-    same as complex log/exp: the rounding of 1 - z*conj(w), amplified by
-    xi+2, dominates both.
+    |b|^p = exp(p/2 * log(Re(b)^2 + Im(b)^2)) and arg b^p = p * arctan2(Im b, Re b).
+    Its cosine and sine come from one tangent of the half phase,
+    t = tan(p theta/2): cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2), a few
+    multiplies in place of np.cos and np.sin, which cost several times np.tan.
+    Near the poles of tan, p theta = +-pi, +-3pi, ..., t is large but finite
+    (about 1e16 at most) and the sine 2t/(1 + t^2) keeps its absolute accuracy.
+    All of it runs in one complex and two real buffers the shape of ``z``,
+    which is only read (inside ``integrate`` and ``reproduce``, one block of
+    rows).  Against 40-digit mpmath the relative error in samples is at most
+    7.4e-15 at xi = -0.9 and 6.5e-13 at xi = 98 for |w| <= 0.99 and
+    |z| <= 0.999, to two digits the same as with np.cos and np.sin and as
+    complex log/exp: the rounding of 1 - z*conj(w), amplified by xi+2,
+    dominates all three.  Within 1e-9 of the poles it is at most 2.6e-14.
     """
     z = np.asarray(z, dtype=np.complex128)
     scalar = z.ndim == 0
@@ -299,8 +324,8 @@ def kernel_eval(z, w: KernelPoint, xi: WeightParam):
     out = np.multiply(z, np.conj(complex(w.w)))
     np.subtract(1.0, out, out=out)
     re, im = out.real, out.imag
-    phase = np.arctan2(im, re)
-    phase *= p
+    half = np.arctan2(im, re)
+    half *= 0.5 * p
     # once the phase is taken, Re(out) is free to hold Im(b)^2
     np.multiply(re, re, out=modulus)
     np.multiply(im, im, out=re)
@@ -308,32 +333,63 @@ def kernel_eval(z, w: KernelPoint, xi: WeightParam):
     np.log(modulus, out=modulus)
     modulus *= 0.5 * p
     np.exp(modulus, out=modulus)
-    np.cos(phase, out=re)
+    # cos and sin of p*theta from t = tan(p*theta/2); no double is an odd
+    # multiple of pi/2, so |t| stays far below the 1e154 where t^2 overflows
+    t = np.tan(half, out=half)
+    np.multiply(t, t, out=re)
+    np.add(re, 1.0, out=im)
+    modulus /= im
+    np.subtract(1.0, re, out=re)
     re *= modulus
-    np.sin(phase, out=im)
-    im *= modulus
+    t += t
+    np.multiply(t, modulus, out=im)
     return complex(out[0]) if scalar else out
 
 
 def reproduce(f: CoeffVector, w: KernelPoint, xi: WeightParam, grid: QuadratureGrid) -> complex:
     """Evaluate <f, K_w> by quadrature; the reproducing identity makes this f(w).
 
-    The integrand conj(K(z, w)) f(z) is formed in the kernel's own buffer.
-    ``integrate`` calls it per block of rows, so that buffer and the values of
-    f are the only arrays it makes, each the size of one block.
+    The angular rule is the trapezoid rule on the M points omega_j of the
+    circle, so with f(r omega) = sum_k a_k r^k omega^k the angular sum of
+    conj(K) f on row i is sum_k a_k r_i^k conj(F_i[k mod M]), where F_i is
+    the discrete Fourier transform of the row's kernel values.  Per block of
+    rows, as in ``integrate``, the kernel is evaluated at every node and
+    transformed in its own buffer by ``numpy.fft``; the terms a_k r_i^k,
+    folded onto their bins k mod M, are multiplied by the conjugate bins and
+    summed per row, and the row sums go through the radial dot of
+    ``integrate``.  This is the finite sum of ``integrate`` applied to
+    conj(K) f, in another order and without evaluating f at any node: the
+    two agree to rounding, not bit for bit, and the result does not depend
+    on how many rows a block holds.  Every array made is at most one block
+    (the folded terms have min(deg f + 1, M) columns), whatever the degree
+    of f.  A non-finite row sum, as when conj(K) f overflows, raises
+    ValueError naming the row's radius; it never returns inf or NaN.
     """
     if grid.radial_points < f.degree + 4:
         raise ValueError(
             f"grid with {grid.radial_points} radial points too coarse for degree {f.degree}"
         )
-
-    def integrand(z):
-        out = kernel_eval(z, w, xi)
-        np.conjugate(out, out=out)
-        # conj(K) stays the left operand, as it was when numpy reused the
-        # temporary conj(K) of  f(z) * np.conj(K)  on grids of 256 KiB and up:
-        # with fused multiply-adds a complex product is not bitwise symmetric
-        out *= f(z)
-        return out
-
-    return integrate(integrand, grid)
+    m = grid.angular_points
+    powers = np.arange(len(f.coeffs))
+    bins = min(len(f.coeffs), m)
+    rows = np.empty(grid.radial_points, dtype=np.complex128)
+    for start, stop, block in _blocks(grid):
+        # the previous block's transform is freed only after this kernel is
+        # made: freeing it first let the allocator trim and re-fault the heap
+        # on every block (128 minor faults per block at 1024 x 4096)
+        spectrum = kernel_eval(block, w, xi)
+        radii = grid.radii[start:stop, None]
+        # an overflow shows as a non-finite row sum, which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.fft.fft(spectrum, axis=1, out=spectrum)
+            folded = np.zeros((stop - start, bins), dtype=np.complex128)
+            for k in range(0, len(f.coeffs), m):
+                terms = np.power(radii, powers[k : k + m]) * f.coeffs[k : k + m]
+                folded[:, : terms.shape[1]] += terms
+            folded *= np.conjugate(spectrum[:, :bins])
+            sums = rows[start:stop]
+            np.sum(folded, axis=1, out=sums)
+        if not np.all(np.isfinite(sums)):
+            i = np.flatnonzero(~np.isfinite(sums))[0]
+            raise ValueError(f"non-finite quadrature sum on the row of radius r={grid.radii[start + i]}")
+    return _radial_sum(rows, grid)

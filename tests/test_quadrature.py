@@ -211,6 +211,27 @@ def grid_rows(grid, z):
 # (R, M) with several blocks: 16 rows a block and R not a multiple of it;
 # 5 rows a block with M not a power of two; one row a block, M > BLOCK_POINTS
 BLOCKED_SIZES = [(100, 1000), (37, 3000), (30, 20000)]
+REPRODUCE_XIS = (-0.9, 0.0, 2.5, 40.0, 98.0)
+
+
+def assert_reproduce_is_the_pointwise_sum(f, w, wp, grid):
+    """reproduce against integrate of conj(K) f at the nodes, which sums the
+    same terms W_i/M conj(K_ij) f(z_ij) in another order.
+
+    Both routes read the same kernel values.  Per row, Horner's rule, the
+    product and the angular sum err by at most (2n + M + 2) u sum_j |K_ij| g_i,
+    with g_i = sum_k |a_k| r_i^k, n = deg f + 1 and u the unit roundoff; the
+    transform (log2 M butterfly stages), the radial powers and the sum over the
+    n bins by at most (4 log2 M + n + 4) u sum_j |K_ij| g_i.  The radial dot
+    adds R u relative to the same absolute sum, and the factor sqrt 2 covers
+    complex products."""
+    n, m = len(f.coeffs), grid.angular_points
+    pointwise = integrate(lambda z: np.conj(kernel_eval(z, w, wp)) * f(z), grid)
+    g = CoeffVector(np.abs(f.coeffs))
+    absolute = integrate(lambda z: np.abs(kernel_eval(z, w, wp)) * g(np.abs(z)), grid).real
+    u = np.finfo(float).eps / 2
+    bound = np.sqrt(2.0) * (3 * n + m + 4 * np.log2(m) + grid.radial_points + 8) * u * absolute
+    assert abs(reproduce(f, w, wp, grid) - pointwise) <= bound
 
 
 class TestBlockedIntegrate:
@@ -226,13 +247,22 @@ class TestBlockedIntegrate:
 
     @pytest.mark.parametrize("size", BLOCKED_SIZES)
     def test_reproduce_matches_unblocked_integrand(self, size):
+        # the same finite sum as integrating conj(K) f node by node, in another order
         rng = np.random.default_rng(22)
-        wp = WeightParam(2.5)
-        grid = QuadratureGrid(wp, *size)
-        f = CoeffVector(rng.normal(size=25) + 1j * rng.normal(size=25))
         w = KernelPoint(0.5 - 0.4j)
-        want = one_pass(np.conj(kernel_eval(grid.nodes, w, wp)) * f(grid.nodes), grid)
-        assert reproduce(f, w, wp, grid) == want
+        for x in REPRODUCE_XIS:
+            wp = WeightParam(x)
+            grid = QuadratureGrid(wp, *size)
+            f = CoeffVector(rng.normal(size=25) + 1j * rng.normal(size=25))
+            assert_reproduce_is_the_pointwise_sum(f, w, wp, grid)
+
+    def test_reproduce_folds_degrees_above_the_angular_count(self):
+        # omega^k = omega^(k mod M): degree 40 on 16 angles wraps twice
+        rng = np.random.default_rng(23)
+        wp = WeightParam(0.5)
+        grid = QuadratureGrid(wp, 64, 16)
+        f = CoeffVector(rng.normal(size=41) + 1j * rng.normal(size=41))
+        assert_reproduce_is_the_pointwise_sum(f, KernelPoint(0.6 + 0.3j), wp, grid)
 
     @pytest.mark.parametrize("size", BLOCKED_SIZES + [(128, 512), (512, 2048)])
     def test_blocks_are_the_outer_product_bit_for_bit(self, size):
@@ -343,6 +373,36 @@ class TestKernelPrecision:
                     worst = max(worst, float(abs(mpmath.mpc(gi) - exact) / abs(exact)))
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("x", (2.5, 40.0, 98.0))
+    def test_relative_error_where_the_half_phase_tangent_has_a_pole(self, x):
+        # cos and sin of p*theta come from t = tan(p*theta/2), which has a pole
+        # at p*theta = +-pi, +-3pi; z is placed so that p*theta lies within
+        # 1e-9 of those and of 0 (as far as |theta| < pi/2 reaches)
+        mpmath = pytest.importorskip("mpmath")
+        wp, w = WeightParam(x), KernelPoint(0.95 * np.exp(0.4j))
+        p = -(x + 2.0)
+        targets = [t for t in (0.0, np.pi, -np.pi, 3 * np.pi, -3 * np.pi) if abs(t / p) < 1.2]
+        assert len(targets) == (3 if x == 2.5 else 5)
+        z = []
+        for target in targets:
+            for offset in (-1e-9, -1e-12, 0.0, 1e-12, 1e-9):
+                theta = (target + offset) / p
+                for rho in (0.35, 0.7, 1.0):
+                    # b = 1 - z conj(w) = |b| e^{i theta}, with |b| = rho cos(theta)
+                    z.append((1.0 - rho * np.cos(theta) * np.exp(1j * theta)) / np.conj(w.w))
+        z = np.array(z)
+        assert np.all(np.abs(z) <= 0.999)
+        got = kernel_eval(z, w, wp)
+        worst = 0.0
+        with mpmath.workdps(40):
+            wc = mpmath.conj(mpmath.mpc(w.w))
+            for zi, gi in zip(z, got):
+                b = 1 - mpmath.mpc(zi) * wc
+                assert min(abs(float(p * mpmath.arg(b)) - t) for t in targets) <= 1.1e-9
+                exact = mpmath.power(b, -(mpmath.mpf(x) + 2))
+                worst = max(worst, float(abs(mpmath.mpc(gi) - exact) / abs(exact)))
+        assert worst <= 1e-12
+
     def test_scalar_in_complex_out(self):
         val = kernel_eval(0.3 + 0.2j, KernelPoint(0.5j), WeightParam(1.0))
         assert type(val) is complex
@@ -375,17 +435,47 @@ class TestReproduce:
         assert abs(reproduce(e2, KernelPoint(0.0), WeightParam(0.0), grid0)) <= 1e-10
 
     @pytest.mark.parametrize("size", [(64, 256), (128, 512)])
-    def test_in_place_integrand_is_bit_identical(self, size):
-        # conj(K) f formed in the kernel's buffer equals the former allocating
-        # integrand on the default verify grid and the smallest benchmark grid
+    def test_blocking_changes_no_bit(self, size, monkeypatch):
+        # each row is transformed and summed alone, so how many rows a block
+        # holds changes no bit: one row a block, a ragged split, one block
         rng = np.random.default_rng(17)
         for x in (-0.9, 0.0, 2.5, 40.0):
             wp = WeightParam(x)
             grid = QuadratureGrid(wp, *size)
             f = CoeffVector(rng.normal(size=25) + 1j * rng.normal(size=25))
             w = KernelPoint(complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)))
-            want = integrate(lambda z: f(z) * np.conj(kernel_eval(z, w, wp)), grid)
-            assert reproduce(f, w, wp, grid) == want
+            want = reproduce(f, w, wp, grid)
+            for points in (1, 7 * size[1], size[0] * size[1]):
+                monkeypatch.setattr(quadrature, "BLOCK_POINTS", points)
+                assert reproduce(f, w, wp, grid) == want
+            monkeypatch.undo()
+
+    def test_overflow_raises(self):
+        # |K| reaches 2.3e90 here, so conj(K) f overflows: a ValueError, never inf or NaN
+        wp = WeightParam(98.0)
+        grid = QuadratureGrid(wp, 64, 256)
+        with pytest.raises(ValueError, match="non-finite"):
+            reproduce(CoeffVector([1e250, 1e250]), KernelPoint(0.99), wp, grid)
+        # at 1e215 every step stays finite, and so does the result
+        assert np.isfinite(reproduce(CoeffVector([1e215, 1e215]), KernelPoint(0.99), wp, grid))
+
+    def test_memory_is_a_few_blocks_whatever_the_degree(self):
+        # degree R - 4 > 500 bins: neither an R x M array (16 MiB) nor an
+        # R x (deg f + 1) table of powers (4 MiB) may appear
+        r, m = 512, 2048
+        wp = WeightParam(0.5)
+        grid = QuadratureGrid(wp, r, m)
+        rng = np.random.default_rng(29)
+        f = CoeffVector(rng.normal(size=r - 3) + 1j * rng.normal(size=r - 3))
+        tracemalloc.start()
+        try:
+            reproduce(f, KernelPoint(0.3 - 0.2j), wp, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the node buffer, the kernel's buffers and the previous block's
+        # transform: about 4.3 blocks of 16 Ki complex values
+        assert peak <= 6 * quadrature.BLOCK_POINTS * 16
 
     def test_rejects_coarse_grid(self):
         grid = QuadratureGrid(WeightParam(0.0), radial_points=8)
