@@ -7,10 +7,14 @@ degree <= 2R-1 integrate to machine precision for every xi > -1) and
 uniform angles with trapezoid weights.
 
 The grid is rank one, so it is stored as its two factors: the radii
-sqrt(s_i) (R values) and the unit circle exp(i theta_j) (M values).
-``integrate`` and ``reproduce`` form the nodes r_i exp(i theta_j) one block
-of rows at a time and hold no R x M node array; ``QuadratureGrid.nodes``
-builds one on request.  Since the angular rule is the trapezoid rule on M
+sqrt(s_i) (R values) and the unit circle exp(i theta_j) (M values).  Both
+``integrate`` and ``reproduce`` walk the grid one block of whole rows at a
+time, in buffers allocated once per call, and hold no R x M array;
+``QuadratureGrid.nodes`` builds one on request.  ``integrate`` forms the
+block's nodes r_i exp(i theta_j).  ``reproduce`` forms none: it builds the
+kernel from the factors, 1 - z conj(w) = 1 - r_i u_j with
+u_j = exp(i theta_j) conj(w), and checks the kernel's domain on the factors
+once per call.  Since the angular rule is the trapezoid rule on M
 equispaced points, the angular sum of conj(K) z^k on a row is one bin of the
 discrete Fourier transform of the row's kernel values (Trefethen and
 Weideman, SIAM Rev. 56, 2014, on the trapezoid rule), so ``reproduce``
@@ -26,6 +30,7 @@ the exact mass, so the mass check in ``QuadratureGrid`` tests the rule.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -240,25 +245,32 @@ class QuadratureGrid:
         return nodes
 
 
-def _blocks(grid: QuadratureGrid):
-    """Each block of whole radial rows as (start, stop, nodes): ``BLOCK_POINTS``
-    nodes, or one row when a row is longer.  The nodes are read-only and are
-    formed in one buffer that every block reuses: a fresh 256 KiB array per
-    block is mapped and faulted in anew, which costs more than forming its
-    nodes."""
+def _blocks(grid: QuadratureGrid) -> list[tuple[int, int]]:
+    """The row ranges (start, stop) of the blocks of whole radial rows that
+    ``integrate`` and ``reproduce`` walk: ``BLOCK_POINTS`` nodes a block, or
+    one row when a row is longer.  Only the last block may be shorter, so each
+    caller sizes its block buffers by the first and reuses them for every
+    block: a fresh 256 KiB array per block is mapped and faulted in anew,
+    which costs more than filling it."""
     step = max(1, BLOCK_POINTS // grid.angular_points)
-    buffer = np.empty((min(step, grid.radial_points), grid.angular_points), dtype=np.complex128)
-    for start in range(0, grid.radial_points, step):
-        stop = min(start + step, grid.radial_points)
-        block = grid._rows(start, stop, buffer[: stop - start])
-        block.flags.writeable = False
-        yield start, stop, block
+    return [(start, min(start + step, grid.radial_points)) for start in range(0, grid.radial_points, step)]
+
+
+def _non_finite_row(sums: np.ndarray, start: int, grid: QuadratureGrid) -> ValueError:
+    """The error for the first non-finite entry of ``sums``, the sums of rows
+    start, start + 1, ...: it names the row's radius."""
+    i = start + np.flatnonzero(~np.isfinite(sums))[0]
+    return ValueError(f"non-finite quadrature sum on the row of radius r={grid.radii[i]}")
 
 
 def _radial_sum(rows: np.ndarray, grid: QuadratureGrid) -> complex:
-    """The row sums against the radial weights, divided by the angular count."""
-    with np.errstate(invalid="ignore"):
+    """The finite row sums against the radial weights, divided by the angular
+    count.  Row sums near the largest double can still overflow in the dot;
+    a non-finite total raises ValueError, so no caller returns inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
         total = complex(rows.real @ grid.radial_weights, rows.imag @ grid.radial_weights)
+    if not cmath.isfinite(total):
+        raise ValueError(f"non-finite quadrature sum {total} over the radial weights")
     return total / grid.angular_points
 
 
@@ -268,29 +280,71 @@ def integrate(F, grid: QuadratureGrid) -> complex:
     F is an elementwise callable on complex arrays, such as a CoeffVector.  It
     is called once per block of whole radial rows (``BLOCK_POINTS`` nodes, or
     one row when a row is longer), never on the full grid, so its temporaries
-    stay in cache.  The block's nodes are formed from the grid's factors and
-    are read-only.  Each row is summed over its angular nodes, then the row
-    sums against the radial weights, then divided by the angular count: the
-    order of a single pass over the grid, so the blocks change no bit of the
-    result.  A non-finite sample always makes its row sum non-finite; only a
-    block with such a row sum is scanned, and the first non-finite node of the
-    grid is named in a ValueError (earlier blocks hold none).
+    stay in cache.  The block's nodes are formed from the grid's factors in
+    one buffer that every block reuses, and are read-only.  Each row is summed
+    over its angular nodes, then the row sums against the radial weights, then
+    divided by the angular count: the order of a single pass over the grid, so
+    the blocks change no bit of the result.  A non-finite row sum raises
+    ValueError at the first block that has one: it names the block's first
+    non-finite node if a sample is not finite (earlier blocks hold none), and
+    else the radius of the row whose finite samples overflowed their sum.
     """
     rows = np.empty(grid.radial_points, dtype=np.complex128)
-    for start, stop, block in _blocks(grid):
+    blocks = _blocks(grid)
+    nodes = np.empty((blocks[0][1], grid.angular_points), dtype=np.complex128)
+    for start, stop in blocks:
+        block = grid._rows(start, stop, nodes[: stop - start])
+        block.flags.writeable = False
         samples = np.asarray(F(block), dtype=np.complex128)
         if samples.shape != block.shape:
             samples = np.broadcast_to(samples, block.shape)
         sums = rows[start:stop]
-        # inf - inf only arises from non-finite samples, which the scan reports
-        with np.errstate(invalid="ignore"):
+        # an overflow or inf - inf shows as a non-finite row sum, which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
             np.sum(samples, axis=1, out=sums)
         if not np.all(np.isfinite(sums)):
             bad = np.argwhere(~np.isfinite(samples))
             if len(bad):
                 i, j = bad[0]
                 raise ValueError(f"non-finite sample at quadrature node z={block[i, j]}")
+            raise _non_finite_row(sums, start, grid)
     return _radial_sum(rows, grid)
+
+
+def _kernel_from_b(b: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """b^p on the principal branch, written to the complex array ``out``.
+
+    ``b`` is real scratch of shape (3,) + out.shape whose planes 0 and 1 hold
+    Re b > 0 and Im b; all three planes are overwritten.  Every pass reads and
+    writes contiguous planes except the three that fill ``out``.  The power
+    is taken in real polar form, |b|^p = exp(p/2 * log(Re(b)^2 + Im(b)^2)) and
+    arg b^p = p * arctan2(Im b, Re b), and its cosine and sine come from one
+    tangent of the half phase, t = tan(p theta/2): cos = (1 - t^2)/(1 + t^2)
+    and sin = 2t/(1 + t^2), a few multiplies in place of np.cos and np.sin,
+    which cost several times np.tan.  Near the poles of tan,
+    p theta = +-pi, +-3pi, ..., t is large but finite (about 1e16 at most) and
+    the sine 2t/(1 + t^2) keeps its absolute accuracy.
+    """
+    re, im, half = b
+    np.arctan2(im, re, out=half)
+    half *= 0.5 * p
+    np.multiply(re, re, out=re)
+    np.multiply(im, im, out=im)
+    re += im
+    np.log(re, out=re)
+    re *= 0.5 * p
+    modulus = np.exp(re, out=re)
+    # no double is an odd multiple of pi/2, so |t| stays far below the 1e154
+    # where t^2 overflows
+    t = np.tan(half, out=half)
+    np.multiply(t, t, out=im)
+    np.subtract(1.0, im, out=out.real)
+    im += 1.0
+    modulus /= im
+    out.real *= modulus
+    t += t
+    np.multiply(t, modulus, out=out.imag)
+    return out
 
 
 def kernel_eval(z, w: KernelPoint, xi: WeightParam):
@@ -298,51 +352,28 @@ def kernel_eval(z, w: KernelPoint, xi: WeightParam):
 
     Defined wherever |z conj(w)| < 1, since Re(1 - z*conj(w)) > 0 there:
     every z when w = 0, else |z| < 1/|w|, which admits disc nodes that round
-    onto |z| = 1 + 2.2e-16 as xi -> -1; other z raise ValueError.  With
-    b = 1 - z*conj(w) and p = -(xi+2) the power is taken in real polar form,
-    |b|^p = exp(p/2 * log(Re(b)^2 + Im(b)^2)) and arg b^p = p * arctan2(Im b, Re b).
-    Its cosine and sine come from one tangent of the half phase,
-    t = tan(p theta/2): cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2), a few
-    multiplies in place of np.cos and np.sin, which cost several times np.tan.
-    Near the poles of tan, p theta = +-pi, +-3pi, ..., t is large but finite
-    (about 1e16 at most) and the sine 2t/(1 + t^2) keeps its absolute accuracy.
-    All of it runs in one complex and two real buffers the shape of ``z``,
-    which is only read (inside ``integrate`` and ``reproduce``, one block of
-    rows).  Against 40-digit mpmath the relative error in samples is at most
-    7.4e-15 at xi = -0.9 and 6.5e-13 at xi = 98 for |w| <= 0.99 and
-    |z| <= 0.999, to two digits the same as with np.cos and np.sin and as
-    complex log/exp: the rounding of 1 - z*conj(w), amplified by xi+2,
-    dominates all three.  Within 1e-9 of the poles it is at most 2.6e-14.
+    onto |z| = 1 + 2.2e-16 as xi -> -1; other z raise ValueError.  ``z`` is
+    only read: b = 1 - z*conj(w) is formed in a complex buffer the shape of
+    ``z``, Re b and Im b are copied into three real planes of scratch, and
+    ``_kernel_from_b`` writes the power b^(-(xi+2)) back into the complex
+    buffer.  ``reproduce`` forms b from the grid's factors and calls the same
+    core, so the power has one formula.  Against 40-digit mpmath the relative
+    error in samples is at most 7.4e-15 at xi = -0.9 and 6.5e-13 at xi = 98
+    for |w| <= 0.99 and |z| <= 0.999, to two digits the same as with np.cos
+    and np.sin and as complex log/exp: the rounding of 1 - z*conj(w),
+    amplified by xi+2, dominates all three.  Within 1e-9 of the poles of the
+    half-phase tangent it is at most 2.6e-14.
     """
     z = np.asarray(z, dtype=np.complex128)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    modulus = np.abs(z)
-    if w.w != 0 and np.any(modulus >= 1.0 / abs(w.w)):
+    b = np.empty((3,) + z.shape)
+    if w.w != 0 and np.any(np.abs(z, out=b[0]) >= 1.0 / abs(w.w)):
         raise ValueError("kernel evaluation requires |z conj(w)| < 1")
-    p = -(xi.xi + 2.0)
     out = np.multiply(z, np.conj(complex(w.w)))
     np.subtract(1.0, out, out=out)
-    re, im = out.real, out.imag
-    half = np.arctan2(im, re)
-    half *= 0.5 * p
-    # once the phase is taken, Re(out) is free to hold Im(b)^2
-    np.multiply(re, re, out=modulus)
-    np.multiply(im, im, out=re)
-    modulus += re
-    np.log(modulus, out=modulus)
-    modulus *= 0.5 * p
-    np.exp(modulus, out=modulus)
-    # cos and sin of p*theta from t = tan(p*theta/2); no double is an odd
-    # multiple of pi/2, so |t| stays far below the 1e154 where t^2 overflows
-    t = np.tan(half, out=half)
-    np.multiply(t, t, out=re)
-    np.add(re, 1.0, out=im)
-    modulus /= im
-    np.subtract(1.0, re, out=re)
-    re *= modulus
-    t += t
-    np.multiply(t, modulus, out=im)
+    b[0], b[1] = out.real, out.imag
+    _kernel_from_b(b, -(xi.xi + 2.0), out)
     return complex(out[0]) if scalar else out
 
 
@@ -352,33 +383,56 @@ def reproduce(f: CoeffVector, w: KernelPoint, xi: WeightParam, grid: QuadratureG
     The angular rule is the trapezoid rule on the M points omega_j of the
     circle, so with f(r omega) = sum_k a_k r^k omega^k the angular sum of
     conj(K) f on row i is sum_k a_k r_i^k conj(F_i[k mod M]), where F_i is
-    the discrete Fourier transform of the row's kernel values.  Per block of
-    rows, as in ``integrate``, the kernel is evaluated at every node and
-    transformed in its own buffer by ``numpy.fft``; the terms a_k r_i^k,
-    folded onto their bins k mod M, are multiplied by the conjugate bins and
-    summed per row, and the row sums go through the radial dot of
-    ``integrate``.  This is the finite sum of ``integrate`` applied to
-    conj(K) f, in another order and without evaluating f at any node: the
-    two agree to rounding, not bit for bit, and the result does not depend
-    on how many rows a block holds.  Every array made is at most one block
-    (the folded terms have min(deg f + 1, M) columns), whatever the degree
-    of f.  A non-finite row sum, as when conj(K) f overflows, raises
-    ValueError naming the row's radius; it never returns inf or NaN.
+    the discrete Fourier transform of the row's kernel values.
+
+    The kernel is built from the grid's factors, never from nodes.  Once per
+    call, u_j = omega_j conj(w) is formed (M values) and the domain is checked
+    on the factors: max r_i * max |u_j| < 1, or the ValueError of
+    ``kernel_eval``.  That also keeps Re b > 0 in rounding.  Within an ulp
+    of |z conj(w)| = 1 it can reject a w that ``kernel_eval`` accepts at
+    every node (|w| = 1 - 2^-53 as xi -> -1, where |u_j| rounds to
+    1 + 2^-52).  Then, per block of rows as in ``integrate``,
+    Re b = 1 - r_i Re u_j and Im b = -r_i Im u_j go into real scratch,
+    ``_kernel_from_b`` writes K into a complex buffer, and ``numpy.fft``
+    transforms it in place; the scratch and that buffer are allocated once
+    per call, at one block's size.  The terms a_k r_i^k, folded onto their
+    bins k mod M, are multiplied by the conjugate bins and summed per row,
+    and the row sums go through the radial dot of ``integrate``.
+
+    This is the finite sum of ``integrate`` applied to conj(K) f, in another
+    order, with b formed as 1 - r (omega conj(w)) rather than
+    1 - (r omega) conj(w), and without evaluating f at any node: the two
+    agree to rounding, not bit for bit, and the result does not depend on
+    how many rows a block holds.  Every array made is at most one block (the
+    folded terms have min(deg f + 1, M) columns), whatever the degree of f.
+    A non-finite row sum, as when conj(K) f overflows, raises ValueError
+    naming the row's radius, and a non-finite total in the radial dot raises
+    ValueError too: it never returns inf or NaN.
     """
     if grid.radial_points < f.degree + 4:
         raise ValueError(
             f"grid with {grid.radial_points} radial points too coarse for degree {f.degree}"
         )
     m = grid.angular_points
+    u = grid.circle * np.conj(complex(w.w))
+    # the radii increase, so the last is the largest
+    if grid.radii[-1] * np.max(np.abs(u)) >= 1.0:
+        raise ValueError("kernel evaluation requires |z conj(w)| < 1")
+    re_u, minus_im_u = u.real.copy(), np.negative(u.imag)
+    p = -(xi.xi + 2.0)
     powers = np.arange(len(f.coeffs))
     bins = min(len(f.coeffs), m)
     rows = np.empty(grid.radial_points, dtype=np.complex128)
-    for start, stop, block in _blocks(grid):
-        # the previous block's transform is freed only after this kernel is
-        # made: freeing it first let the allocator trim and re-fault the heap
-        # on every block (128 minor faults per block at 1024 x 4096)
-        spectrum = kernel_eval(block, w, xi)
+    blocks = _blocks(grid)
+    scratch = np.empty((3, blocks[0][1], m))
+    kernel = np.empty((blocks[0][1], m), dtype=np.complex128)
+    for start, stop in blocks:
         radii = grid.radii[start:stop, None]
+        b = scratch[:, : stop - start]
+        np.multiply(radii, re_u, out=b[0])
+        np.subtract(1.0, b[0], out=b[0])
+        np.multiply(radii, minus_im_u, out=b[1])
+        spectrum = _kernel_from_b(b, p, kernel[: stop - start])
         # an overflow shows as a non-finite row sum, which raises below
         with np.errstate(over="ignore", invalid="ignore"):
             np.fft.fft(spectrum, axis=1, out=spectrum)
@@ -390,6 +444,5 @@ def reproduce(f: CoeffVector, w: KernelPoint, xi: WeightParam, grid: QuadratureG
             sums = rows[start:stop]
             np.sum(folded, axis=1, out=sums)
         if not np.all(np.isfinite(sums)):
-            i = np.flatnonzero(~np.isfinite(sums))[0]
-            raise ValueError(f"non-finite quadrature sum on the row of radius r={grid.radii[start + i]}")
+            raise _non_finite_row(sums, start, grid)
     return _radial_sum(rows, grid)

@@ -164,6 +164,21 @@ class TestIntegrate:
             integrate(bad, grid0)
         assert f"z={grid0.nodes[5, 9]}" in str(err.value)
 
+    def test_overflowing_row_sum_names_the_radius(self, grid0):
+        # every sample is finite, and 256 of them overflow their row sum
+        with pytest.raises(ValueError, match="row of radius") as err:
+            integrate(lambda z: np.full(z.shape, 1e307 + 0j), grid0)
+        assert f"r={grid0.radii[0]}" in str(err.value)
+
+    def test_overflowing_radial_total_raises(self):
+        # 16 samples of max/16 sum to the largest double exactly; the radial
+        # weights of this grid sum to 1 + 4.4e-16 in the dot, so it overflows
+        grid = QuadratureGrid(WeightParam(0.5), 16, 16)
+        big = np.finfo(float).max
+        with pytest.raises(ValueError, match="radial weights"):
+            integrate(lambda z: np.full(z.shape, big / 16), grid)
+        assert np.isfinite(integrate(lambda z: np.full(z.shape, big / 32), grid))
+
     def test_sum_order_rows_then_radial_weights(self, grid0):
         rng = np.random.default_rng(11)
         samples = rng.normal(size=grid0.nodes.shape) + 1j * rng.normal(size=grid0.nodes.shape)
@@ -218,19 +233,35 @@ def assert_reproduce_is_the_pointwise_sum(f, w, wp, grid):
     """reproduce against integrate of conj(K) f at the nodes, which sums the
     same terms W_i/M conj(K_ij) f(z_ij) in another order.
 
-    Both routes read the same kernel values.  Per row, Horner's rule, the
-    product and the angular sum err by at most (2n + M + 2) u sum_j |K_ij| g_i,
-    with g_i = sum_k |a_k| r_i^k, n = deg f + 1 and u the unit roundoff; the
-    transform (log2 M butterfly stages), the radial powers and the sum over the
-    n bins by at most (4 log2 M + n + 4) u sum_j |K_ij| g_i.  The radial dot
-    adds R u relative to the same absolute sum, and the factor sqrt 2 covers
-    complex products."""
+    Per row, Horner's rule, the product and the angular sum err by at most
+    (2n + M + 2) u sum_j |K_ij| g_i, with g_i = sum_k |a_k| r_i^k, n = deg f + 1
+    and u the unit roundoff; the transform (log2 M butterfly stages), the
+    radial powers and the sum over the n bins by at most
+    (4 log2 M + n + 4) u sum_j |K_ij| g_i.  The radial dot adds R u relative
+    to the same absolute sum, and the factor sqrt 2 covers complex products.
+
+    The routes also read different kernel values: the pointwise one forms
+    b = 1 - (r omega) conj(w), reproduce b = 1 - r (omega conj(w)).  With
+    rho = r |w| and beta = |b|, each rounds b within (1 + 2 sqrt 2) u rho + u beta
+    of 1 - r omega conj(w) (the node or r u, a complex product, the
+    subtraction), which moves b^-(xi+2) by (xi+2)(1 + 3.9 rho/beta) u relative.
+    From its own b, each kernel then errs by at most
+    (xi+2)(1 + 3 |log beta| + 3 |theta|) u + 12 u relative when every
+    elementary function is within one ulp, and |theta| <= (pi/2) rho/beta,
+    |log beta| <= 2 rho/beta.  The two kernels so differ by at most
+    (xi+2)(4 + 30 rho/beta) u + 24 u relative, summed against g."""
     n, m = len(f.coeffs), grid.angular_points
     pointwise = integrate(lambda z: np.conj(kernel_eval(z, w, wp)) * f(z), grid)
     g = CoeffVector(np.abs(f.coeffs))
     absolute = integrate(lambda z: np.abs(kernel_eval(z, w, wp)) * g(np.abs(z)), grid).real
+    # the same sum with each term weighted by rho/beta = |z w| / |1 - z conj(w)|
+    spread = integrate(
+        lambda z: np.abs(kernel_eval(z, w, wp)) * g(np.abs(z)) * np.abs(z * w.w) / np.abs(1.0 - z * np.conj(w.w)),
+        grid,
+    ).real
     u = np.finfo(float).eps / 2
     bound = np.sqrt(2.0) * (3 * n + m + 4 * np.log2(m) + grid.radial_points + 8) * u * absolute
+    bound += ((wp.xi + 2.0) * (4.0 * absolute + 30.0 * spread) + 24.0 * absolute) * u
     assert abs(reproduce(f, w, wp, grid) - pointwise) <= bound
 
 
@@ -459,6 +490,28 @@ class TestReproduce:
         # at 1e215 every step stays finite, and so does the result
         assert np.isfinite(reproduce(CoeffVector([1e215, 1e215]), KernelPoint(0.99), wp, grid))
 
+    def test_domain_checked_on_the_factors(self):
+        # as xi -> -1 the last radius is 1 - 2^-53; at |w| = 1 - 2^-53 and this
+        # angle some omega_j conj(w) rounds to modulus 1 + 2^-52, so r |u|
+        # rounds to 1: the ValueError of kernel_eval
+        wp = WeightParam(-1.0 + 1e-12)
+        grid = QuadratureGrid(wp, 64, 16)
+        f = CoeffVector([1.0])
+        w = KernelPoint(-0.896872741532688 + 0.44228869021900163j)
+        assert grid.radii[-1] * np.max(np.abs(grid.circle * np.conj(w.w))) >= 1.0
+        with pytest.raises(ValueError) as err:
+            reproduce(f, w, wp, grid)
+        with pytest.raises(ValueError) as want:
+            kernel_eval(2.0, KernelPoint(0.5), wp)
+        assert str(err.value) == str(want.value)
+        # the node check is the looser by an ulp here: no node rounds past |z| = 1
+        assert np.all(np.isfinite(kernel_eval(grid.nodes, w, wp)))
+        # on the real axis the product stays below 1, and the value is finite
+        w = KernelPoint(1.0 - 2.0**-53)
+        assert grid.radii[-1] * np.max(np.abs(grid.circle * np.conj(w.w))) < 1.0
+        assert np.all(np.isfinite(kernel_eval(grid.nodes, w, wp)))
+        assert np.isfinite(reproduce(f, w, wp, grid))
+
     def test_memory_is_a_few_blocks_whatever_the_degree(self):
         # degree R - 4 > 500 bins: neither an R x M array (16 MiB) nor an
         # R x (deg f + 1) table of powers (4 MiB) may appear
@@ -473,8 +526,9 @@ class TestReproduce:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the node buffer, the kernel's buffers and the previous block's
-        # transform: about 4.3 blocks of 16 Ki complex values
+        # the real scratch (1.5 blocks), the kernel's transform buffer, the
+        # folded terms and numpy's transform plan: 4.7 blocks of 16 Ki
+        # complex values at the peak
         assert peak <= 6 * quadrature.BLOCK_POINTS * 16
 
     def test_rejects_coarse_grid(self):
