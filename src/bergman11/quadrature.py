@@ -9,16 +9,29 @@ uniform angles with trapezoid weights.
 The grid is rank one, so it is stored as its two factors: the radii
 sqrt(s_i) (R values) and the unit circle exp(i theta_j) (M values).  Both
 ``integrate`` and ``reproduce`` walk the grid one block of whole rows at a
-time, in buffers allocated once per call, and hold no R x M array;
-``QuadratureGrid.nodes`` builds one on request.  ``integrate`` forms the
-block's nodes r_i exp(i theta_j).  ``reproduce`` forms none: it builds the
-kernel from the factors, 1 - z conj(w) = 1 - r_i u_j with
-u_j = exp(i theta_j) conj(w), and checks the kernel's domain on the factors
-once per call.  Since the angular rule is the trapezoid rule on M
-equispaced points, the angular sum of conj(K) z^k on a row is one bin of the
-discrete Fourier transform of the row's kernel values (Trefethen and
-Weideman, SIAM Rev. 56, 2014, on the trapezoid rule), so ``reproduce``
-transforms the kernel once per row instead of evaluating f at every node.
+time and hold no R x M array; ``QuadratureGrid.nodes`` builds one on
+request.  The blocks are split into contiguous parts, one per CPU the
+process may run on but at most ``MAX_PARTS``, each walked by one thread
+(the caller's for the first) in buffers allocated once per part
+(``_walk``).  So an integrand may be
+called from several threads at once, on disjoint read-only blocks, in no
+fixed order; every integrand in this package is safe for that.  Each
+row's sum depends on that row alone and the radial dot runs after every
+part has finished, so the result does not depend on the number of parts,
+and an error is the one a walk in one part raises, though later parts may
+already have called the integrand.
+
+``integrate`` forms the block's nodes r_i exp(i theta_j).  ``reproduce``
+forms none: it builds the kernel from the factors,
+1 - z conj(w) = 1 - r_i u_j with u_j = exp(i theta_j) conj(w), and checks
+the kernel's domain on the factors once per call.  Since the angular rule
+is the trapezoid rule on M equispaced points, the angular sum of
+conj(K) z^k on a row is one bin of the discrete Fourier transform of the
+row's kernel values (Trefethen and Weideman, SIAM Rev. 56, 2014, on the
+trapezoid rule), so ``reproduce`` transforms the kernel once per row
+instead of evaluating f at every node.  The same rule aliases the kernel's
+terms of degree n onto bin n mod M, which bounds how close to the unit
+circle ``reproduce`` resolves f(w) on a given M (see its docstring).
 
 The radial rule is computed in numpy (``gauss_jacobi``): Halley steps on the
 three-term recurrence from asymptotic initial guesses, as Hale and Townsend
@@ -31,7 +44,10 @@ the exact mass, so the mass check in ``QuadratureGrid`` tests the rule.
 from __future__ import annotations
 
 import cmath
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +64,19 @@ STEP_TOL = 1e-6
 # Above this xi the initial guesses near s = 1 use Airy-zero phases (the
 # zeros there sit past a turning point); at or below it, Bessel zeros.
 _AIRY_XI = 3.0
-# Nodes per block of whole rows in ``integrate`` and ``reproduce``: 16 Ki
-# complex samples are 256 KiB, so the integrand's passes over a block stay in
-# L2.  A sweep over 4-128 Ki on the benchmark grids put 16 and 32 Ki ahead
-# (see CHANGES.md).
-BLOCK_POINTS = 16384
+# Nodes per block of whole rows in ``integrate`` and ``reproduce``: 24 Ki
+# complex samples are 384 KiB, so the integrand's passes over a block stay in
+# L2.  A serial sweep over 4-128 Ki on the benchmark grids put 16 and 32 Ki
+# ahead; with the blocks walked on two CPUs, 24 and 32 Ki beat 16 Ki (fewer
+# hand-offs of the interpreter lock between ufunc calls), and 24 Ki holds
+# less memory (see CHANGES.md).  The default ``verify`` grids, 64 x 256 and
+# 96 x 256, are one block each.
+BLOCK_POINTS = 24576
+# The most parts a walk is split into.  Speed, peak RSS and allocations were
+# measured at one and two parts, on a 2-CPU machine (see CHANGES.md); each
+# part holds its own block buffers, and the affinity mask does not see a CPU
+# quota, so more parts wait on runs that measure them.
+MAX_PARTS = 2
 
 
 def _bessel_zeros(nu: float, k: np.ndarray) -> np.ndarray:
@@ -249,11 +273,63 @@ def _blocks(grid: QuadratureGrid) -> list[tuple[int, int]]:
     """The row ranges (start, stop) of the blocks of whole radial rows that
     ``integrate`` and ``reproduce`` walk: ``BLOCK_POINTS`` nodes a block, or
     one row when a row is longer.  Only the last block may be shorter, so each
-    caller sizes its block buffers by the first and reuses them for every
-    block: a fresh 256 KiB array per block is mapped and faulted in anew,
-    which costs more than filling it."""
+    part of a walk (see ``_walk``) sizes its block buffers by its first block
+    and reuses them for the rest: a fresh 384 KiB array per block is mapped
+    and faulted in anew, which costs more than filling it."""
     step = max(1, BLOCK_POINTS // grid.angular_points)
     return [(start, min(start + step, grid.radial_points)) for start in range(0, grid.radial_points, step)]
+
+
+def _workers() -> int:
+    """The most parts a walk is split into, read at each call: the CPUs this
+    process may run on, at most ``MAX_PARTS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(MAX_PARTS, cpus)
+
+
+def _walk(grid: QuadratureGrid, walk_part) -> complex:
+    """The radial sum of the row sums that ``walk_part`` writes, with the
+    grid's blocks walked in parts on up to ``_workers()`` threads.
+
+    The blocks are split into W = min(``_workers()``, blocks) contiguous
+    parts.  ``walk_part(blocks, rows)`` walks one part's blocks in order in
+    buffers of its own, writes each block's row sums to rows[start:stop] and
+    raises at its first bad block.  The calling thread walks part 0, and one
+    thread per other part, started for this call only, walks that part under
+    a copy of the caller's context, which carries its ``np.errstate``.  Each
+    row sum depends on its row alone and the radial dot runs after every part
+    has joined, so the result is the serial walk's, bit for bit, for any W.
+    Errors are raised in part order, so the first is the one the serial walk
+    raises; parts after it may already have called the integrand."""
+    blocks = _blocks(grid)
+    count = min(_workers(), len(blocks))
+    parts = [blocks[k * len(blocks) // count : (k + 1) * len(blocks) // count] for k in range(count)]
+    rows = np.empty(grid.radial_points, dtype=np.complex128)
+    errors = [None] * count
+
+    def walk(k):
+        try:
+            walk_part(parts[k], rows)
+        except BaseException as error:  # raised by the caller once every part has joined
+            errors[k] = error
+
+    helpers = []
+    try:
+        for k in range(1, count):
+            helper = threading.Thread(target=contextvars.copy_context().run, args=(walk, k))
+            helper.start()
+            helpers.append(helper)
+        walk_part(parts[0], rows)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return _radial_sum(rows, grid)
 
 
 def _non_finite_row(sums: np.ndarray, start: int, grid: QuadratureGrid) -> ValueError:
@@ -280,35 +356,43 @@ def integrate(F, grid: QuadratureGrid) -> complex:
     F is an elementwise callable on complex arrays, such as a CoeffVector.  It
     is called once per block of whole radial rows (``BLOCK_POINTS`` nodes, or
     one row when a row is longer), never on the full grid, so its temporaries
-    stay in cache.  The block's nodes are formed from the grid's factors in
-    one buffer that every block reuses, and are read-only.  Each row is summed
-    over its angular nodes, then the row sums against the radial weights, then
-    divided by the angular count: the order of a single pass over the grid, so
-    the blocks change no bit of the result.  A non-finite row sum raises
-    ValueError at the first block that has one: it names the block's first
-    non-finite node if a sample is not finite (earlier blocks hold none), and
-    else the radius of the row whose finite samples overflowed their sum.
+    stay in cache.  The blocks are walked in parts, one per CPU the process
+    may run on up to ``MAX_PARTS`` (``_walk``), so F may be called from several threads at once,
+    on disjoint blocks, in no fixed order, under the caller's
+    ``np.errstate``; every integrand in this package is safe for that.  Each
+    part forms its blocks' nodes from the grid's factors in one buffer of its
+    own, and they are read-only.  Each row is summed over its angular nodes,
+    then the row sums against the radial weights, then divided by the angular
+    count: the order of a single pass over the grid, so neither the blocks
+    nor the number of parts change a bit of the result.  A non-finite row sum
+    raises ValueError at the first block that has one: it names the block's
+    first non-finite node if a sample is not finite (earlier blocks hold
+    none), and else the radius of the row whose finite samples overflowed
+    their sum.  It is the error of a serial walk, though blocks after it may
+    already have been passed to F.
     """
-    rows = np.empty(grid.radial_points, dtype=np.complex128)
-    blocks = _blocks(grid)
-    nodes = np.empty((blocks[0][1], grid.angular_points), dtype=np.complex128)
-    for start, stop in blocks:
-        block = grid._rows(start, stop, nodes[: stop - start])
-        block.flags.writeable = False
-        samples = np.asarray(F(block), dtype=np.complex128)
-        if samples.shape != block.shape:
-            samples = np.broadcast_to(samples, block.shape)
-        sums = rows[start:stop]
-        # an overflow or inf - inf shows as a non-finite row sum, which raises below
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.sum(samples, axis=1, out=sums)
-        if not np.all(np.isfinite(sums)):
-            bad = np.argwhere(~np.isfinite(samples))
-            if len(bad):
-                i, j = bad[0]
-                raise ValueError(f"non-finite sample at quadrature node z={block[i, j]}")
-            raise _non_finite_row(sums, start, grid)
-    return _radial_sum(rows, grid)
+
+    def walk(blocks, rows):
+        start, stop = blocks[0]
+        nodes = np.empty((stop - start, grid.angular_points), dtype=np.complex128)
+        for start, stop in blocks:
+            block = grid._rows(start, stop, nodes[: stop - start])
+            block.flags.writeable = False
+            samples = np.asarray(F(block), dtype=np.complex128)
+            if samples.shape != block.shape:
+                samples = np.broadcast_to(samples, block.shape)
+            sums = rows[start:stop]
+            # an overflow or inf - inf shows as a non-finite row sum, which raises below
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.sum(samples, axis=1, out=sums)
+            if not np.all(np.isfinite(sums)):
+                bad = np.argwhere(~np.isfinite(samples))
+                if len(bad):
+                    i, j = bad[0]
+                    raise ValueError(f"non-finite sample at quadrature node z={block[i, j]}")
+                raise _non_finite_row(sums, start, grid)
+
+    return _walk(grid, walk)
 
 
 def _kernel_from_b(b: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
@@ -378,7 +462,8 @@ def kernel_eval(z, w: KernelPoint, xi: WeightParam):
 
 
 def reproduce(f: CoeffVector, w: KernelPoint, xi: WeightParam, grid: QuadratureGrid) -> complex:
-    """Evaluate <f, K_w> by quadrature; the reproducing identity makes this f(w).
+    """Evaluate <f, K_w> by quadrature; the reproducing identity makes this f(w)
+    up to the resolution limit below.
 
     The angular rule is the trapezoid rule on the M points omega_j of the
     circle, so with f(r omega) = sum_k a_k r^k omega^k the angular sum of
@@ -391,23 +476,43 @@ def reproduce(f: CoeffVector, w: KernelPoint, xi: WeightParam, grid: QuadratureG
     ``kernel_eval``.  That also keeps Re b > 0 in rounding.  Within an ulp
     of |z conj(w)| = 1 it can reject a w that ``kernel_eval`` accepts at
     every node (|w| = 1 - 2^-53 as xi -> -1, where |u_j| rounds to
-    1 + 2^-52).  Then, per block of rows as in ``integrate``,
+    1 + 2^-52).  Then the blocks of rows are walked in parts as in
+    ``integrate``.  Per block,
     Re b = 1 - r_i Re u_j and Im b = -r_i Im u_j go into real scratch,
     ``_kernel_from_b`` writes K into a complex buffer, and ``numpy.fft``
-    transforms it in place; the scratch and that buffer are allocated once
-    per call, at one block's size.  The terms a_k r_i^k, folded onto their
-    bins k mod M, are multiplied by the conjugate bins and summed per row,
-    and the row sums go through the radial dot of ``integrate``.
+    transforms it in place; each part allocates the scratch and that buffer
+    once, at one block's size.  The terms a_k r_i^k, folded onto their bins
+    k mod M, are multiplied by the conjugate bins and summed per row, and the
+    row sums go through the radial dot of ``integrate``.
 
     This is the finite sum of ``integrate`` applied to conj(K) f, in another
     order, with b formed as 1 - r (omega conj(w)) rather than
     1 - (r omega) conj(w), and without evaluating f at any node: the two
-    agree to rounding, not bit for bit, and the result does not depend on
-    how many rows a block holds.  Every array made is at most one block (the
-    folded terms have min(deg f + 1, M) columns), whatever the degree of f.
-    A non-finite row sum, as when conj(K) f overflows, raises ValueError
-    naming the row's radius, and a non-finite total in the radial dot raises
-    ValueError too: it never returns inf or NaN.
+    agree to rounding, not bit for bit, and the result depends neither on how
+    many rows a block holds nor on how many parts walk them.  Every array a
+    part makes is at most one block (the folded terms have min(deg f + 1, M)
+    columns), whatever the degree of f.  A non-finite row sum, as when
+    conj(K) f overflows, raises ValueError naming the row's radius (the first
+    such row, as a serial walk would), and a non-finite total in the radial
+    dot raises ValueError too: it never returns inf or NaN.
+
+    Resolution limit.  With c_n = (xi+2)_n/n!, conj(K(r omega, w)) is
+    sum_n c_n w^n r^n omega^-n, and the M-point rule keeps of the kernel's
+    terms not only n = k against a_k omega^k but every n = k (mod M): it
+    aliases them onto bin k mod M.  With W_i the radial weights and
+    Q[r^p] = sum_i W_i r_i^p the radial rule's moments (close to the exact
+    moments E_xi[r^p]), the n = k terms sum to f(w) exactly, since the
+    radial rule integrates s^k exactly for deg f <= R - 4.  So in exact
+    arithmetic ``reproduce`` returns f(w) plus
+    sum_k a_k sum_{n = k (mod M), n != k} c_n w^n Q[r^(k+n)], which for
+    deg f < M is at most
+    sum_k |a_k| |w|^k sum_{j >= 1} c_(k+jM) |w|^(jM) Q[r^(2k+jM)]
+    in modulus, and equal to it when w > 0 and every a_k >= 0.  It is about
+    W_R sum_{j >= 1} c_(jM) (r_R |w|)^(jM) for f = 1, which is small only
+    when (r_R |w|)^M is.  Near |w| = 1 on a coarse grid it is not: on a
+    64 x 16 grid near xi = -1 at |w| = 1 - 2^-53 it exceeds 1e14.  No error
+    is raised then; the value returned is finite and far from f(w), so M
+    must be chosen for the w asked about.
     """
     if grid.radial_points < f.degree + 4:
         raise ValueError(
@@ -422,27 +527,29 @@ def reproduce(f: CoeffVector, w: KernelPoint, xi: WeightParam, grid: QuadratureG
     p = -(xi.xi + 2.0)
     powers = np.arange(len(f.coeffs))
     bins = min(len(f.coeffs), m)
-    rows = np.empty(grid.radial_points, dtype=np.complex128)
-    blocks = _blocks(grid)
-    scratch = np.empty((3, blocks[0][1], m))
-    kernel = np.empty((blocks[0][1], m), dtype=np.complex128)
-    for start, stop in blocks:
-        radii = grid.radii[start:stop, None]
-        b = scratch[:, : stop - start]
-        np.multiply(radii, re_u, out=b[0])
-        np.subtract(1.0, b[0], out=b[0])
-        np.multiply(radii, minus_im_u, out=b[1])
-        spectrum = _kernel_from_b(b, p, kernel[: stop - start])
-        # an overflow shows as a non-finite row sum, which raises below
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.fft.fft(spectrum, axis=1, out=spectrum)
-            folded = np.zeros((stop - start, bins), dtype=np.complex128)
-            for k in range(0, len(f.coeffs), m):
-                terms = np.power(radii, powers[k : k + m]) * f.coeffs[k : k + m]
-                folded[:, : terms.shape[1]] += terms
-            folded *= np.conjugate(spectrum[:, :bins])
-            sums = rows[start:stop]
-            np.sum(folded, axis=1, out=sums)
-        if not np.all(np.isfinite(sums)):
-            raise _non_finite_row(sums, start, grid)
-    return _radial_sum(rows, grid)
+
+    def walk(blocks, rows):
+        start, stop = blocks[0]
+        scratch = np.empty((3, stop - start, m))
+        kernel = np.empty((stop - start, m), dtype=np.complex128)
+        for start, stop in blocks:
+            radii = grid.radii[start:stop, None]
+            b = scratch[:, : stop - start]
+            np.multiply(radii, re_u, out=b[0])
+            np.subtract(1.0, b[0], out=b[0])
+            np.multiply(radii, minus_im_u, out=b[1])
+            spectrum = _kernel_from_b(b, p, kernel[: stop - start])
+            # an overflow shows as a non-finite row sum, which raises below
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.fft.fft(spectrum, axis=1, out=spectrum)
+                folded = np.zeros((stop - start, bins), dtype=np.complex128)
+                for k in range(0, len(f.coeffs), m):
+                    terms = np.power(radii, powers[k : k + m]) * f.coeffs[k : k + m]
+                    folded[:, : terms.shape[1]] += terms
+                folded *= np.conjugate(spectrum[:, :bins])
+                sums = rows[start:stop]
+                np.sum(folded, axis=1, out=sums)
+            if not np.all(np.isfinite(sums)):
+                raise _non_finite_row(sums, start, grid)
+
+    return _walk(grid, walk)

@@ -1,8 +1,14 @@
+import functools
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from bergman11 import su11, verification
 from bergman11.weights import CoeffVector, WeightParam, basis_scales, monomial_norms_sq
 from bergman11.quadrature import KernelPoint, QuadratureGrid, gauss_jacobi, integrate, kernel_eval, reproduce
 from bergman11 import quadrature
@@ -223,8 +229,16 @@ def grid_rows(grid, z):
     return rows
 
 
-# (R, M) with several blocks: 16 rows a block and R not a multiple of it;
-# 5 rows a block with M not a power of two; one row a block, M > BLOCK_POINTS
+def assert_each_block_once(seen, grid):
+    """The row ranges an integrand was called on, in whatever order the parts
+    of the walk called it, are the blocks: each once, together every row."""
+    seen = sorted(seen, key=lambda rows: rows.start)
+    assert seen[0].start == 0 and seen[-1].stop == grid.radial_points
+    assert all(a.stop == b.start for a, b in zip(seen, seen[1:]))
+
+
+# (R, M) with several blocks: 24 rows a block and R not a multiple of it;
+# 8 rows a block with M not a power of two; one row a block, M > BLOCK_POINTS
 BLOCKED_SIZES = [(100, 1000), (37, 3000), (30, 20000)]
 REPRODUCE_XIS = (-0.9, 0.0, 2.5, 40.0, 98.0)
 
@@ -263,6 +277,35 @@ def assert_reproduce_is_the_pointwise_sum(f, w, wp, grid):
     bound = np.sqrt(2.0) * (3 * n + m + 4 * np.log2(m) + grid.radial_points + 8) * u * absolute
     bound += ((wp.xi + 2.0) * (4.0 * absolute + 30.0 * spread) + 24.0 * absolute) * u
     assert abs(reproduce(f, w, wp, grid) - pointwise) <= bound
+
+
+def alias_bound(f, w, wp, grid):
+    """sum_k |a_k| |w|^k sum_{j >= 1} c_(k+jM) |w|^(jM) Q[r^(2k+jM)], with
+    c_n = (xi+2)_n/n! and Q the radial rule: the most by which the M-point
+    angular rule's aliasing moves ``reproduce`` off f(w), for deg f < M.
+
+    Summed row by row as W_i sum_k |a_k| r_i^k sum_{j >= 1} c_(k+jM) x_i^(k+jM)
+    with x_i = r_i |w|, over n < N: N doubles until c_n x^n on the outermost
+    row, the largest x, has fallen below e^-100 of its peak, after which the
+    terms fall at least geometrically."""
+    a, m = np.abs(f.coeffs), grid.angular_points
+    assert len(a) <= m
+    x = grid.radii * abs(w.w)
+    count = 2
+    while True:
+        log_c = np.concatenate([[0.0], np.cumsum(np.log1p((wp.xi + 1.0) / np.arange(1, count * m)))])
+        outer = log_c + np.arange(count * m) * np.log(x[-1])
+        if outer[-1] < outer.max() - 100.0:
+            break
+        count *= 2
+    # row j of the (count, M) table holds n = jM + k
+    log_c = log_c.reshape(count, m)[1:, : len(a)]
+    n = np.arange(1, count)[:, None] * m + np.arange(len(a))
+    powers = np.arange(len(a))
+    total = 0.0
+    for r, xr, weight in zip(grid.radii, x, grid.radial_weights):
+        total += weight * np.sum(a * r**powers * np.exp(log_c + n * np.log(xr)).sum(axis=0))
+    return total
 
 
 class TestBlockedIntegrate:
@@ -309,18 +352,18 @@ class TestBlockedIntegrate:
             return np.ones_like(z)
 
         integrate(record, grid)
-        assert seen[0].start == 0 and seen[-1].stop == grid.radial_points
+        assert_each_block_once(seen, grid)
         assert grid.nodes.tobytes() == outer.tobytes()
 
     def test_first_non_finite_node_in_a_later_block(self):
-        # rows 0-15 are the first block and clean; the NaN at row 50 comes
-        # before the inf at row 70, which sits in a later block still
+        # rows 0-23 are the first block and clean; the NaN at row 50 comes
+        # before the inf at row 80, which sits in a later block still
         grid = QuadratureGrid(WeightParam(0.0), 100, 1000)
 
         def bad(z):
             out = np.ones_like(z)
             rows = grid_rows(grid, z)
-            for (i, j), value in (((50, 7), np.nan), ((70, 3), np.inf)):
+            for (i, j), value in (((50, 7), np.nan), ((80, 3), np.inf)):
                 if rows.start <= i < rows.stop:
                     out[i - rows.start, j] = value
             return out
@@ -339,7 +382,198 @@ class TestBlockedIntegrate:
 
         assert integrate(record, grid) == pytest.approx(1.0, abs=1e-12)
         step = quadrature.BLOCK_POINTS // grid.angular_points
-        assert seen == [slice(i, min(i + step, 100)) for i in range(0, 100, step)]
+        blocks = [slice(i, min(i + step, 100)) for i in range(0, 100, step)]
+        assert sorted(seen, key=lambda rows: rows.start) == blocks
+
+
+def pin_workers(monkeypatch, count):
+    """Split every walk into min(count, blocks) parts."""
+    monkeypatch.setattr(quadrature, "_workers", lambda: count)
+
+
+class TestParallelWalk:
+    """integrate and reproduce walk their blocks in parts, one per CPU the
+    process may run on up to ``MAX_PARTS``; the tests pin that count through
+    ``_workers``, past the cap where they test the walk itself."""
+
+    def test_parts_are_capped_at_the_measured_count(self, monkeypatch):
+        # a 64-CPU host still walks in two parts: one helper thread per call
+        monkeypatch.setattr(quadrature.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert quadrature._workers() == quadrature.MAX_PARTS == 2
+        grid = QuadratureGrid(WeightParam(0.0), 1024, 4096)
+        before = threading.active_count()
+        seen = []
+
+        def record(z):
+            seen.append(threading.active_count())
+            return np.ones_like(z)
+
+        assert integrate(record, grid) == pytest.approx(1.0, abs=1e-12)
+        assert len(seen) == len(quadrature._blocks(grid)) > 2
+        assert max(seen) <= before + 1
+        monkeypatch.setattr(quadrature.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert quadrature._workers() == 1
+        monkeypatch.delattr(quadrature.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(quadrature.os, "cpu_count", lambda: 64)
+        assert quadrature._workers() == 2
+
+    @pytest.mark.parametrize("size", BLOCKED_SIZES + [(512, 2048)])
+    def test_same_bits_at_any_worker_count(self, size, monkeypatch):
+        # one row a block, the default, a ragged split and one block, at one
+        # worker and at more workers than a two-CPU machine has; the lock is
+        # handed between threads as often as the interpreter allows
+        rng = np.random.default_rng(31)
+        wp = WeightParam(0.7)
+        grid = QuadratureGrid(wp, *size)
+        f = CoeffVector(rng.normal(size=25) + 1j * rng.normal(size=25))
+        w = KernelPoint(0.5 - 0.4j)
+        r, m = size
+        got = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for points in (m, quadrature.BLOCK_POINTS, 7 * m, r * m):
+                monkeypatch.setattr(quadrature, "BLOCK_POINTS", points)
+                for count in (1, 2, 3):
+                    pin_workers(monkeypatch, count)
+                    values = [integrate(lambda z: np.abs(f(z)) ** 2, grid), reproduce(f, w, wp, grid)]
+                    got.add(np.array(values).tobytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 1
+
+    def test_unitarity_integrand_same_bits(self, monkeypatch):
+        # verify's |pi(g) f|^2, which writes into the group action's own buffer
+        rng = np.random.default_rng(37)
+        wp = WeightParam(2.0)
+        grid = QuadratureGrid(wp, 128, 512)
+        assert len(quadrature._blocks(grid)) > 1
+        g = su11.exp_at(verification._random_element(rng), 0.4)
+        F = functools.partial(verification._modulus_sq, g, verification._random_poly(rng, 12), wp)
+        got = []
+        for count in (1, 2):
+            pin_workers(monkeypatch, count)
+            got.append(np.array(integrate(F, grid)).tobytes())
+        assert got[0] == got[1]
+
+    def test_error_in_a_helper_reaches_the_caller(self, monkeypatch):
+        grid = QuadratureGrid(WeightParam(0.0), 100, 1000)
+        pin_workers(monkeypatch, 2)
+        caller = threading.get_ident()
+        raised = []
+
+        class Failure(Exception):
+            pass
+
+        def last_block_fails(z):
+            # the last block belongs to the last part, which a helper walks
+            if grid_rows(grid, z).stop == grid.radial_points:
+                raised.append(threading.get_ident())
+                raise Failure
+            return np.ones_like(z)
+
+        with pytest.raises(Failure):
+            integrate(last_block_fails, grid)
+        assert len(raised) == 1 and raised[0] != caller
+
+    def test_earlier_rows_error_wins(self, monkeypatch):
+        # row 5 is in the first block (the caller's part), row 95 in the last
+        # (a helper's); the caller's part is held back, so the helper fails
+        # first, and still the serial walk's error is raised
+        grid = QuadratureGrid(WeightParam(0.0), 100, 1000)
+        bad = {(5, 7): np.nan, (95, 3): np.inf}
+
+        def two_bad_blocks(z):
+            rows = grid_rows(grid, z)
+            if rows.start == 0:
+                time.sleep(0.05)
+            out = np.ones_like(z)
+            for (i, j), value in bad.items():
+                if rows.start <= i < rows.stop:
+                    out[i - rows.start, j] = value
+            return out
+
+        messages = []
+        for count in (1, 2):
+            pin_workers(monkeypatch, count)
+            with pytest.raises(ValueError) as err:
+                integrate(two_bad_blocks, grid)
+            messages.append(str(err.value))
+        assert messages == [f"non-finite sample at quadrature node z={grid.nodes[5, 7]}"] * 2
+
+    def test_earlier_rows_overflow_wins_in_reproduce(self, monkeypatch):
+        # conj(K) f overflows on the outer rows, from row 167 on: in the
+        # second of three parts (rows 96-191) and in the third
+        wp = WeightParam(98.0)
+        grid = QuadratureGrid(wp, 256, 512)
+        f, w = CoeffVector([1e250, 1e250]), KernelPoint(0.99)
+        messages = []
+        for count in (1, 3):
+            pin_workers(monkeypatch, count)
+            with pytest.raises(ValueError, match="row of radius") as err:
+                reproduce(f, w, wp, grid)
+            messages.append(str(err.value))
+        blocks = quadrature._blocks(grid)
+        first_bad = np.flatnonzero(grid.radii == float(messages[0].rsplit("=", 1)[1]))[0]
+        assert blocks[2][0] <= first_bad < blocks[4][0]
+        assert messages[0] == messages[1]
+
+    def test_helpers_run_under_the_callers_errstate(self, monkeypatch):
+        # tier-1 turns RuntimeWarnings into errors, so a helper that ignored
+        # the caller's np.errstate would raise on the division
+        grid = QuadratureGrid(WeightParam(0.0), 100, 1000)
+        pin_workers(monkeypatch, 2)
+        caller = threading.get_ident()
+        divided = []
+
+        def divides_by_zero_in_a_helper(z):
+            if threading.get_ident() != caller:
+                divided.append(np.isinf(np.divide(1.0, np.zeros(z.shape[0]))).all())
+            return np.ones_like(z)
+
+        with np.errstate(divide="ignore"):
+            assert integrate(divides_by_zero_in_a_helper, grid) == pytest.approx(1.0, abs=1e-12)
+        assert divided and all(divided)
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            integrate(divides_by_zero_in_a_helper, grid)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        wp = WeightParam(0.0)
+        grid = QuadratureGrid(wp, 100, 1000)
+        pin_workers(monkeypatch, 3)
+        caller = threading.get_ident()
+        threads = set()
+
+        def ones(z):
+            threads.add(threading.get_ident())
+            if threading.get_ident() != caller:
+                # a helper not joined would still be running, and counted
+                time.sleep(0.02)
+            return np.ones_like(z)
+
+        before = threading.active_count()
+        integrate(ones, grid)
+        assert len(threads) == 3 and threading.active_count() == before
+        with pytest.raises(ValueError):
+            integrate(lambda z: np.full(z.shape, np.nan), grid)
+        assert threading.active_count() == before
+        reproduce(CoeffVector([1.0, 2.0]), KernelPoint(0.5), wp, grid)
+        hot = WeightParam(98.0)
+        with pytest.raises(ValueError):
+            reproduce(CoeffVector([1e300, 1e300]), KernelPoint(0.99), hot, QuadratureGrid(hot, 256, 512))
+        assert threading.active_count() == before
+
+    def test_walk_imports_no_executor(self):
+        # concurrent.futures costs milliseconds of import (logging); the walk
+        # uses threading, which numpy has loaded already
+        code = (
+            "import sys, numpy as np; from bergman11 import quadrature as q; "
+            "from bergman11.weights import WeightParam; q._workers = lambda: 2; "
+            "q.integrate(lambda z: np.ones_like(z), q.QuadratureGrid(WeightParam(0.0), 100, 1000)); "
+            "print('concurrent.futures' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 class TestKernel:
@@ -512,7 +746,7 @@ class TestReproduce:
         assert np.all(np.isfinite(kernel_eval(grid.nodes, w, wp)))
         assert np.isfinite(reproduce(f, w, wp, grid))
 
-    def test_memory_is_a_few_blocks_whatever_the_degree(self):
+    def test_memory_is_a_few_blocks_whatever_the_degree(self, monkeypatch):
         # degree R - 4 > 500 bins: neither an R x M array (16 MiB) nor an
         # R x (deg f + 1) table of powers (4 MiB) may appear
         r, m = 512, 2048
@@ -520,16 +754,74 @@ class TestReproduce:
         grid = QuadratureGrid(wp, r, m)
         rng = np.random.default_rng(29)
         f = CoeffVector(rng.normal(size=r - 3) + 1j * rng.normal(size=r - 3))
-        tracemalloc.start()
-        try:
-            reproduce(f, KernelPoint(0.3 - 0.2j), wp, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the real scratch (1.5 blocks), the kernel's transform buffer, the
-        # folded terms and numpy's transform plan: 4.7 blocks of 16 Ki
-        # complex values at the peak
-        assert peak <= 6 * quadrature.BLOCK_POINTS * 16
+        # each part of the walk holds the real scratch (1.5 blocks), the
+        # kernel's transform buffer and the folded terms, and numpy's
+        # transform plan comes on top: 4.4 blocks of complex values at the
+        # peak with one part, 7.6 with two
+        for workers in (1, 2):
+            monkeypatch.setattr(quadrature, "_workers", lambda: workers)
+            tracemalloc.start()
+            try:
+                reproduce(f, KernelPoint(0.3 - 0.2j), wp, grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= workers * 6 * quadrature.BLOCK_POINTS * 16
+
+    def test_alias_bound_exceeds_one_on_a_coarse_grid_near_the_boundary(self):
+        # f = 1, xi = -1 + 1e-12, 64 x 16 and |w| = 1 - 2^-53: the last radius
+        # is 1 - 2^-53 too and carries almost all the weight.  Every
+        # c_n = prod_{m <= n} (1 + (xi+1)/m) lies in [1, 1 + 1e-10] for
+        # n < 1e18, and the terms past 1e18 are below e^-200 of the first,
+        # so the bound is sum_i W_i y_i/(1 - y_i), y_i = (r_i |w|)^M, within
+        # 1e-10 relative.  1 - r_i |w| and 1 - y_i are formed without
+        # cancellation.
+        wp = WeightParam(-1.0 + 1e-12)
+        grid = QuadratureGrid(wp, 64, 16)
+        m, w = grid.angular_points, 1.0 - 2.0**-53
+        gap = (1.0 - grid.radii) + (1.0 - w) - (1.0 - grid.radii) * (1.0 - w)
+        y_gap = -np.expm1(m * np.log1p(-gap))
+        bound = np.sum(grid.radial_weights * (1.0 - y_gap) / y_gap)
+        assert bound >= 1.0
+        # reproduce returns finite values this far from f(w) = 1, without an
+        # error; on the real axis every aliased term is positive, so the
+        # error is the bound itself
+        f = CoeffVector([1.0])
+        for point in (w, w * 1j, -w):
+            value = reproduce(f, KernelPoint(point), wp, grid)
+            assert np.isfinite(value) and abs(value - 1.0) <= bound * (1.0 + 1e-9)
+        assert reproduce(f, KernelPoint(w), wp, grid) - 1.0 == pytest.approx(bound, rel=1e-9)
+
+    @pytest.mark.parametrize("size", [(128, 512), (512, 2048)])
+    def test_reproduce_meets_its_alias_bound(self, size):
+        # on disc_oracle_scale's grids at |w| = 0.995, where the aliasing is
+        # far above rounding: the error is within the bound, and equal to it
+        # when w > 0 and every a_k >= 0.  The rounding allowance is that of
+        # assert_reproduce_is_the_pointwise_sum, with each row's kernel at
+        # its largest modulus (1 - r_i |w|)^-(xi+2)
+        rng = np.random.default_rng(41)
+        u = np.finfo(float).eps / 2
+        r, m = size
+        for x in (-0.5, 0.0, 2.5):
+            wp = WeightParam(x)
+            grid = QuadratureGrid(wp, r, m)
+            for f, w in (
+                (CoeffVector(np.abs(rng.normal(size=25))), KernelPoint(0.995)),
+                (CoeffVector(rng.normal(size=25) + 1j * rng.normal(size=25)), KernelPoint(0.995 * np.exp(2j))),
+            ):
+                n = len(f.coeffs)
+                near = grid.radii * abs(w.w)
+                peak = (1.0 - near) ** -(x + 2.0)
+                absolute = np.sum(grid.radial_weights * CoeffVector(np.abs(f.coeffs))(grid.radii).real * peak)
+                spread = np.max(near / (1.0 - near))
+                allowance = np.sqrt(2.0) * (3 * n + m + 4 * np.log2(m) + r + 8) * u * absolute
+                allowance += ((x + 2.0) * (4.0 + 30.0 * spread) + 24.0) * u * absolute
+                bound = alias_bound(f, w, wp, grid)
+                assert bound > 1e3 * allowance
+                error = reproduce(f, w, wp, grid) - f(w.w)
+                assert abs(error) <= bound + allowance
+                if w.w.imag == 0:
+                    assert abs(error - bound) <= allowance
 
     def test_rejects_coarse_grid(self):
         grid = QuadratureGrid(WeightParam(0.0), radial_points=8)
