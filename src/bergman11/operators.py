@@ -52,14 +52,6 @@ class FirstOrderOp:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def __rmul__(self, scalar) -> "FirstOrderOp":
-        return FirstOrderOp(self.fcoeffs * complex(scalar), self.gcoeffs * complex(scalar))
-
-    def plus_scalar(self, scalar) -> "FirstOrderOp":
-        g = self.gcoeffs.copy()
-        g[..., 0] += complex(scalar)
-        return FirstOrderOp(self.fcoeffs, g)
-
 
 def stack(ops) -> FirstOrderOp:
     """One batch of ``ops``, each zero-padded to the longest f and g among them."""
@@ -71,9 +63,8 @@ def stack(ops) -> FirstOrderOp:
     return FirstOrderOp(rows([op.fcoeffs for op in ops]), rows([op.gcoeffs for op in ops]))
 
 
-def apply(op: FirstOrderOp, h, degree: Optional[int] = None):
-    """Coefficients of f*h' + g*h for one operator, optionally truncated at
-    ``degree``.
+def apply(op: FirstOrderOp, h):
+    """Coefficients of f*h' + g*h for one operator.
 
     ``h`` is a CoeffVector, giving a CoeffVector, or a (..., deg+1) coefficient
     batch, giving the batch of images over the same leading axes.  The
@@ -89,8 +80,6 @@ def apply(op: FirstOrderOp, h, degree: Optional[int] = None):
         for j, cj in enumerate(c):
             if cj != 0:
                 out[..., j : j + x.shape[-1]] += cj * x
-    if degree is not None:
-        out = out[..., : degree + 1]
     return CoeffVector(out) if isinstance(h, CoeffVector) else out
 
 
@@ -246,7 +235,10 @@ def to_rep(a: float, b: float, c: complex, xi: WeightParam) -> RepDecomposition:
 
 def from_rep(dec: RepDecomposition, xi: WeightParam) -> FirstOrderOp:
     """The operator i * rep_operator(coords) + d."""
-    return (1j * rep_operator(dec.coords, xi)).plus_scalar(dec.d)
+    op = rep_operator(dec.coords, xi)
+    g = op.gcoeffs * 1j
+    g[..., 0] += dec.d
+    return FirstOrderOp(op.fcoeffs * 1j, g)
 
 
 def derived_op(u: LieElement, xi: WeightParam) -> FirstOrderOp:
@@ -289,9 +281,6 @@ def commutator_matrix(op1: FirstOrderOp, op2: FirstOrderOp, xi: WeightParam, deg
 class ZhuScanReport:
     """Result of the scalar-commutator scan over random algebra pairs."""
 
-    samples: int
-    xi: float
-    seed: int
     scalar_hits: int
     max_scalar_magnitude: float
     min_nonscalar_margin: float
@@ -319,9 +308,6 @@ def zhu_scan(samples: int, xi: WeightParam, seed: int, tol: float = 1e-8) -> Zhu
             f"commutator operator within {tol} of nonzero scalar {eta[np.argmax(np.abs(eta))]}"
         )
     return ZhuScanReport(
-        samples=samples,
-        xi=xi.xi,
-        seed=seed,
         scalar_hits=int(np.count_nonzero(hit)),
         max_scalar_magnitude=float(np.max(np.abs(eta), initial=0.0)),
         min_nonscalar_margin=0.0 if np.all(hit) else float(np.min(distance[~hit])),
@@ -335,6 +321,6 @@ def bracket_op(u: LieElement, v: LieElement, xi: WeightParam) -> FirstOrderOp:
 
 def hermiticity_defect(m: np.ndarray):
     """Max entrywise deviation of a matrix from its conjugate transpose: a
-    float, or an array over the leading axes of a stack of matrices."""
-    defect = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), axis=(-2, -1))
-    return float(defect) if defect.ndim == 0 else defect
+    numpy float scalar, or an array over the leading axes of a stack of
+    matrices."""
+    return np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), axis=(-2, -1))

@@ -353,12 +353,13 @@ def _radial_sum(rows: np.ndarray, grid: QuadratureGrid) -> complex:
 def integrate(F, grid: QuadratureGrid) -> complex:
     """Approximate the integral of F over the disc against d(nu_xi).
 
-    F is an elementwise callable on complex arrays, such as a CoeffVector.  It
-    is called once per block of whole radial rows (``BLOCK_POINTS`` nodes, or
-    one row when a row is longer), never on the full grid, so its temporaries
-    stay in cache.  The blocks are walked in parts, one per CPU the process
-    may run on up to ``MAX_PARTS`` (``_walk``), so F may be called from several threads at once,
-    on disjoint blocks, in no fixed order, under the caller's
+    F is an elementwise callable on complex arrays, such as a CoeffVector; a
+    result not of its block's shape raises ValueError.  It is called once per
+    block of whole radial rows (``BLOCK_POINTS`` nodes, or one row when a row
+    is longer), never on the full grid, so its temporaries stay in cache.  The
+    blocks are walked in parts, one per CPU the process may run on up to
+    ``MAX_PARTS`` (``_walk``), so F may be called from several threads at
+    once, on disjoint blocks, in no fixed order, under the caller's
     ``np.errstate``; every integrand in this package is safe for that.  Each
     part forms its blocks' nodes from the grid's factors in one buffer of its
     own, and they are read-only.  Each row is summed over its angular nodes,
@@ -380,7 +381,7 @@ def integrate(F, grid: QuadratureGrid) -> complex:
             block.flags.writeable = False
             samples = np.asarray(F(block), dtype=np.complex128)
             if samples.shape != block.shape:
-                samples = np.broadcast_to(samples, block.shape)
+                raise ValueError(f"integrand gave shape {samples.shape} on a block of shape {block.shape}")
             sums = rows[start:stop]
             # an overflow or inf - inf shows as a non-finite row sum, which raises below
             with np.errstate(over="ignore", invalid="ignore"):

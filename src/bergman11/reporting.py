@@ -6,7 +6,6 @@ bit-reproducible and round-trip exactly through text (non-finite ones as json's 
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -23,14 +22,10 @@ def format_float(x: float) -> str:
 def _wrap(obj):
     if isinstance(obj, np.generic):
         obj = obj.item()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = dataclasses.asdict(obj)
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, float):
         return f"{_MARK}{format_float(obj)}{_MARK}"
-    if isinstance(obj, complex):
-        return {"re": _wrap(obj.real), "im": _wrap(obj.imag)}
     if isinstance(obj, dict):
         return {str(k): _wrap(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -38,13 +33,14 @@ def _wrap(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """json.dumps with floats rendered at 17 significant digits.
+def dumps(obj) -> str:
+    """json.dumps, indented by 2, with floats rendered at 17 significant digits.
 
-    Numpy scalars become Python scalars, dataclasses become dicts and complex
-    numbers become {"re", "im"}; any other type raises TypeError.
+    ``obj`` nests dicts, lists and tuples of None, bools, ints, strings and
+    floats; numpy scalars become Python scalars, so a numpy float is written
+    with the same 17 digits.  Any other type raises TypeError.
     """
-    text = json.dumps(_wrap(obj), indent=indent)
+    text = json.dumps(_wrap(obj), indent=2)
     # unquote the marked float tokens (the marker is escaped inside strings)
     mark = "\\u0000f17\\u0000"
     return text.replace(f'"{mark}', "").replace(f'{mark}"', "")

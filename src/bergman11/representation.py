@@ -95,21 +95,21 @@ def group_act(x, f, z, xi: WeightParam):
     return np.reshape(out, shape) if shape else complex(out)
 
 
-def derivative_check(u: LieElement, f: CoeffVector, t, xi: WeightParam, sample_points):
+def derivative_check(u: LieElement, f: CoeffVector, steps, xi: WeightParam, sample_points) -> np.ndarray:
     """Max abs error of the central difference of the group action against the
-    derived operator on the sample points.  Contract: O(t^2).
+    derived operator on the sample points, one per step t.  Contract: O(t^2).
 
-    ``t`` is a step, giving a float, or a sequence of steps, giving an array
-    of errors; the group elements exp(+-t u) of all steps are acted with in
-    one ``group_act`` call, and the derived operator is applied once."""
-    steps = [float(s) for s in np.atleast_1d(t)]
+    ``steps`` is a sequence of steps, giving the array of their errors; the
+    group elements exp(+-t u) of all steps are acted with in one ``group_act``
+    call, and the derived operator is applied once."""
+    steps = [float(s) for s in steps]
     if not all(0.0 < s <= 1e-3 for s in steps):
         raise ValueError("step must satisfy 0 < t <= 1e-3")
     pts = np.asarray(sample_points, dtype=np.complex128)
     acted = group_act([exp_at(u, sign * s) for s in steps for sign in (1.0, -1.0)], f, pts, xi)
     direct = np.asarray(apply(derived_op(u, xi), f)(pts))
     errors = [np.max(np.abs((plus - minus) / (2.0 * s) - direct)) for s, plus, minus in zip(steps, acted[::2], acted[1::2])]
-    return float(errors[0]) if np.ndim(t) == 0 else np.array(errors)
+    return np.array(errors)
 
 
 def xnorm_sq(f, xi: WeightParam):

@@ -42,10 +42,6 @@ def _shifted_apply(op, a: np.ndarray, shift) -> np.ndarray:
     return out
 
 
-def _scalar_or_array(x):
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def lie_up(
     u_elt: LieElement,
     v_elt: LieElement,
@@ -56,9 +52,9 @@ def lie_up(
 ) -> UncertaintyReport:
     """Evaluate the abstract Lie-algebra uncertainty inequality.
 
-    ``u`` is a CoeffVector, giving floats, or a (..., deg+1) coefficient
-    batch with shifts x, y that broadcast against its leading axes, as in
-    ``soltani_up``.
+    ``u`` is a CoeffVector, giving numpy float scalars, or a (..., deg+1)
+    coefficient batch with shifts x, y that broadcast against its leading
+    axes, as in ``soltani_up``.
     """
     a = _coeffs(u)
     s = inner_product(apply(bracket_op(u_elt, v_elt, xi), a), a, xi)
@@ -67,8 +63,8 @@ def lie_up(
     nv = np.sqrt(bergman_norm_sq(_shifted_apply(derived_op(v_elt, xi), a, y), xi))
     rhs = 2.0 * nu * nv
     return UncertaintyReport(
-        lhs=_scalar_or_array(lhs),
-        rhs=_scalar_or_array(rhs),
+        lhs=lhs,
+        rhs=rhs,
         inputs={"kind": "lie", "x": x, "y": y, "xi": xi.xi, "deg": a.shape[-1] - 1},
     )
 
@@ -91,9 +87,9 @@ def soltani_up(f, w, y, xi: WeightParam) -> UncertaintyReport:
     construction; rhs is the product of the norms of
     (1+z^2) f' + ((xi+2) z + i w) f and (z^2 - 1) f' + ((xi+2) z + y) f.
 
-    ``f`` is a CoeffVector, giving floats, or a (..., deg+1) coefficient batch;
-    ``w`` and ``y`` are numbers or arrays that broadcast against the batch
-    shape, and ``rhs`` has the broadcast shape.
+    ``f`` is a CoeffVector, giving numpy float scalars, or a (..., deg+1)
+    coefficient batch; ``w`` and ``y`` are numbers or arrays that broadcast
+    against the batch shape, and ``rhs`` has the broadcast shape.
     """
     a = _coeffs(f)
     p = xi.xi + 2.0
@@ -105,22 +101,22 @@ def soltani_up(f, w, y, xi: WeightParam) -> UncertaintyReport:
     rhs = np.sqrt(bergman_norm_sq(a_op_f + iw * f_pad, xi)) * np.sqrt(bergman_norm_sq(b_op_f + yy * f_pad, xi))
     return UncertaintyReport(
         lhs=lhs,
-        rhs=_scalar_or_array(rhs),
+        rhs=rhs,
         inputs={"kind": "soltani", "w": w, "y": y, "xi": xi.xi, "deg": a.shape[-1] - 1},
     )
 
 
 def consistency_check(f, w, y, xi: WeightParam):
     """Max discrepancy between soltani_up and the lie_up route through (W, Y):
-    a float for a CoeffVector, an array over a batch (shifts as in ``soltani_up``).
+    a numpy float scalar for a CoeffVector, an array over a batch (shifts as
+    in ``soltani_up``).
 
     The first rhs factor equals ||(Pi(W) - w) f|| and both sides of the lie
     route carry an overall factor 2 that cancels.
     """
     direct = soltani_up(f, w, y, xi)
     via_lie = lie_up(W_GEN, Y_GEN, f, np.negative(w), y, xi)
-    gap = np.maximum(np.abs(direct.lhs - via_lie.lhs / 2.0), np.abs(direct.rhs - via_lie.rhs / 2.0))
-    return _scalar_or_array(gap)
+    return np.maximum(np.abs(direct.lhs - via_lie.lhs / 2.0), np.abs(direct.rhs - via_lie.rhs / 2.0))
 
 
 def optimal_shifts(f: CoeffVector, xi: WeightParam) -> tuple:

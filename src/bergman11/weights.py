@@ -13,7 +13,7 @@ there.  The norms are exp(L), the orthonormal-basis scales s_k
 sum_k |a_k|^2 ||z^k||^2 phi_k  over the coefficients.
 
 The norms act on the last axis of a coefficient batch: they take a
-CoeffVector (a batch of one, giving a float) or an array of shape
+CoeffVector (a batch of one, giving a numpy scalar) or an array of shape
 (..., degree+1), zero-padded rows of polynomials of lower degree, and give an
 array over the leading axes.
 """
@@ -110,25 +110,8 @@ class CoeffVector:
             return NotImplemented
         return np.array_equal(self.trimmed().coeffs, other.trimmed().coeffs)
 
-    def __add__(self, other):
-        if not isinstance(other, CoeffVector):
-            return NotImplemented
-        n = max(self.degree, other.degree)
-        return CoeffVector(self.padded(n) + other.padded(n))
-
-    def __sub__(self, other):
-        if not isinstance(other, CoeffVector):
-            return NotImplemented
-        n = max(self.degree, other.degree)
-        return CoeffVector(self.padded(n) - other.padded(n))
-
-    def __mul__(self, scalar):
-        return CoeffVector(self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
-
     def __repr__(self):
-        return f"CoeffVector({list(self.coeffs)!r})"
+        return f"CoeffVector({self.coeffs.tolist()!r})"
 
 
 def _coeffs(f) -> np.ndarray:
@@ -173,21 +156,19 @@ def basis_scales(xi: WeightParam, degree: int) -> np.ndarray:
 
 def inner_product(f, g, xi: WeightParam):
     """Bergman inner product <f, g> via the diagonal coefficient sum over the
-    last axis: two CoeffVectors give a complex, batches an array over their
-    leading axes."""
+    last axis: two CoeffVectors give a numpy complex scalar, batches an array
+    over their leading axes."""
     a, b = _coeffs(f), _coeffs(g)
     n = max(a.shape[-1], b.shape[-1])
-    s = np.sum(_padded(a, n) * np.conj(_padded(b, n)) * monomial_norms_sq(xi, n - 1), axis=-1)
-    return complex(s) if s.ndim == 0 else s
+    return np.sum(_padded(a, n) * np.conj(_padded(b, n)) * monomial_norms_sq(xi, n - 1), axis=-1)
 
 
 def weighted_norm_sq(f, xi: WeightParam, phi):
     """sum_k |a_k|^2 ||z^k||^2 phi_k over the last axis of f's coefficients;
     ``phi`` is a scalar or an array over k = 0..deg.  A CoeffVector gives a
-    float, a (..., deg+1) batch an array over its leading axes."""
+    numpy float scalar, a (..., deg+1) batch an array over its leading axes."""
     a = _coeffs(f)
-    s = np.sum(np.abs(a) ** 2 * monomial_norms_sq(xi, a.shape[-1] - 1) * phi, axis=-1)
-    return float(s) if s.ndim == 0 else s
+    return np.sum(np.abs(a) ** 2 * monomial_norms_sq(xi, a.shape[-1] - 1) * phi, axis=-1)
 
 
 def bergman_norm_sq(f, xi: WeightParam):

@@ -19,7 +19,7 @@ from bergman11.operators import (
     to_rep,
     zhu_scan,
 )
-from bergman11 import operators, reporting
+from bergman11 import operators
 
 D_DZ = FirstOrderOp(CoeffVector([1.0]), CoeffVector([0.0]))
 Z_D_DZ = FirstOrderOp(CoeffVector([0.0, 1.0]), CoeffVector([0.0]))
@@ -48,8 +48,8 @@ def gram_oracle(op, xi, degree):
 def commutator_oracle(op1, op2, xi, degree):
     """The double-application reference: L1 L2 e_n - L2 L1 e_n per column.
 
-    Each operator lowers the degree by at most one, so truncating at N+2
-    leaves every entry up to degree N exact."""
+    Each operator lowers the degree by at most one, so truncating the inner
+    image at N+2 leaves every entry up to degree N exact."""
     work = degree + 2
     scales = basis_scales(xi, work)
     out_scales = basis_scales(xi, degree)
@@ -57,9 +57,9 @@ def commutator_oracle(op1, op2, xi, degree):
     for n in range(degree + 1):
         en = np.zeros(n + 1, dtype=np.complex128)
         en[n] = scales[n]
-        e = CoeffVector(en)
-        col = apply(op1, apply(op2, e, work), work) - apply(op2, apply(op1, e, work), work)
-        m[:, n] = col.padded(degree) / out_scales
+        l12 = CoeffVector(apply(op1, apply(op2, en)[: work + 1]))
+        l21 = CoeffVector(apply(op2, apply(op1, en)[: work + 1]))
+        m[:, n] = (l12.padded(degree) - l21.padded(degree)) / out_scales
     return m
 
 
@@ -87,15 +87,11 @@ class TestApply:
         for k in range(5):
             zk = np.zeros(k + 1)
             zk[k] = 1.0
-            assert apply(Z_D_DZ, CoeffVector(zk)) == k * CoeffVector(zk)
+            assert apply(Z_D_DZ, CoeffVector(zk)) == CoeffVector(k * zk)
 
     def test_multiplication_part(self):
         op = FirstOrderOp(CoeffVector([0.0]), CoeffVector([1.0, 2.0]))
         assert apply(op, CoeffVector([1, 1])) == CoeffVector([1, 3, 2])
-
-    def test_truncation(self):
-        op = FirstOrderOp(CoeffVector([0, 0, 1]), CoeffVector([0.0]))
-        assert apply(op, CoeffVector([0, 0, 1]), degree=2) == CoeffVector([0])
 
     def test_bracket_operator_on_constant(self):
         # [pi(W), pi(Y)] = pi(-2X) sends 1 to 4i at weight zero
@@ -104,12 +100,8 @@ class TestApply:
 
     def test_linearity_in_operator(self):
         op = FirstOrderOp(CoeffVector([1.0, 2.0]), CoeffVector([0.0]))  # D_DZ + 2 Z_D_DZ
-        f = CoeffVector([1, 1, 1])
-        assert apply(op, f) == apply(D_DZ, f) + 2.0 * apply(Z_D_DZ, f)
-
-    def test_plus_scalar(self):
-        op = Z_D_DZ.plus_scalar(3.0)
-        assert apply(op, CoeffVector([0, 1])) == CoeffVector([0, 4])
+        f = np.array([1, 1, 1])
+        assert np.array_equal(apply(op, f), apply(D_DZ, f) + 2.0 * apply(Z_D_DZ, f))
 
     def test_operator_holds_finite_read_only_copies(self):
         with pytest.raises(ValueError, match="finite"):
@@ -156,12 +148,13 @@ class TestClosedForms:
     def test_commutator_operator_on_coefficients(self):
         rng = np.random.default_rng(32)
         for op1, op2, _, n in oracle_cases(33, 50):
-            h = CoeffVector(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+            h = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
             l12, l21 = apply(op1, apply(op2, h)), apply(op2, apply(op1, h))
             got = apply(commutator(op1, op2), h)
-            n_out = max(got.degree, l12.degree)
-            diff = got.padded(n_out) - (l12 - l21).padded(n_out)
-            scale = max(np.max(np.abs(l12.coeffs)), np.max(np.abs(l21.coeffs)))
+            n_out = max(len(got), len(l12), len(l21))
+            got, l12, l21 = (np.pad(a, (0, n_out - len(a))) for a in (got, l12, l21))
+            diff = got - (l12 - l21)
+            scale = max(np.max(np.abs(l12)), np.max(np.abs(l21)))
             assert np.max(np.abs(diff)) <= 1e-13 * scale
 
     def test_large_n_builds_bands_without_apply(self, monkeypatch):
@@ -308,10 +301,6 @@ class TestZhuScan:
         # at xi = 2, tol = 2 some hits have |q_0| = 4|sigma + lam| > tol
         with pytest.raises(RuntimeError, match="nonzero scalar"):
             zhu_scan(500, WeightParam(2.0), 113, 2.0)
-
-    def test_report_roundtrips_to_json(self):
-        report = zhu_scan(10, WeightParam(0.0), seed=1)
-        assert '"samples": 10' in reporting.dumps(report)
 
 
 class TestGramPrecision:

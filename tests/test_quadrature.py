@@ -229,17 +229,11 @@ def grid_rows(grid, z):
     return rows
 
 
-def assert_each_block_once(seen, grid):
-    """The row ranges an integrand was called on, in whatever order the parts
-    of the walk called it, are the blocks: each once, together every row."""
-    seen = sorted(seen, key=lambda rows: rows.start)
-    assert seen[0].start == 0 and seen[-1].stop == grid.radial_points
-    assert all(a.stop == b.start for a, b in zip(seen, seen[1:]))
-
-
 # (R, M) with several blocks: 24 rows a block and R not a multiple of it;
 # 8 rows a block with M not a power of two; one row a block, M > BLOCK_POINTS
 BLOCKED_SIZES = [(100, 1000), (37, 3000), (30, 20000)]
+# (R, M) of one block at the default BLOCK_POINTS, and of three
+SMALL_SIZES = [(64, 256), (128, 512)]
 REPRODUCE_XIS = (-0.9, 0.0, 2.5, 40.0, 98.0)
 
 
@@ -351,39 +345,26 @@ class TestBlockedIntegrate:
             seen.append(rows)
             return np.ones_like(z)
 
-        integrate(record, grid)
-        assert_each_block_once(seen, grid)
+        assert integrate(record, grid) == pytest.approx(1.0, abs=1e-12)
+        # in whatever order the parts of the walk called it, the integrand saw
+        # each block of whole rows once: BLOCK_POINTS nodes, or one row
+        r, m = size
+        step = max(1, quadrature.BLOCK_POINTS // m)
+        assert sorted(seen, key=lambda rows: rows.start) == [slice(i, min(i + step, r)) for i in range(0, r, step)]
         assert grid.nodes.tobytes() == outer.tobytes()
 
-    def test_first_non_finite_node_in_a_later_block(self):
-        # rows 0-23 are the first block and clean; the NaN at row 50 comes
-        # before the inf at row 80, which sits in a later block still
+    @pytest.mark.parametrize(
+        "result, shape",
+        [(lambda z: 1.0, "()"), (lambda z: z[0], "(1000,)"), (lambda z: z[:, :1], "(24, 1)")],
+        ids=["scalar", "row", "column"],
+    )
+    def test_integrand_must_be_elementwise(self, result, shape):
+        # a scalar, one row or one column is neither broadcast nor summed as a
+        # block; the error is the first block's (24 rows), the caller's part
         grid = QuadratureGrid(WeightParam(0.0), 100, 1000)
-
-        def bad(z):
-            out = np.ones_like(z)
-            rows = grid_rows(grid, z)
-            for (i, j), value in (((50, 7), np.nan), ((80, 3), np.inf)):
-                if rows.start <= i < rows.stop:
-                    out[i - rows.start, j] = value
-            return out
-
-        with pytest.raises(ValueError, match="node") as err:
-            integrate(bad, grid)
-        assert f"z={grid.nodes[50, 7]}" in str(err.value)
-
-    def test_integrand_sees_one_block_of_whole_rows(self):
-        grid = QuadratureGrid(WeightParam(0.0), 100, 1000)
-        seen = []
-
-        def record(z):
-            seen.append(grid_rows(grid, z))
-            return np.ones_like(z)
-
-        assert integrate(record, grid) == pytest.approx(1.0, abs=1e-12)
-        step = quadrature.BLOCK_POINTS // grid.angular_points
-        blocks = [slice(i, min(i + step, 100)) for i in range(0, 100, step)]
-        assert sorted(seen, key=lambda rows: rows.start) == blocks
+        with pytest.raises(ValueError) as err:
+            integrate(result, grid)
+        assert str(err.value) == f"integrand gave shape {shape} on a block of shape (24, 1000)"
 
 
 def pin_workers(monkeypatch, count):
@@ -417,44 +398,39 @@ class TestParallelWalk:
         monkeypatch.setattr(quadrature.os, "cpu_count", lambda: 64)
         assert quadrature._workers() == 2
 
-    @pytest.mark.parametrize("size", BLOCKED_SIZES + [(512, 2048)])
+    @pytest.mark.parametrize("size", BLOCKED_SIZES + [(512, 2048)] + SMALL_SIZES)
     def test_same_bits_at_any_worker_count(self, size, monkeypatch):
         # one row a block, the default, a ragged split and one block, at one
         # worker and at more workers than a two-CPU machine has; the lock is
-        # handed between threads as often as the interpreter allows
+        # handed between threads as often as the interpreter allows.  Each row
+        # is transformed and summed alone, so on the small grids reproduce has
+        # the same bits from xi near -1 to 40; there verify's |pi(g) f|^2,
+        # which writes into the group action's own buffer, is integrated too
         rng = np.random.default_rng(31)
-        wp = WeightParam(0.7)
-        grid = QuadratureGrid(wp, *size)
         f = CoeffVector(rng.normal(size=25) + 1j * rng.normal(size=25))
         w = KernelPoint(0.5 - 0.4j)
-        r, m = size
-        got = set()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for points in (m, quadrature.BLOCK_POINTS, 7 * m, r * m):
-                monkeypatch.setattr(quadrature, "BLOCK_POINTS", points)
-                for count in (1, 2, 3):
-                    pin_workers(monkeypatch, count)
-                    values = [integrate(lambda z: np.abs(f(z)) ** 2, grid), reproduce(f, w, wp, grid)]
-                    got.add(np.array(values).tobytes())
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(got) == 1
-
-    def test_unitarity_integrand_same_bits(self, monkeypatch):
-        # verify's |pi(g) f|^2, which writes into the group action's own buffer
-        rng = np.random.default_rng(37)
-        wp = WeightParam(2.0)
-        grid = QuadratureGrid(wp, 128, 512)
-        assert len(quadrature._blocks(grid)) > 1
         g = su11.exp_at(verification._random_element(rng), 0.4)
-        F = functools.partial(verification._modulus_sq, g, verification._random_poly(rng, 12), wp)
-        got = []
-        for count in (1, 2):
-            pin_workers(monkeypatch, count)
-            got.append(np.array(integrate(F, grid)).tobytes())
-        assert got[0] == got[1]
+        unitarity = functools.partial(verification._modulus_sq, g, verification._random_poly(rng, 12), WeightParam(2.0))
+        r, m = size
+        small = size in SMALL_SIZES
+        for x in (-0.9, 0.0, 2.5, 40.0) if small else (0.7,):
+            wp = WeightParam(x)
+            grid = QuadratureGrid(wp, r, m)
+            got = set()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for points in (m, quadrature.BLOCK_POINTS, 7 * m, r * m):
+                    monkeypatch.setattr(quadrature, "BLOCK_POINTS", points)
+                    for count in (1, 2, 3):
+                        pin_workers(monkeypatch, count)
+                        values = [integrate(lambda z: np.abs(f(z)) ** 2, grid), reproduce(f, w, wp, grid)]
+                        if small:
+                            values.append(integrate(unitarity, grid))
+                        got.add(np.array(values).tobytes())
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(got) == 1
 
     def test_error_in_a_helper_reaches_the_caller(self, monkeypatch):
         grid = QuadratureGrid(WeightParam(0.0), 100, 1000)
@@ -477,29 +453,31 @@ class TestParallelWalk:
         assert len(raised) == 1 and raised[0] != caller
 
     def test_earlier_rows_error_wins(self, monkeypatch):
-        # row 5 is in the first block (the caller's part), row 95 in the last
-        # (a helper's); the caller's part is held back, so the helper fails
-        # first, and still the serial walk's error is raised
+        # first layout: row 5 is in the first block (the caller's part), row
+        # 95 in the last (a helper's); the caller's part is held back, so the
+        # helper fails first, and still the serial walk's error is raised.
+        # Second layout: rows 0-47 are clean, and the NaN at row 50 comes
+        # before the inf at row 80, in a later block of the helper's part
         grid = QuadratureGrid(WeightParam(0.0), 100, 1000)
-        bad = {(5, 7): np.nan, (95, 3): np.inf}
+        for first, second in (((5, 7), (95, 3)), ((50, 7), (80, 3))):
 
-        def two_bad_blocks(z):
-            rows = grid_rows(grid, z)
-            if rows.start == 0:
-                time.sleep(0.05)
-            out = np.ones_like(z)
-            for (i, j), value in bad.items():
-                if rows.start <= i < rows.stop:
-                    out[i - rows.start, j] = value
-            return out
+            def two_bad_blocks(z):
+                rows = grid_rows(grid, z)
+                if rows.start == 0:
+                    time.sleep(0.05)
+                out = np.ones_like(z)
+                for (i, j), value in ((first, np.nan), (second, np.inf)):
+                    if rows.start <= i < rows.stop:
+                        out[i - rows.start, j] = value
+                return out
 
-        messages = []
-        for count in (1, 2):
-            pin_workers(monkeypatch, count)
-            with pytest.raises(ValueError) as err:
-                integrate(two_bad_blocks, grid)
-            messages.append(str(err.value))
-        assert messages == [f"non-finite sample at quadrature node z={grid.nodes[5, 7]}"] * 2
+            messages = []
+            for count in (1, 2):
+                pin_workers(monkeypatch, count)
+                with pytest.raises(ValueError) as err:
+                    integrate(two_bad_blocks, grid)
+                messages.append(str(err.value))
+            assert messages == [f"non-finite sample at quadrature node z={grid.nodes[first]}"] * 2
 
     def test_earlier_rows_overflow_wins_in_reproduce(self, monkeypatch):
         # conj(K) f overflows on the outer rows, from row 167 on: in the
@@ -698,22 +676,6 @@ class TestReproduce:
     def test_basis_vector_at_origin(self, grid0):
         e2 = CoeffVector([0, 0, basis_scales(WeightParam(0.0), 2)[2]])
         assert abs(reproduce(e2, KernelPoint(0.0), WeightParam(0.0), grid0)) <= 1e-10
-
-    @pytest.mark.parametrize("size", [(64, 256), (128, 512)])
-    def test_blocking_changes_no_bit(self, size, monkeypatch):
-        # each row is transformed and summed alone, so how many rows a block
-        # holds changes no bit: one row a block, a ragged split, one block
-        rng = np.random.default_rng(17)
-        for x in (-0.9, 0.0, 2.5, 40.0):
-            wp = WeightParam(x)
-            grid = QuadratureGrid(wp, *size)
-            f = CoeffVector(rng.normal(size=25) + 1j * rng.normal(size=25))
-            w = KernelPoint(complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)))
-            want = reproduce(f, w, wp, grid)
-            for points in (1, 7 * size[1], size[0] * size[1]):
-                monkeypatch.setattr(quadrature, "BLOCK_POINTS", points)
-                assert reproduce(f, w, wp, grid) == want
-            monkeypatch.undo()
 
     def test_overflow_raises(self):
         # |K| reaches 2.3e90 here, so conj(K) f overflows: a ValueError, never inf or NaN

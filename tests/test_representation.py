@@ -70,26 +70,26 @@ class TestDerivedOp:
 class TestDerivativeCheck:
     def test_rotation_on_constant(self):
         wp = WeightParam(0.0)
-        err = derivative_check(X_GEN, CoeffVector([1.0]), 1e-3, wp, SAMPLE_PTS)
+        (err,) = derivative_check(X_GEN, CoeffVector([1.0]), [1e-3], wp, SAMPLE_PTS)
         assert err <= 1e-5  # pi(X) 1 = -2i, central difference converges as t^2
 
     def test_zero_element_exact(self):
         wp = WeightParam(1.0)
-        err = derivative_check(LieElement(0.0, 0.0), CoeffVector([1, 2]), 1e-3, wp, SAMPLE_PTS)
+        (err,) = derivative_check(LieElement(0.0, 0.0), CoeffVector([1, 2]), [1e-3], wp, SAMPLE_PTS)
         assert err == 0.0
 
     def test_second_order_convergence(self):
         wp = WeightParam(0.0)
         f = CoeffVector([1, 0.3, -0.7j])
         for u in (X_GEN, Y_GEN, Z_GEN):
-            e1 = derivative_check(u, f, 1e-3, wp, SAMPLE_PTS)
-            e2 = derivative_check(u, f, 5e-4, wp, SAMPLE_PTS)
+            (e1,) = derivative_check(u, f, [1e-3], wp, SAMPLE_PTS)
+            (e2,) = derivative_check(u, f, [5e-4], wp, SAMPLE_PTS)
             assert e1 / e2 == pytest.approx(4.0, rel=0.05)
 
     def test_step_validation(self):
         wp = WeightParam(0.0)
         with pytest.raises(ValueError):
-            derivative_check(X_GEN, CoeffVector([1]), 0.1, wp, SAMPLE_PTS)
+            derivative_check(X_GEN, CoeffVector([1]), [0.1], wp, SAMPLE_PTS)
 
 
 class TestXnorm:

@@ -1,10 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from bergman11 import reporting
 from bergman11.su11 import (
     BasisCoords,
     GroupElement,
@@ -69,11 +66,6 @@ class TestAlgebra:
         c = coords(us)
         assert np.array_equal(c.sigma, [coords(u).sigma for u, _ in pairs])
 
-    def test_serialization_roundtrip(self):
-        u = LieElement(0.3, 1.2 - 0.7j)
-        d = json.loads(reporting.dumps(u))
-        assert LieElement(d["a"], complex(d["b"]["re"], d["b"]["im"])) == u
-
 
 class TestCoords:
     def test_basis_coordinates(self):
@@ -110,12 +102,6 @@ class TestGroupElement:
         # g^{-1} = [[conj(alpha), -beta], [-conj(beta), alpha]]
         e = g @ GroupElement(np.conj(g.alpha), -g.beta)
         assert abs(e.alpha - 1.0) <= 1e-12 and abs(e.beta) <= 1e-12
-
-    def test_serialization_roundtrip(self):
-        g = exp_at(Y_GEN, 0.7)
-        d = json.loads(reporting.dumps(g))
-        h = GroupElement(complex(d["alpha"]["re"], d["alpha"]["im"]), complex(d["beta"]["re"], d["beta"]["im"]))
-        assert h.alpha == g.alpha and h.beta == g.beta
 
 
 class TestExponential:

@@ -90,6 +90,11 @@ class TestCoeffVector:
         with pytest.raises(TypeError):
             hash(CoeffVector([1.0]))
 
+    def test_repr_evaluates_to_an_equal_vector(self):
+        f = CoeffVector([1.0, 0.5j, 0.1 + 2e-300j, 0.0])
+        assert repr(f) == "CoeffVector([(1+0j), 0.5j, (0.1+2e-300j), 0j])"
+        assert eval(repr(f), {"CoeffVector": CoeffVector}) == f
+
 
 def horner_alloc(coeffs, z):
     """Test oracle: Horner's rule with a fresh array per step."""
@@ -165,8 +170,8 @@ class TestInnerProduct:
 
     def test_sesquilinear(self):
         wp = WeightParam(0.0)
-        f = CoeffVector([1, 1j])
-        g = CoeffVector([2, 1])
+        f = np.array([1, 1j])
+        g = np.array([2, 1])
         s = 0.5 - 2j
         assert inner_product(s * f, g, wp) == pytest.approx(s * inner_product(f, g, wp))
         assert inner_product(f, s * g, wp) == pytest.approx(
