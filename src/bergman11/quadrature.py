@@ -22,16 +22,22 @@ and an error is the one a walk in one part raises, though later parts may
 already have called the integrand.
 
 ``integrate`` forms the block's nodes r_i exp(i theta_j).  ``reproduce``
-forms none: it builds the kernel from the factors,
-1 - z conj(w) = 1 - r_i u_j with u_j = exp(i theta_j) conj(w), and checks
-the kernel's domain on the factors once per call.  Since the angular rule
-is the trapezoid rule on M equispaced points, the angular sum of
-conj(K) z^k on a row is one bin of the discrete Fourier transform of the
-row's kernel values (Trefethen and Weideman, SIAM Rev. 56, 2014, on the
-trapezoid rule), so ``reproduce`` transforms the kernel once per row
-instead of evaluating f at every node.  The same rule aliases the kernel's
-terms of degree n onto bin n mod M, which bounds how close to the unit
-circle ``reproduce`` resolves f(w) on a given M (see its docstring).
+forms none.  The measure is invariant under the rotations z -> e^(i phi) z,
+so <f, K_w> = <f_phi, K_|w|> with phi = arg w and f_phi(z) = f(e^(i phi) z),
+whose coefficients are a_k e^(ik phi); ``reproduce`` rotates the
+coefficients and builds the kernel of the real point |w| from the factors,
+1 - z |w| = 1 - r_i (|w| exp(i theta_j)), whose real part is positive at
+every node of every grid.  Since the angular rule is the trapezoid rule on
+M equispaced points, the angular sum of conj(K) z^k on a row is one bin of
+the discrete Fourier transform of the row's kernel values (Trefethen and
+Weideman, SIAM Rev. 56, 2014, on the trapezoid rule), so ``reproduce``
+transforms the kernel once per row instead of evaluating f at every node.
+For a real |w| the row is Hermitian (its value at M - j is the conjugate of
+its value at j), so its transform is real: ``reproduce`` evaluates the
+kernel on half the circle and takes a real inverse transform.  The same
+rule aliases the kernel's terms of degree n onto bin n mod M, which bounds
+how close to the unit circle ``reproduce`` resolves f(w) on a given M (see
+its docstring).
 
 The radial rule is computed in numpy (``gauss_jacobi``): Halley steps on the
 three-term recurrence from asymptotic initial guesses, as Hale and Townsend
@@ -64,9 +70,10 @@ STEP_TOL = 1e-6
 # Above this xi the initial guesses near s = 1 use Airy-zero phases (the
 # zeros there sit past a turning point); at or below it, Bessel zeros.
 _AIRY_XI = 3.0
-# Nodes per block of whole rows in ``integrate`` and ``reproduce``: 24 Ki
-# complex samples are 384 KiB, so the integrand's passes over a block stay in
-# L2.  A serial sweep over 4-128 Ki on the benchmark grids put 16 and 32 Ki
+# Nodes per block of whole rows in ``integrate``, and kernel values in
+# ``reproduce``, whose rows hold floor(M/2) + 1 of them (half the circle):
+# 24 Ki complex samples are 384 KiB, so the integrand's passes over a block
+# stay in L2.  A serial sweep over 4-128 Ki on the benchmark grids put 16 and 32 Ki
 # ahead; with the blocks walked on two CPUs, 24 and 32 Ki beat 16 Ki (fewer
 # hand-offs of the interpreter lock between ufunc calls), and 24 Ki holds
 # less memory (see CHANGES.md).  The default ``verify`` grids, 64 x 256 and
@@ -246,7 +253,7 @@ class QuadratureGrid:
         self.circle = np.exp(1j * self.angles)
         self.weights = np.broadcast_to(self.radial_weights[:, None] / angular_points, (radial_points, angular_points))
 
-        mass = float(np.sum(self.weights))
+        mass = float(np.sum(self.radial_weights))
         # written so that a NaN mass fails too
         if not abs(mass - 1.0) <= 1e-12:
             raise RuntimeError(f"quadrature weights sum to {mass}, expected 1")
@@ -269,14 +276,15 @@ class QuadratureGrid:
         return nodes
 
 
-def _blocks(grid: QuadratureGrid) -> list[tuple[int, int]]:
+def _blocks(grid: QuadratureGrid, row_length: int) -> list[tuple[int, int]]:
     """The row ranges (start, stop) of the blocks of whole radial rows that
-    ``integrate`` and ``reproduce`` walk: ``BLOCK_POINTS`` nodes a block, or
-    one row when a row is longer.  Only the last block may be shorter, so each
-    part of a walk (see ``_walk``) sizes its block buffers by its first block
-    and reuses them for the rest: a fresh 384 KiB array per block is mapped
-    and faulted in anew, which costs more than filling it."""
-    step = max(1, BLOCK_POINTS // grid.angular_points)
+    ``integrate`` and ``reproduce`` walk, when a row holds ``row_length``
+    values: ``BLOCK_POINTS`` values a block, or one row when a row is longer.
+    Only the last block may be shorter, so each part of a walk (see ``_walk``)
+    sizes its block buffers by its first block and reuses them for the rest: a
+    fresh 384 KiB array per block is mapped and faulted in anew, which costs
+    more than filling it."""
+    step = max(1, BLOCK_POINTS // row_length)
     return [(start, min(start + step, grid.radial_points)) for start in range(0, grid.radial_points, step)]
 
 
@@ -290,9 +298,10 @@ def _workers() -> int:
     return min(MAX_PARTS, cpus)
 
 
-def _walk(grid: QuadratureGrid, walk_part) -> complex:
+def _walk(grid: QuadratureGrid, walk_part, row_length: int) -> complex:
     """The radial sum of the row sums that ``walk_part`` writes, with the
-    grid's blocks walked in parts on up to ``_workers()`` threads.
+    grid's blocks (``_blocks`` of ``row_length``) walked in parts on up to
+    ``_workers()`` threads.
 
     The blocks are split into W = min(``_workers()``, blocks) contiguous
     parts.  ``walk_part(blocks, rows)`` walks one part's blocks in order in
@@ -304,7 +313,7 @@ def _walk(grid: QuadratureGrid, walk_part) -> complex:
     has joined, so the result is the serial walk's, bit for bit, for any W.
     Errors are raised in part order, so the first is the one the serial walk
     raises; parts after it may already have called the integrand."""
-    blocks = _blocks(grid)
+    blocks = _blocks(grid, row_length)
     count = min(_workers(), len(blocks))
     parts = [blocks[k * len(blocks) // count : (k + 1) * len(blocks) // count] for k in range(count)]
     rows = np.empty(grid.radial_points, dtype=np.complex128)
@@ -393,7 +402,7 @@ def integrate(F, grid: QuadratureGrid) -> complex:
                     raise ValueError(f"non-finite sample at quadrature node z={block[i, j]}")
                 raise _non_finite_row(sums, start, grid)
 
-    return _walk(grid, walk)
+    return _walk(grid, walk, grid.angular_points)
 
 
 def _kernel_from_b(b: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
@@ -441,8 +450,9 @@ def kernel_eval(z, w: KernelPoint, xi: WeightParam):
     only read: b = 1 - z*conj(w) is formed in a complex buffer the shape of
     ``z``, Re b and Im b are copied into three real planes of scratch, and
     ``_kernel_from_b`` writes the power b^(-(xi+2)) back into the complex
-    buffer.  ``reproduce`` forms b from the grid's factors and calls the same
-    core, so the power has one formula.  Against 40-digit mpmath the relative
+    buffer.  ``reproduce`` forms conj(b) = 1 - r_i (|w| conj(omega_j)) from the
+    grid's factors on half the circle and calls the same core, so the power
+    has one formula.  Against 40-digit mpmath the relative
     error in samples is at most 7.4e-15 at xi = -0.9 and 6.5e-13 at xi = 98
     for |w| <= 0.99 and |z| <= 0.999, to two digits the same as with np.cos
     and np.sin and as complex log/exp: the rounding of 1 - z*conj(w),
@@ -466,49 +476,58 @@ def reproduce(f: CoeffVector, w: KernelPoint, xi: WeightParam, grid: QuadratureG
     """Evaluate <f, K_w> by quadrature; the reproducing identity makes this f(w)
     up to the resolution limit below.
 
-    The angular rule is the trapezoid rule on the M points omega_j of the
-    circle, so with f(r omega) = sum_k a_k r^k omega^k the angular sum of
-    conj(K) f on row i is sum_k a_k r_i^k conj(F_i[k mod M]), where F_i is
-    the discrete Fourier transform of the row's kernel values.
+    The rotations z -> e^(i phi) z leave nu_xi invariant, so with rho = |w|,
+    phi = arg w and f_phi(z) = f(e^(i phi) z), whose coefficients are
+    a_k e^(ik phi), <f, K_w> = <f_phi, K_rho>.  ``reproduce`` applies the
+    grid's rule to the right-hand side: the same Gauss-Jacobi x trapezoid rule
+    with its angular origin turned to arg w.  The angular rule is the
+    trapezoid rule on the M points omega_j of the circle, so the angular sum
+    of conj(K_rho) f_phi on row i is sum_k a_k e^(ik phi) r_i^k G_i[k mod M]
+    with G_i[k] = sum_j conj(K_ij) omega_j^k, a discrete Fourier transform of
+    the row's kernel values K_ij = (1 - r_i rho omega_j)^-(xi+2).  Since
+    omega_(M-j) = conj(omega_j) and the principal power commutes with
+    conjugation, K_i,(M-j) = conj(K_ij): G_i is real, and the first
+    floor(M/2) + 1 values of the row determine it.
 
-    The kernel is built from the grid's factors, never from nodes.  Once per
-    call, u_j = omega_j conj(w) is formed (M values) and the domain is checked
-    on the factors: max r_i * max |u_j| < 1, or the ValueError of
-    ``kernel_eval``.  That also keeps Re b > 0 in rounding.  Within an ulp
-    of |z conj(w)| = 1 it can reject a w that ``kernel_eval`` accepts at
-    every node (|w| = 1 - 2^-53 as xi -> -1, where |u_j| rounds to
-    1 + 2^-52).  Then the blocks of rows are walked in parts as in
-    ``integrate``.  Per block,
-    Re b = 1 - r_i Re u_j and Im b = -r_i Im u_j go into real scratch,
-    ``_kernel_from_b`` writes K into a complex buffer, and ``numpy.fft``
-    transforms it in place; each part allocates the scratch and that buffer
-    once, at one block's size.  The terms a_k r_i^k, folded onto their bins
-    k mod M, are multiplied by the conjugate bins and summed per row, and the
-    row sums go through the radial dot of ``integrate``.
+    The kernel is built from the grid's factors, never from nodes, on that
+    half of the circle only.  Per block of rows, Re b = 1 - r_i (rho Re omega_j)
+    and Im of conj(b) = r_i (rho Im omega_j) go into real scratch,
+    ``_kernel_from_b`` writes conj(b)^-(xi+2) = conj(K) into a complex buffer,
+    and ``numpy.fft.irfft`` (n = M, unscaled) writes G's M real bins into the
+    scratch, which the kernel no longer needs.  The blocks are sized by the
+    half row, so a block holds about ``BLOCK_POINTS`` kernel values, and they
+    are walked in parts as in ``integrate``; each part allocates the scratch
+    and the buffer once, at one block's size.  The terms a_k e^(ik phi) r_i^k,
+    folded onto their bins k mod M, are multiplied by the real bins and summed
+    per row, and the row sums go through the radial dot of ``integrate``.
+    No domain check is needed: Re b >= 1 - rho > 0 in rounding, for every w
+    and every grid (see the comment in the body).
 
-    This is the finite sum of ``integrate`` applied to conj(K) f, in another
-    order, with b formed as 1 - r (omega conj(w)) rather than
-    1 - (r omega) conj(w), and without evaluating f at any node: the two
-    agree to rounding, not bit for bit, and the result depends neither on how
-    many rows a block holds nor on how many parts walk them.  Every array a
-    part makes is at most one block (the folded terms have min(deg f + 1, M)
-    columns), whatever the degree of f.  A non-finite row sum, as when
-    conj(K) f overflows, raises ValueError naming the row's radius (the first
-    such row, as a serial walk would), and a non-finite total in the radial
-    dot raises ValueError too: it never returns inf or NaN.
+    This is the finite sum of ``integrate`` applied to conj(K_rho) f_phi, in
+    another order, with b formed as 1 - r (rho omega) rather than
+    1 - (r omega) rho, with conj(omega_(M-j)) in place of omega_j on the
+    mirrored half of the circle, and without evaluating f_phi at any node: the
+    two agree to rounding, not bit for bit, and the result depends neither on
+    how many rows a block holds nor on how many parts walk them.  Every array
+    a part makes is at most one block: when the folded terms, min(deg f + 1, M)
+    columns, are longer than the half row, they size the blocks instead.  A
+    non-finite row sum, as when conj(K) f overflows, raises ValueError naming
+    the row's radius (the first such row, as a serial walk would), and a
+    non-finite total in the radial dot raises ValueError too: it never returns
+    inf or NaN.
 
-    Resolution limit.  With c_n = (xi+2)_n/n!, conj(K(r omega, w)) is
-    sum_n c_n w^n r^n omega^-n, and the M-point rule keeps of the kernel's
-    terms not only n = k against a_k omega^k but every n = k (mod M): it
-    aliases them onto bin k mod M.  With W_i the radial weights and
-    Q[r^p] = sum_i W_i r_i^p the radial rule's moments (close to the exact
-    moments E_xi[r^p]), the n = k terms sum to f(w) exactly, since the
-    radial rule integrates s^k exactly for deg f <= R - 4.  So in exact
+    Resolution limit.  With c_n = (xi+2)_n/n!, conj(K(r omega, rho)) is
+    sum_n c_n rho^n r^n omega^-n, and the M-point rule keeps of the kernel's
+    terms not only n = k against a_k e^(ik phi) omega^k but every
+    n = k (mod M): it aliases them onto bin k mod M.  With W_i the radial
+    weights and Q[r^p] = sum_i W_i r_i^p the radial rule's moments (close to
+    the exact moments E_xi[r^p]), the n = k terms sum to f(w) exactly, since
+    the radial rule integrates s^k exactly for deg f <= R - 4.  So in exact
     arithmetic ``reproduce`` returns f(w) plus
-    sum_k a_k sum_{n = k (mod M), n != k} c_n w^n Q[r^(k+n)], which for
-    deg f < M is at most
+    sum_k a_k e^(ik phi) sum_{n = k (mod M), n != k} c_n rho^n Q[r^(k+n)],
+    which for deg f < M is at most
     sum_k |a_k| |w|^k sum_{j >= 1} c_(k+jM) |w|^(jM) Q[r^(2k+jM)]
-    in modulus, and equal to it when w > 0 and every a_k >= 0.  It is about
+    in modulus, and equal to it when every a_k e^(ik arg w) >= 0.  It is about
     W_R sum_{j >= 1} c_(jM) (r_R |w|)^(jM) for f = 1, which is small only
     when (r_R |w|)^M is.  Near |w| = 1 on a coarse grid it is not: on a
     64 x 16 grid near xi = -1 at |w| = 1 - 2^-53 it exceeds 1e14.  No error
@@ -520,37 +539,52 @@ def reproduce(f: CoeffVector, w: KernelPoint, xi: WeightParam, grid: QuadratureG
             f"grid with {grid.radial_points} radial points too coarse for degree {f.degree}"
         )
     m = grid.angular_points
-    u = grid.circle * np.conj(complex(w.w))
-    # the radii increase, so the last is the largest
-    if grid.radii[-1] * np.max(np.abs(u)) >= 1.0:
-        raise ValueError("kernel evaluation requires |z conj(w)| < 1")
-    re_u, minus_im_u = u.real.copy(), np.negative(u.imag)
+    half = m // 2 + 1
+    rho, phi = cmath.polar(complex(w.w))
+    # float exponents, so that np.power casts no integer table per block
+    powers = np.arange(len(f.coeffs), dtype=np.float64)
+    coeffs = f.coeffs * np.exp(1j * phi * powers)
+    bins = min(len(coeffs), m)
+    # Re and Im of the first bins coefficients side by side, so that their
+    # products with the real powers cast nothing to complex
+    pairs = coeffs[:bins].view(np.float64).reshape(bins, 2)
+    # v_j = rho omega_j on the first half of the circle.  Re b =
+    # 1 - r_i (rho cos theta_j) >= 1 - rho > 0 in rounding, as r_i <= 1,
+    # |cos theta_j| <= 1, rho <= 1 - 2^-53 and rounding is monotone: every
+    # node of every grid is inside the kernel's domain, and no check is needed
+    arc = grid.circle[:half]
+    re_v, im_v = rho * arc.real, rho * arc.imag
     p = -(xi.xi + 2.0)
-    powers = np.arange(len(f.coeffs))
-    bins = min(len(f.coeffs), m)
 
     def walk(blocks, rows):
         start, stop = blocks[0]
-        scratch = np.empty((3, stop - start, m))
-        kernel = np.empty((stop - start, m), dtype=np.complex128)
+        scratch = np.empty((3, stop - start, half))
+        kernel = np.empty((stop - start, half), dtype=np.complex128)
         for start, stop in blocks:
+            count = stop - start
             radii = grid.radii[start:stop, None]
-            b = scratch[:, : stop - start]
-            np.multiply(radii, re_u, out=b[0])
+            b = scratch[:, :count]
+            np.multiply(radii, re_v, out=b[0])
             np.subtract(1.0, b[0], out=b[0])
-            np.multiply(radii, minus_im_u, out=b[1])
-            spectrum = _kernel_from_b(b, p, kernel[: stop - start])
+            # Im conj(b), so that the core writes conj(K)
+            np.multiply(radii, im_v, out=b[1])
+            conj_kernel = _kernel_from_b(b, p, kernel[:count])
+            # M <= 2 * half - 1 real bins fit in the scratch
+            spectrum = scratch.reshape(-1)[: count * m].reshape(count, m)
             # an overflow shows as a non-finite row sum, which raises below
             with np.errstate(over="ignore", invalid="ignore"):
-                np.fft.fft(spectrum, axis=1, out=spectrum)
-                folded = np.zeros((stop - start, bins), dtype=np.complex128)
-                for k in range(0, len(f.coeffs), m):
-                    terms = np.power(radii, powers[k : k + m]) * f.coeffs[k : k + m]
+                np.fft.irfft(conj_kernel, n=m, axis=1, norm="forward", out=spectrum)
+                # the terms a_k e^(ik phi) r_i^k, folded onto their bins k mod M
+                folded = np.empty((count, bins), dtype=np.complex128)
+                planes = folded.view(np.float64).reshape(count, bins, 2)
+                np.multiply(np.power(radii, powers[:bins])[:, :, None], pairs, out=planes)
+                for k in range(m, len(coeffs), m):
+                    terms = np.power(radii, powers[k : k + m]) * coeffs[k : k + m]
                     folded[:, : terms.shape[1]] += terms
-                folded *= np.conjugate(spectrum[:, :bins])
+                planes *= spectrum[:, :bins, None]
                 sums = rows[start:stop]
                 np.sum(folded, axis=1, out=sums)
             if not np.all(np.isfinite(sums)):
                 raise _non_finite_row(sums, start, grid)
 
-    return _walk(grid, walk)
+    return _walk(grid, walk, max(half, bins))

@@ -234,12 +234,16 @@ def grid_rows(grid, z):
 BLOCKED_SIZES = [(100, 1000), (37, 3000), (30, 20000)]
 # (R, M) of one block at the default BLOCK_POINTS, and of three
 SMALL_SIZES = [(64, 256), (128, 512)]
+# an odd M: reproduce reads (M + 1)/2 kernel columns a row and transforms
+# them back to M bins
+ODD_SIZE = (300, 1001)
 REPRODUCE_XIS = (-0.9, 0.0, 2.5, 40.0, 98.0)
 
 
 def assert_reproduce_is_the_pointwise_sum(f, w, wp, grid):
-    """reproduce against integrate of conj(K) f at the nodes, which sums the
-    same terms W_i/M conj(K_ij) f(z_ij) in another order.
+    """reproduce against integrate of conj(K_rho) f_phi at the nodes, with
+    rho = |w| and f_phi(z) = f(e^(i phi) z), phi = arg w: the rotated rule,
+    whose terms W_i/M conj(K_ij) f_phi(z_ij) reproduce sums in another order.
 
     Per row, Horner's rule, the product and the angular sum err by at most
     (2n + M + 2) u sum_j |K_ij| g_i, with g_i = sum_k |a_k| r_i^k, n = deg f + 1
@@ -249,27 +253,46 @@ def assert_reproduce_is_the_pointwise_sum(f, w, wp, grid):
     to the same absolute sum, and the factor sqrt 2 covers complex products.
 
     The routes also read different kernel values: the pointwise one forms
-    b = 1 - (r omega) conj(w), reproduce b = 1 - r (omega conj(w)).  With
-    rho = r |w| and beta = |b|, each rounds b within (1 + 2 sqrt 2) u rho + u beta
-    of 1 - r omega conj(w) (the node or r u, a complex product, the
-    subtraction), which moves b^-(xi+2) by (xi+2)(1 + 3.9 rho/beta) u relative.
-    From its own b, each kernel then errs by at most
-    (xi+2)(1 + 3 |log beta| + 3 |theta|) u + 12 u relative when every
-    elementary function is within one ulp, and |theta| <= (pi/2) rho/beta,
-    |log beta| <= 2 rho/beta.  The two kernels so differ by at most
-    (xi+2)(4 + 30 rho/beta) u + 24 u relative, summed against g."""
+    b = 1 - (r omega) rho, reproduce b = 1 - r (rho omega).  With x = r rho and
+    beta = |b|, each rounds b within (1 + 2 sqrt 2) u x + u beta of
+    1 - r omega rho (the node or rho omega, a product, the subtraction),
+    which moves b^-(xi+2) by (xi+2)(1 + 3.9 x/beta) u relative.  From its own
+    b, each kernel then errs by at most (xi+2)(1 + 3 |log beta| + 3 |theta|) u
+    + 12 u relative when every elementary function is within one ulp, and
+    |theta| <= (pi/2) x/beta, |log beta| <= 2 x/beta.  The two kernels so
+    differ by at most (xi+2)(4 + 30 x/beta) u + 24 u relative, summed against
+    g.  On the mirrored half of the circle reproduce reads conj(omega_(M-j))
+    where the pointwise route reads omega_j; the two differ by at most
+    e = max_j |conj(omega_(M-j)) - omega_j| as the grid rounds them (6-12 u
+    on the grids here), which moves b by x e and so K by (xi+2) e x/beta
+    relative.
+
+    Both routes rotate f as a_k exp(i fl(phi) k): fl(phi) is within one ulp,
+    2 pi u, of arg w and its product with k within pi k u, so the phase is
+    within 3 pi k u of k phi; cos and sin within an ulp each add 2 u and the
+    complex product with a_k sqrt 5 u.  Each rotated coefficient is so within
+    (3 pi k + 5) u |a_k| of a_k e^(ik phi), and the two routes' within twice
+    that, summed against |K| r^k."""
     n, m = len(f.coeffs), grid.angular_points
-    pointwise = integrate(lambda z: np.conj(kernel_eval(z, w, wp)) * f(z), grid)
+    k = np.arange(n)
+    rho = KernelPoint(abs(w.w))
+    f_phi = CoeffVector(f.coeffs * np.exp(1j * np.angle(w.w) * k))
+    pointwise = integrate(lambda z: np.conj(kernel_eval(z, rho, wp)) * f_phi(z), grid)
     g = CoeffVector(np.abs(f.coeffs))
-    absolute = integrate(lambda z: np.abs(kernel_eval(z, w, wp)) * g(np.abs(z)), grid).real
-    # the same sum with each term weighted by rho/beta = |z w| / |1 - z conj(w)|
+    absolute = integrate(lambda z: np.abs(kernel_eval(z, rho, wp)) * g(np.abs(z)), grid).real
+    # the same sum with each term weighted by x/beta = |z| rho / |1 - z rho|
     spread = integrate(
-        lambda z: np.abs(kernel_eval(z, w, wp)) * g(np.abs(z)) * np.abs(z * w.w) / np.abs(1.0 - z * np.conj(w.w)),
+        lambda z: np.abs(kernel_eval(z, rho, wp)) * g(np.abs(z)) * np.abs(z * rho.w) / np.abs(1.0 - z * rho.w),
         grid,
     ).real
+    # the same sum with a_k weighted by 2 (3 pi k + 5)
+    rotated = CoeffVector(2.0 * (3.0 * np.pi * k + 5.0) * np.abs(f.coeffs))
+    rotation = integrate(lambda z: np.abs(kernel_eval(z, rho, wp)) * rotated(np.abs(z)), grid).real
+    mirror = np.max(np.abs(np.conj(grid.circle[:0:-1]) - grid.circle[1:]))
     u = np.finfo(float).eps / 2
     bound = np.sqrt(2.0) * (3 * n + m + 4 * np.log2(m) + grid.radial_points + 8) * u * absolute
     bound += ((wp.xi + 2.0) * (4.0 * absolute + 30.0 * spread) + 24.0 * absolute) * u
+    bound += (wp.xi + 2.0) * mirror * spread + rotation * u
     assert abs(reproduce(f, w, wp, grid) - pointwise) <= bound
 
 
@@ -313,7 +336,7 @@ class TestBlockedIntegrate:
         samples = rng.normal(size=grid.nodes.shape) + 1j * rng.normal(size=grid.nodes.shape)
         assert integrate(lambda z: samples[grid_rows(grid, z)], grid) == one_pass(samples, grid)
 
-    @pytest.mark.parametrize("size", BLOCKED_SIZES)
+    @pytest.mark.parametrize("size", BLOCKED_SIZES + [ODD_SIZE])
     def test_reproduce_matches_unblocked_integrand(self, size):
         # the same finite sum as integrating conj(K) f node by node, in another order
         rng = np.random.default_rng(22)
@@ -325,12 +348,13 @@ class TestBlockedIntegrate:
             assert_reproduce_is_the_pointwise_sum(f, w, wp, grid)
 
     def test_reproduce_folds_degrees_above_the_angular_count(self):
-        # omega^k = omega^(k mod M): degree 40 on 16 angles wraps twice
+        # omega^k = omega^(k mod M): degree 40 on 16 or 17 angles wraps twice
         rng = np.random.default_rng(23)
         wp = WeightParam(0.5)
-        grid = QuadratureGrid(wp, 64, 16)
-        f = CoeffVector(rng.normal(size=41) + 1j * rng.normal(size=41))
-        assert_reproduce_is_the_pointwise_sum(f, KernelPoint(0.6 + 0.3j), wp, grid)
+        for m in (16, 17):
+            grid = QuadratureGrid(wp, 64, m)
+            f = CoeffVector(rng.normal(size=41) + 1j * rng.normal(size=41))
+            assert_reproduce_is_the_pointwise_sum(f, KernelPoint(0.6 + 0.3j), wp, grid)
 
     @pytest.mark.parametrize("size", BLOCKED_SIZES + [(128, 512), (512, 2048)])
     def test_blocks_are_the_outer_product_bit_for_bit(self, size):
@@ -390,7 +414,7 @@ class TestParallelWalk:
             return np.ones_like(z)
 
         assert integrate(record, grid) == pytest.approx(1.0, abs=1e-12)
-        assert len(seen) == len(quadrature._blocks(grid)) > 2
+        assert len(seen) == len(quadrature._blocks(grid, grid.angular_points)) > 2
         assert max(seen) <= before + 1
         monkeypatch.setattr(quadrature.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert quadrature._workers() == 1
@@ -398,9 +422,10 @@ class TestParallelWalk:
         monkeypatch.setattr(quadrature.os, "cpu_count", lambda: 64)
         assert quadrature._workers() == 2
 
-    @pytest.mark.parametrize("size", BLOCKED_SIZES + [(512, 2048)] + SMALL_SIZES)
+    @pytest.mark.parametrize("size", BLOCKED_SIZES + [(512, 2048)] + SMALL_SIZES + [ODD_SIZE])
     def test_same_bits_at_any_worker_count(self, size, monkeypatch):
-        # one row a block, the default, a ragged split and one block, at one
+        # one row a block (two in reproduce, whose blocks hold half rows), the
+        # default, a ragged split and one block, at one
         # worker and at more workers than a two-CPU machine has; the lock is
         # handed between threads as often as the interpreter allows.  Each row
         # is transformed and summed alone, so on the small grids reproduce has
@@ -481,7 +506,8 @@ class TestParallelWalk:
 
     def test_earlier_rows_overflow_wins_in_reproduce(self, monkeypatch):
         # conj(K) f overflows on the outer rows, from row 167 on: in the
-        # second of three parts (rows 96-191) and in the third
+        # second of three parts (rows 95-189, one block of 257-value half
+        # rows) and in the third
         wp = WeightParam(98.0)
         grid = QuadratureGrid(wp, 256, 512)
         f, w = CoeffVector([1e250, 1e250]), KernelPoint(0.99)
@@ -491,9 +517,9 @@ class TestParallelWalk:
             with pytest.raises(ValueError, match="row of radius") as err:
                 reproduce(f, w, wp, grid)
             messages.append(str(err.value))
-        blocks = quadrature._blocks(grid)
+        blocks = quadrature._blocks(grid, grid.angular_points // 2 + 1)
         first_bad = np.flatnonzero(grid.radii == float(messages[0].rsplit("=", 1)[1]))[0]
-        assert blocks[2][0] <= first_bad < blocks[4][0]
+        assert len(blocks) == 3 and blocks[1][0] <= first_bad < blocks[2][0]
         assert messages[0] == messages[1]
 
     def test_helpers_run_under_the_callers_errstate(self, monkeypatch):
@@ -686,25 +712,25 @@ class TestReproduce:
         # at 1e215 every step stays finite, and so does the result
         assert np.isfinite(reproduce(CoeffVector([1e215, 1e215]), KernelPoint(0.99), wp, grid))
 
-    def test_domain_checked_on_the_factors(self):
+    def test_boundary_corner_is_inside_the_rotated_domain(self):
         # as xi -> -1 the last radius is 1 - 2^-53; at |w| = 1 - 2^-53 and this
-        # angle some omega_j conj(w) rounds to modulus 1 + 2^-52, so r |u|
-        # rounds to 1: the ValueError of kernel_eval
+        # angle some u_j = omega_j conj(w) rounds to modulus 1 + 2^-52, and
+        # r |u_j| to 1: a domain check on those factors would reject w.  The
+        # rotated kernel has Re b = 1 - r (|w| cos theta) >= 1 - |w| > 0: no
+        # error, and a finite value
         wp = WeightParam(-1.0 + 1e-12)
         grid = QuadratureGrid(wp, 64, 16)
         f = CoeffVector([1.0])
         w = KernelPoint(-0.896872741532688 + 0.44228869021900163j)
+        assert abs(w.w) == 1.0 - 2.0**-53
         assert grid.radii[-1] * np.max(np.abs(grid.circle * np.conj(w.w))) >= 1.0
-        with pytest.raises(ValueError) as err:
-            reproduce(f, w, wp, grid)
-        with pytest.raises(ValueError) as want:
+        assert np.isfinite(reproduce(f, w, wp, grid))
+        # kernel_eval keeps its own check, and no node rounds past |z| = 1
+        with pytest.raises(ValueError, match=r"requires \|z conj\(w\)\| < 1"):
             kernel_eval(2.0, KernelPoint(0.5), wp)
-        assert str(err.value) == str(want.value)
-        # the node check is the looser by an ulp here: no node rounds past |z| = 1
         assert np.all(np.isfinite(kernel_eval(grid.nodes, w, wp)))
-        # on the real axis the product stays below 1, and the value is finite
+        # on the real axis too
         w = KernelPoint(1.0 - 2.0**-53)
-        assert grid.radii[-1] * np.max(np.abs(grid.circle * np.conj(w.w))) < 1.0
         assert np.all(np.isfinite(kernel_eval(grid.nodes, w, wp)))
         assert np.isfinite(reproduce(f, w, wp, grid))
 
@@ -716,10 +742,10 @@ class TestReproduce:
         grid = QuadratureGrid(wp, r, m)
         rng = np.random.default_rng(29)
         f = CoeffVector(rng.normal(size=r - 3) + 1j * rng.normal(size=r - 3))
-        # each part of the walk holds the real scratch (1.5 blocks), the
-        # kernel's transform buffer and the folded terms, and numpy's
-        # transform plan comes on top: 4.4 blocks of complex values at the
-        # peak with one part, 7.6 with two
+        # each part of the walk holds the real scratch (1.5 blocks, which
+        # also takes the real bins), the kernel's buffer and the folded terms,
+        # and numpy's transform plan comes on top: 3.6 blocks of complex
+        # values at the peak with one part, 7.0 with two
         for workers in (1, 2):
             monkeypatch.setattr(quadrature, "_workers", lambda: workers)
             tracemalloc.start()
@@ -746,13 +772,12 @@ class TestReproduce:
         bound = np.sum(grid.radial_weights * (1.0 - y_gap) / y_gap)
         assert bound >= 1.0
         # reproduce returns finite values this far from f(w) = 1, without an
-        # error; on the real axis every aliased term is positive, so the
-        # error is the bound itself
+        # error; f = 1 is its own rotation, so at every angle every aliased
+        # term is positive and the error is the bound itself
         f = CoeffVector([1.0])
         for point in (w, w * 1j, -w):
             value = reproduce(f, KernelPoint(point), wp, grid)
-            assert np.isfinite(value) and abs(value - 1.0) <= bound * (1.0 + 1e-9)
-        assert reproduce(f, KernelPoint(w), wp, grid) - 1.0 == pytest.approx(bound, rel=1e-9)
+            assert np.isfinite(value) and value - 1.0 == pytest.approx(bound, rel=1e-9)
 
     @pytest.mark.parametrize("size", [(128, 512), (512, 2048)])
     def test_reproduce_meets_its_alias_bound(self, size):
