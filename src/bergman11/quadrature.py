@@ -7,37 +7,48 @@ degree <= 2R-1 integrate to machine precision for every xi > -1) and
 uniform angles with trapezoid weights.
 
 The grid is rank one, so it is stored as its two factors: the radii
-sqrt(s_i) (R values) and the unit circle exp(i theta_j) (M values).  Both
-``integrate`` and ``reproduce`` walk the grid one block of whole rows at a
-time and hold no R x M array; ``QuadratureGrid.nodes`` builds one on
-request.  The blocks are split into contiguous parts, one per CPU the
-process may run on but at most ``MAX_PARTS``, each walked by one thread
-(the caller's for the first) in buffers allocated once per part
-(``_walk``).  So an integrand may be
-called from several threads at once, on disjoint read-only blocks, in no
-fixed order; every integrand in this package is safe for that.  Each
-row's sum depends on that row alone and the radial dot runs after every
-part has finished, so the result does not depend on the number of parts,
-and an error is the one a walk in one part raises, though later parts may
-already have called the integrand.
+sqrt(s_i) (R values) and the unit circle omega_j = exp(i theta_j),
+theta_j = 2 pi j/M (M values).  The circle is mirrored by construction:
+omega_0 = 1, omega_(M-j) = conj(omega_j) exactly, and omega_(M/2) = -1 for
+even M.
 
-``integrate`` forms the block's nodes r_i exp(i theta_j).  ``reproduce``
-forms none.  The measure is invariant under the rotations z -> e^(i phi) z,
-so <f, K_w> = <f_phi, K_|w|> with phi = arg w and f_phi(z) = f(e^(i phi) z),
+The walk.  ``integrate`` and ``reproduce`` walk the grid one block of whole
+rows at a time (``_blocks``) and hold no R x M array;
+``QuadratureGrid.nodes`` builds one on request.  The blocks are split into
+contiguous parts, one per CPU the process may run on but at most
+``MAX_PARTS``, each walked by one thread (the caller's for the first) in
+buffers allocated once per part, and a helper thread runs under a copy of
+the caller's context, which carries its ``np.errstate`` (``_walk``).  So an
+integrand may be called from several threads at once, on disjoint read-only
+blocks, in no fixed order; every integrand in this package is safe for that.
+
+Rows alone.  Each row is summed over its angles on its own, the row sums go
+through one dot with the radial weights after every part has finished, and
+the total is divided by M: the order of a single pass over the grid.  So
+neither the blocks nor the number of parts change a bit of a result.
+
+Errors.  A non-finite row sum raises ValueError at the first block that has
+one, and a non-finite radial total raises ValueError too, so neither
+function returns inf or NaN.  The parts' errors are raised in part order, so the error is the one a
+serial walk raises, though blocks after it may already have been walked.
+
+``integrate`` forms the block's nodes r_i omega_j.  ``reproduce`` forms
+none.  The measure is invariant under the rotations z -> e^(i phi) z, so
+<f, K_w> = <f_phi, K_|w|> with phi = arg w and f_phi(z) = f(e^(i phi) z),
 whose coefficients are a_k e^(ik phi); ``reproduce`` rotates the
 coefficients and builds the kernel of the real point |w| from the factors,
-1 - z |w| = 1 - r_i (|w| exp(i theta_j)), whose real part is positive at
-every node of every grid.  Since the angular rule is the trapezoid rule on
-M equispaced points, the angular sum of conj(K) z^k on a row is one bin of
-the discrete Fourier transform of the row's kernel values (Trefethen and
+1 - z |w| = 1 - r_i (|w| omega_j), whose real part is positive at every node
+of every grid.  Since the angular rule is the trapezoid rule on M
+equispaced points, the angular sum of conj(K) z^k on a row is one bin of the
+discrete Fourier transform of the row's kernel values (Trefethen and
 Weideman, SIAM Rev. 56, 2014, on the trapezoid rule), so ``reproduce``
 transforms the kernel once per row instead of evaluating f at every node.
-For a real |w| the row is Hermitian (its value at M - j is the conjugate of
-its value at j), so its transform is real: ``reproduce`` evaluates the
-kernel on half the circle and takes a real inverse transform.  The same
-rule aliases the kernel's terms of degree n onto bin n mod M, which bounds
-how close to the unit circle ``reproduce`` resolves f(w) on a given M (see
-its docstring).
+For a real |w| the row is Hermitian on the mirrored circle (its value at
+M - j is the conjugate of its value at j), so its transform is real:
+``reproduce`` evaluates the kernel on the circle's first half and takes a
+real inverse transform.  The same rule aliases the kernel's terms of degree
+n onto bin n mod M, which bounds how close to the unit circle ``reproduce``
+resolves f(w) on a given M (see its docstring).
 
 The radial rule is computed in numpy (``gauss_jacobi``): Halley steps on the
 three-term recurrence from asymptotic initial guesses, as Hale and Townsend
@@ -233,8 +244,10 @@ class KernelPoint:
 class QuadratureGrid:
     """Radial x angular nodes and weights for the measure d(nu_xi).
 
-    Node (i, j) is radii[i] * circle[j]; only these factors are stored, and
-    ``weights`` is an (R, M) broadcast view of the radial weights."""
+    Node (i, j) is radii[i] * circle[j], with weight radial_weights[i] / M;
+    only these factors are stored, and the package reads nothing else.
+    ``weights``, an (R, M) broadcast view of the weights, and ``nodes`` are
+    kept for the benchmark's tracer (``bench/spans.py``), which reads them."""
 
     def __init__(self, xi: WeightParam, radial_points: int = 64, angular_points: int = 256):
         if radial_points < 8:
@@ -250,7 +263,12 @@ class QuadratureGrid:
 
         self.angles = 2.0 * np.pi * np.arange(angular_points) / angular_points
         self.radii = np.sqrt(self.radial_nodes)
-        self.circle = np.exp(1j * self.angles)
+        # mirrored by construction (see the module docstring); exp(i pi)
+        # would carry an imaginary part of 1.2e-16
+        arc = np.exp(1j * self.angles[: angular_points // 2 + 1])
+        if angular_points % 2 == 0:
+            arc[-1] = -1.0
+        self.circle = np.concatenate([arc, np.conj(arc[(angular_points + 1) // 2 - 1 : 0 : -1])])
         self.weights = np.broadcast_to(self.radial_weights[:, None] / angular_points, (radial_points, angular_points))
 
         mass = float(np.sum(self.radial_weights))
@@ -270,7 +288,8 @@ class QuadratureGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        """The full (R, M) node array, read-only, built anew on each access."""
+        """The full (R, M) node array, read-only, built anew on each access
+        (kept for the benchmark's tracer)."""
         nodes = self._rows(0, self.radial_points)
         nodes.flags.writeable = False
         return nodes
@@ -300,19 +319,14 @@ def _workers() -> int:
 
 def _walk(grid: QuadratureGrid, walk_part, row_length: int) -> complex:
     """The radial sum of the row sums that ``walk_part`` writes, with the
-    grid's blocks (``_blocks`` of ``row_length``) walked in parts on up to
-    ``_workers()`` threads.
+    grid's blocks (``_blocks`` of ``row_length``) walked in parts: the walk,
+    the sum order and the error order of the module docstring.
 
-    The blocks are split into W = min(``_workers()``, blocks) contiguous
-    parts.  ``walk_part(blocks, rows)`` walks one part's blocks in order in
-    buffers of its own, writes each block's row sums to rows[start:stop] and
-    raises at its first bad block.  The calling thread walks part 0, and one
-    thread per other part, started for this call only, walks that part under
-    a copy of the caller's context, which carries its ``np.errstate``.  Each
-    row sum depends on its row alone and the radial dot runs after every part
-    has joined, so the result is the serial walk's, bit for bit, for any W.
-    Errors are raised in part order, so the first is the one the serial walk
-    raises; parts after it may already have called the integrand."""
+    ``walk_part(blocks, rows)`` walks one part's blocks in order in buffers
+    of its own, writes each block's row sums to rows[start:stop] and raises
+    at its first bad block.  The blocks are split into
+    W = min(``_workers()``, blocks) contiguous parts; a helper thread per
+    part after the first is started for this call only."""
     blocks = _blocks(grid, row_length)
     count = min(_workers(), len(blocks))
     parts = [blocks[k * len(blocks) // count : (k + 1) * len(blocks) // count] for k in range(count)]
@@ -362,24 +376,16 @@ def _radial_sum(rows: np.ndarray, grid: QuadratureGrid) -> complex:
 def integrate(F, grid: QuadratureGrid) -> complex:
     """Approximate the integral of F over the disc against d(nu_xi).
 
-    F is an elementwise callable on complex arrays, such as a CoeffVector; a
-    result not of its block's shape raises ValueError.  It is called once per
-    block of whole radial rows (``BLOCK_POINTS`` nodes, or one row when a row
-    is longer), never on the full grid, so its temporaries stay in cache.  The
-    blocks are walked in parts, one per CPU the process may run on up to
-    ``MAX_PARTS`` (``_walk``), so F may be called from several threads at
-    once, on disjoint blocks, in no fixed order, under the caller's
-    ``np.errstate``; every integrand in this package is safe for that.  Each
-    part forms its blocks' nodes from the grid's factors in one buffer of its
-    own, and they are read-only.  Each row is summed over its angular nodes,
-    then the row sums against the radial weights, then divided by the angular
-    count: the order of a single pass over the grid, so neither the blocks
-    nor the number of parts change a bit of the result.  A non-finite row sum
-    raises ValueError at the first block that has one: it names the block's
+    F is an elementwise callable on complex arrays, such as a CoeffVector.
+    It is called once per block of whole radial rows (``BLOCK_POINTS`` nodes,
+    or one row when a row is longer), never on the full grid, so its
+    temporaries stay in cache; the nodes are read-only, formed from the
+    grid's factors in one buffer per part.  A result not of its block's
+    shape raises ValueError.  The walk, the sum order and the errors are
+    those of the module docstring: a non-finite row sum names the block's
     first non-finite node if a sample is not finite (earlier blocks hold
     none), and else the radius of the row whose finite samples overflowed
-    their sum.  It is the error of a serial walk, though blocks after it may
-    already have been passed to F.
+    their sum.
     """
 
     def walk(blocks, rows):
@@ -451,11 +457,11 @@ def kernel_eval(z, w: KernelPoint, xi: WeightParam):
     ``z``, Re b and Im b are copied into three real planes of scratch, and
     ``_kernel_from_b`` writes the power b^(-(xi+2)) back into the complex
     buffer.  ``reproduce`` forms conj(b) = 1 - r_i (|w| conj(omega_j)) from the
-    grid's factors on half the circle and calls the same core, so the power
-    has one formula.  Against 40-digit mpmath the relative
-    error in samples is at most 7.4e-15 at xi = -0.9 and 6.5e-13 at xi = 98
-    for |w| <= 0.99 and |z| <= 0.999, to two digits the same as with np.cos
-    and np.sin and as complex log/exp: the rounding of 1 - z*conj(w),
+    grid's factors on the circle's first floor(M/2) + 1 points and calls the
+    same core, so the power has one formula.  Against 40-digit mpmath the
+    relative error in samples is at most 7.4e-15 at xi = -0.9 and 6.5e-13 at
+    xi = 98 for |w| <= 0.99 and |z| <= 0.999, to two digits the same as with
+    np.cos and np.sin and as complex log/exp: the rounding of 1 - z*conj(w),
     amplified by xi+2, dominates all three.  Within 1e-9 of the poles of the
     half-phase tangent it is at most 2.6e-14.
     """
@@ -474,7 +480,8 @@ def kernel_eval(z, w: KernelPoint, xi: WeightParam):
 
 def reproduce(f: CoeffVector, w: KernelPoint, xi: WeightParam, grid: QuadratureGrid) -> complex:
     """Evaluate <f, K_w> by quadrature; the reproducing identity makes this f(w)
-    up to the resolution limit below.
+    up to the resolution limit below.  The grid must resolve f: ValueError
+    unless deg f < M and deg f <= R - 4.
 
     The rotations z -> e^(i phi) z leave nu_xi invariant, so with rho = |w|,
     phi = arg w and f_phi(z) = f(e^(i phi) z), whose coefficients are
@@ -482,50 +489,42 @@ def reproduce(f: CoeffVector, w: KernelPoint, xi: WeightParam, grid: QuadratureG
     grid's rule to the right-hand side: the same Gauss-Jacobi x trapezoid rule
     with its angular origin turned to arg w.  The angular rule is the
     trapezoid rule on the M points omega_j of the circle, so the angular sum
-    of conj(K_rho) f_phi on row i is sum_k a_k e^(ik phi) r_i^k G_i[k mod M]
+    of conj(K_rho) f_phi on row i is sum_k a_k e^(ik phi) r_i^k G_i[k]
     with G_i[k] = sum_j conj(K_ij) omega_j^k, a discrete Fourier transform of
-    the row's kernel values K_ij = (1 - r_i rho omega_j)^-(xi+2).  Since
-    omega_(M-j) = conj(omega_j) and the principal power commutes with
-    conjugation, K_i,(M-j) = conj(K_ij): G_i is real, and the first
-    floor(M/2) + 1 values of the row determine it.
+    the row's kernel values K_ij = (1 - r_i rho omega_j)^-(xi+2).  Since the
+    circle is mirrored and the principal power commutes with conjugation,
+    K_i,(M-j) = conj(K_ij): G_i is real, and the first floor(M/2) + 1 values
+    of the row determine it.
 
     The kernel is built from the grid's factors, never from nodes, on that
     half of the circle only.  Per block of rows, Re b = 1 - r_i (rho Re omega_j)
     and Im of conj(b) = r_i (rho Im omega_j) go into real scratch,
     ``_kernel_from_b`` writes conj(b)^-(xi+2) = conj(K) into a complex buffer,
     and ``numpy.fft.irfft`` (n = M, unscaled) writes G's M real bins into the
-    scratch, which the kernel no longer needs.  The blocks are sized by the
-    half row, so a block holds about ``BLOCK_POINTS`` kernel values, and they
-    are walked in parts as in ``integrate``; each part allocates the scratch
-    and the buffer once, at one block's size.  The terms a_k e^(ik phi) r_i^k,
-    folded onto their bins k mod M, are multiplied by the real bins and summed
-    per row, and the row sums go through the radial dot of ``integrate``.
-    No domain check is needed: Re b >= 1 - rho > 0 in rounding, for every w
-    and every grid (see the comment in the body).
+    scratch, which the kernel no longer needs.  The terms a_k e^(ik phi) r_i^k
+    are multiplied by bins 0..deg f and summed per row.  The blocks are sized
+    by the half row, or by the deg f + 1 terms when those are longer, so every
+    array a part makes is at most one block; each part allocates the scratch
+    and the buffer once.  The walk, the sum order and the errors are those of
+    the module docstring: a non-finite row sum, as when conj(K) f overflows,
+    names the row's radius.  No domain check is needed: Re b >= 1 - rho > 0
+    in rounding, for every w and every grid (see the comment in the body).
 
     This is the finite sum of ``integrate`` applied to conj(K_rho) f_phi, in
     another order, with b formed as 1 - r (rho omega) rather than
-    1 - (r omega) rho, with conj(omega_(M-j)) in place of omega_j on the
-    mirrored half of the circle, and without evaluating f_phi at any node: the
-    two agree to rounding, not bit for bit, and the result depends neither on
-    how many rows a block holds nor on how many parts walk them.  Every array
-    a part makes is at most one block: when the folded terms, min(deg f + 1, M)
-    columns, are longer than the half row, they size the blocks instead.  A
-    non-finite row sum, as when conj(K) f overflows, raises ValueError naming
-    the row's radius (the first such row, as a serial walk would), and a
-    non-finite total in the radial dot raises ValueError too: it never returns
-    inf or NaN.
+    1 - (r omega) rho, and without evaluating f_phi at any node: the two agree
+    to rounding, not bit for bit.
 
     Resolution limit.  With c_n = (xi+2)_n/n!, conj(K(r omega, rho)) is
     sum_n c_n rho^n r^n omega^-n, and the M-point rule keeps of the kernel's
     terms not only n = k against a_k e^(ik phi) omega^k but every
-    n = k (mod M): it aliases them onto bin k mod M.  With W_i the radial
-    weights and Q[r^p] = sum_i W_i r_i^p the radial rule's moments (close to
-    the exact moments E_xi[r^p]), the n = k terms sum to f(w) exactly, since
-    the radial rule integrates s^k exactly for deg f <= R - 4.  So in exact
-    arithmetic ``reproduce`` returns f(w) plus
-    sum_k a_k e^(ik phi) sum_{n = k (mod M), n != k} c_n rho^n Q[r^(k+n)],
-    which for deg f < M is at most
+    n = k (mod M): it aliases them onto bin k, since deg f < M.  With W_i the
+    radial weights and Q[r^p] = sum_i W_i r_i^p the radial rule's moments
+    (close to the exact moments E_xi[r^p]), the n = k terms sum to f(w)
+    exactly, since the radial rule integrates s^k exactly for deg f <= R - 4.
+    So in exact arithmetic ``reproduce`` returns f(w) plus
+    sum_k a_k e^(ik phi) sum_{j >= 1} c_(k+jM) rho^(k+jM) Q[r^(2k+jM)],
+    which is at most
     sum_k |a_k| |w|^k sum_{j >= 1} c_(k+jM) |w|^(jM) Q[r^(2k+jM)]
     in modulus, and equal to it when every a_k e^(ik arg w) >= 0.  It is about
     W_R sum_{j >= 1} c_(jM) (r_R |w|)^(jM) for f = 1, which is small only
@@ -534,20 +533,17 @@ def reproduce(f: CoeffVector, w: KernelPoint, xi: WeightParam, grid: QuadratureG
     is raised then; the value returned is finite and far from f(w), so M
     must be chosen for the w asked about.
     """
-    if grid.radial_points < f.degree + 4:
-        raise ValueError(
-            f"grid with {grid.radial_points} radial points too coarse for degree {f.degree}"
-        )
     m = grid.angular_points
+    if f.degree >= m or grid.radial_points < f.degree + 4:
+        raise ValueError(f"grid of {grid.radial_points} x {m} points too coarse for degree {f.degree}")
     half = m // 2 + 1
     rho, phi = cmath.polar(complex(w.w))
+    n = len(f.coeffs)
     # float exponents, so that np.power casts no integer table per block
-    powers = np.arange(len(f.coeffs), dtype=np.float64)
-    coeffs = f.coeffs * np.exp(1j * phi * powers)
-    bins = min(len(coeffs), m)
-    # Re and Im of the first bins coefficients side by side, so that their
+    powers = np.arange(n, dtype=np.float64)
+    # Re and Im of the rotated coefficients side by side, so that their
     # products with the real powers cast nothing to complex
-    pairs = coeffs[:bins].view(np.float64).reshape(bins, 2)
+    pairs = (f.coeffs * np.exp(1j * phi * powers)).view(np.float64).reshape(n, 2)
     # v_j = rho omega_j on the first half of the circle.  Re b =
     # 1 - r_i (rho cos theta_j) >= 1 - rho > 0 in rounding, as r_i <= 1,
     # |cos theta_j| <= 1, rho <= 1 - 2^-53 and rounding is monotone: every
@@ -574,17 +570,14 @@ def reproduce(f: CoeffVector, w: KernelPoint, xi: WeightParam, grid: QuadratureG
             # an overflow shows as a non-finite row sum, which raises below
             with np.errstate(over="ignore", invalid="ignore"):
                 np.fft.irfft(conj_kernel, n=m, axis=1, norm="forward", out=spectrum)
-                # the terms a_k e^(ik phi) r_i^k, folded onto their bins k mod M
-                folded = np.empty((count, bins), dtype=np.complex128)
-                planes = folded.view(np.float64).reshape(count, bins, 2)
-                np.multiply(np.power(radii, powers[:bins])[:, :, None], pairs, out=planes)
-                for k in range(m, len(coeffs), m):
-                    terms = np.power(radii, powers[k : k + m]) * coeffs[k : k + m]
-                    folded[:, : terms.shape[1]] += terms
-                planes *= spectrum[:, :bins, None]
+                # the terms a_k e^(ik phi) r_i^k against bins 0..deg f
+                terms = np.empty((count, n), dtype=np.complex128)
+                planes = terms.view(np.float64).reshape(count, n, 2)
+                np.multiply(np.power(radii, powers)[:, :, None], pairs, out=planes)
+                planes *= spectrum[:, :n, None]
                 sums = rows[start:stop]
-                np.sum(folded, axis=1, out=sums)
+                np.sum(terms, axis=1, out=sums)
             if not np.all(np.isfinite(sums)):
                 raise _non_finite_row(sums, start, grid)
 
-    return _walk(grid, walk, max(half, bins))
+    return _walk(grid, walk, max(half, n))

@@ -273,7 +273,7 @@ def oracle_equivalence_monomials(cfg, rng, recipe):
         grid = _grid(cfg, wp)
         circle_powers = grid.circle**k
         gram = np.zeros((recipe.degree + 1, recipe.degree + 1), dtype=np.complex128)
-        for r, w_r in zip(grid.radii, grid.weights[:, 0]):
+        for r, w_r in zip(grid.radii, grid.radial_weights / grid.angular_points):
             powers = r**k * circle_powers
             gram += (powers * w_r) @ powers.conj().T
         expected = np.diag(weights.monomial_norms_sq(wp, recipe.degree))
