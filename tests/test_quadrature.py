@@ -417,22 +417,25 @@ class TestParallelWalk:
         monkeypatch.setattr(quadrature.os, "cpu_count", lambda: 64)
         assert quadrature._workers() == 2
 
-    @pytest.mark.parametrize("size", [(64, 256)])
-    def test_same_bits_at_any_worker_count(self, size, monkeypatch):
-        # verify's default grid in blocks of one row, of 7 rows (a ragged
-        # split) and of the default size (one block), at one worker and at
-        # more workers than a two-CPU machine has; the lock is handed between
-        # threads as often as the interpreter allows.  Each row is transformed
-        # and summed alone, so reproduce has the same bits from xi near -1 to
-        # 40, and so has verify's |pi(g) f|^2, which writes into the group
-        # action's own buffer
+    # the ids are those the three grids had when the test ran seven
+    @pytest.mark.parametrize(
+        "r, m, xis", [(100, 1000, (0.7,)), (37, 3000, (0.7,)), (64, 256, (-0.9, 0.0, 2.5, 40.0))], ids=["size0", "size1", "size4"]
+    )
+    def test_same_bits_at_any_worker_count(self, r, m, xis, monkeypatch):
+        # two grids of several default blocks, so of several parts, at one xi,
+        # and verify's default grid (one block) from xi near -1 to 40; each in
+        # blocks of one row, of 7 rows (a ragged split) and of the default, at
+        # one worker and at more workers than a two-CPU machine has; the lock
+        # is handed between threads as often as the interpreter allows.  Each
+        # row is transformed and summed alone, so reproduce has the same bits
+        # at every xi, and so has verify's |pi(g) f|^2, which writes into the
+        # group action's own buffer
         rng = np.random.default_rng(31)
         f = CoeffVector(rng.normal(size=25) + 1j * rng.normal(size=25))
         w = KernelPoint(0.5 - 0.4j)
         g = su11.exp_at(verification._random_element(rng), 0.4)
         unitarity = functools.partial(verification._modulus_sq, g, verification._random_poly(rng, 12), WeightParam(2.0))
-        r, m = size
-        for x in (-0.9, 0.0, 2.5, 40.0):
+        for x in xis:
             wp = WeightParam(x)
             grid = QuadratureGrid(wp, r, m)
             got = set()
