@@ -16,6 +16,10 @@ a time.  The commutator of two first-order operators is again first order,
 so its matrix is the Gram matrix of that operator, exact at any coefficient
 degree.
 
+Both builders and ``TriDiag.to_dense`` copy bands computed in the caller into
+fresh zeros (``_dense``), in row parts from ``PART_BYTES`` up, so that the CPUs
+fault in the pages at once; a part computes nothing, so no bit depends on parts.
+
 A ``FirstOrderOp`` holds f and g with the coefficient index last; leading
 axes are a batch of operators at one xi, and a single operator is a batch of
 one.  ``derived_op``, ``commutator`` and both matrix builders take batches,
@@ -30,8 +34,14 @@ from typing import Optional
 
 import numpy as np
 
+from . import parts
 from .su11 import BasisCoords, LieElement, bracket, coords
 from .weights import CoeffVector, WeightParam, _coeffs, _derivative, _padded, basis_scales
+
+# A part faults in at least 8 MiB of fresh pages, about 1 ms of the kernel's
+# zeroing, against a median 77 us to start and join a helper thread (2-CPU
+# machine, see CHANGES.md); verify's matrices (at most 4.2 MB) are one part.
+PART_BYTES = 8 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,16 +110,33 @@ def _band_matrix(op: FirstOrderOp, xi: WeightParam, degree: int) -> np.ndarray:
     # tracing sees a commutator as one commutator_matrix call, not also a Gram one
     f, g = op.fcoeffs, op.gcoeffs
     s = basis_scales(xi, degree)
-    n_all = np.arange(degree + 1)
-    ns = n_all * s
-    lead = np.broadcast_shapes(f.shape[:-1], g.shape[:-1])
-    m = np.zeros(lead + (degree + 1, degree + 1), dtype=np.complex128)
+    ns = np.arange(degree + 1) * s
     nf, ng = f.shape[-1], g.shape[-1]
+    bands = {}
     for k in range(-1, max(nf - 2, ng - 1) + 1):
-        n = n_all[max(0, -k) : max(0, degree + 1 - k)]  # clamped: a band past N is empty
+        a, b = max(0, -k), max(0, -k, degree + 1 - max(0, k))  # columns a..b-1; empty past N
         fk = f[..., k + 1, None] if k + 1 < nf else 0.0
         gk = g[..., k, None] if 0 <= k < ng else 0.0
-        m[..., n + k, n] = (fk * ns[n] + gk * s[n]) / s[n + k]
+        bands[k] = (fk * ns[a:b] + gk * s[a:b]) / s[a + k : b + k]
+    return _dense(np.broadcast_shapes(f.shape[:-1], g.shape[:-1]), degree + 1, bands)
+
+
+def _dense(lead: tuple, size: int, bands: dict) -> np.ndarray:
+    """Complex zeros of shape lead + (size, size) with bands[k][..., j] at row
+    max(0, k) + j, column max(0, -k) + j, copied as strided slices of the flat
+    matrix in min(``parts.workers()``, nbytes // ``PART_BYTES``) row parts, at least one."""
+    m = np.zeros(lead + (size, size), dtype=np.complex128)
+    flat, step = m.reshape(lead + (size * size,)), size + 1
+    count = min(parts.workers(), max(1, m.nbytes // PART_BYTES))
+
+    def fill(part):
+        rows = (part * size // count, (part + 1) * size // count)
+        for k, values in bands.items():
+            lo, hi = (min(max(0, row - max(0, k)), values.shape[-1]) for row in rows)
+            start = max(0, k) * size + max(0, -k)
+            flat[..., start + lo * step : start + hi * step : step] = values[..., lo:hi]
+
+    parts.run(fill, count)
     return m
 
 
@@ -178,12 +205,7 @@ class TriDiag:
     sup: np.ndarray
 
     def to_dense(self) -> np.ndarray:
-        n = len(self.diag)
-        m = np.zeros((n, n), dtype=np.complex128)
-        m[np.arange(n), np.arange(n)] = self.diag
-        m[np.arange(n - 1), np.arange(1, n)] = self.sub
-        m[np.arange(1, n), np.arange(n - 1)] = self.sup[: n - 1]
-        return m
+        return _dense((), len(self.diag), {-1: self.sub, 0: self.diag, 1: self.sup})
 
 
 def symmetric_tridiagonal(form: SymmetricForm, degree: int) -> TriDiag:

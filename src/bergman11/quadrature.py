@@ -13,14 +13,11 @@ omega_0 = 1, omega_(M-j) = conj(omega_j) exactly, and omega_(M/2) = -1 for
 even M.
 
 The walk.  ``integrate`` and ``reproduce`` walk the grid one block of whole
-rows at a time (``_blocks``) and hold no R x M array;
-``QuadratureGrid.nodes`` builds one on request.  The blocks are split into
-contiguous parts, one per CPU the process may run on but at most
-``MAX_PARTS``, each walked by one thread (the caller's for the first) in
-buffers allocated once per part, and a helper thread runs under a copy of
-the caller's context, which carries its ``np.errstate`` (``_walk``).  So an
-integrand may be called from several threads at once, on disjoint read-only
-blocks, in no fixed order; every integrand in this package is safe for that.
+rows at a time (``_blocks``), in contiguous parts that ``parts.run`` runs,
+each in buffers of its own (``_walk``); they hold no R x M array, which
+``QuadratureGrid.nodes`` builds on request.  So an integrand may be called
+from several threads at once, on disjoint read-only blocks, in no fixed
+order; every integrand in this package is safe for that.
 
 Rows alone.  Each row is summed over its angles on its own, the row sums go
 through one dot with the radial weights after every part has finished, and
@@ -29,8 +26,8 @@ neither the blocks nor the number of parts change a bit of a result.
 
 Errors.  A non-finite row sum raises ValueError at the first block that has
 one, and a non-finite radial total raises ValueError too, so neither
-function returns inf or NaN.  The parts' errors are raised in part order, so the error is the one a
-serial walk raises, though blocks after it may already have been walked.
+function returns inf or NaN.  ``parts.run`` raises the parts' errors in
+part order, so the error is the one a serial walk raises.
 
 ``integrate`` forms the block's nodes r_i omega_j.  ``reproduce`` forms
 none.  The measure is invariant under the rotations z -> e^(i phi) z, so
@@ -61,14 +58,12 @@ the exact mass, so the mass check in ``QuadratureGrid`` tests the rule.
 from __future__ import annotations
 
 import cmath
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parts
 from .weights import CoeffVector, WeightParam
 
 # Halley passes over all nodes before gauss_jacobi gives up; two suffice, and
@@ -90,11 +85,6 @@ _AIRY_XI = 3.0
 # less memory (see CHANGES.md).  The default ``verify`` grids, 64 x 256 and
 # 96 x 256, are one block each.
 BLOCK_POINTS = 24576
-# The most parts a walk is split into.  Speed, peak RSS and allocations were
-# measured at one and two parts, on a 2-CPU machine (see CHANGES.md); each
-# part holds its own block buffers, and the affinity mask does not see a CPU
-# quota, so more parts wait on runs that measure them.
-MAX_PARTS = 2
 
 
 def _bessel_zeros(nu: float, k: np.ndarray) -> np.ndarray:
@@ -307,16 +297,6 @@ def _blocks(grid: QuadratureGrid, row_length: int) -> list[tuple[int, int]]:
     return [(start, min(start + step, grid.radial_points)) for start in range(0, grid.radial_points, step)]
 
 
-def _workers() -> int:
-    """The most parts a walk is split into, read at each call: the CPUs this
-    process may run on, at most ``MAX_PARTS``."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(MAX_PARTS, cpus)
-
-
 def _walk(grid: QuadratureGrid, walk_part, row_length: int) -> complex:
     """The radial sum of the row sums that ``walk_part`` writes, with the
     grid's blocks (``_blocks`` of ``row_length``) walked in parts: the walk,
@@ -324,34 +304,12 @@ def _walk(grid: QuadratureGrid, walk_part, row_length: int) -> complex:
 
     ``walk_part(blocks, rows)`` walks one part's blocks in order in buffers
     of its own, writes each block's row sums to rows[start:stop] and raises
-    at its first bad block.  The blocks are split into
-    W = min(``_workers()``, blocks) contiguous parts; a helper thread per
-    part after the first is started for this call only."""
+    at its first bad block; the parts are min(``parts.workers()``, blocks)."""
     blocks = _blocks(grid, row_length)
-    count = min(_workers(), len(blocks))
-    parts = [blocks[k * len(blocks) // count : (k + 1) * len(blocks) // count] for k in range(count)]
+    count = min(parts.workers(), len(blocks))
+    split = [blocks[k * len(blocks) // count : (k + 1) * len(blocks) // count] for k in range(count)]
     rows = np.empty(grid.radial_points, dtype=np.complex128)
-    errors = [None] * count
-
-    def walk(k):
-        try:
-            walk_part(parts[k], rows)
-        except BaseException as error:  # raised by the caller once every part has joined
-            errors[k] = error
-
-    helpers = []
-    try:
-        for k in range(1, count):
-            helper = threading.Thread(target=contextvars.copy_context().run, args=(walk, k))
-            helper.start()
-            helpers.append(helper)
-        walk_part(parts[0], rows)
-    finally:
-        for helper in helpers:
-            helper.join()
-    for error in errors:
-        if error is not None:
-            raise error
+    parts.run(lambda k: walk_part(split[k], rows), count)
     return _radial_sum(rows, grid)
 
 

@@ -1,3 +1,8 @@
+import hashlib
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -15,11 +20,12 @@ from bergman11.operators import (
     from_rep,
     gram_matrix,
     hermiticity_defect,
+    stack,
     symmetric_tridiagonal,
     to_rep,
     zhu_scan,
 )
-from bergman11 import operators
+from bergman11 import operators, parts
 
 D_DZ = FirstOrderOp(CoeffVector([1.0]), CoeffVector([0.0]))
 Z_D_DZ = FirstOrderOp(CoeffVector([0.0, 1.0]), CoeffVector([0.0]))
@@ -181,6 +187,82 @@ class TestClosedForms:
             assert not np.any(m)
             del m
         assert calls == []
+
+
+def split_fill_builds(rng, n):
+    """The three dense builders at N = n, each a callable: a Gram matrix of
+    five bands, a commutator of seven and a tridiagonal matrix."""
+    wp = WeightParam(0.7)
+    op1, op2 = rand_op(rng, 4, 3), rand_op(rng, 3, 2)
+    form = SymmetricForm(0.3 - 0.8j, 1.2, -0.4, wp)
+    return (
+        lambda: gram_matrix(op1, wp, n),
+        lambda: commutator_matrix(op1, op2, wp, n),
+        lambda: symmetric_tridiagonal(form, n).to_dense(),
+    )
+
+
+class TestSplitFill:
+    """Matrices of at least ``PART_BYTES`` are filled in row parts, one per
+    CPU up to ``parts.MAX_PARTS``; the tests pin that count
+    (``pin_workers``), past the cap where they test the fill itself."""
+
+    def test_same_bits_at_any_worker_count(self, monkeypatch, pin_workers):
+        # N = 1100 (19 MB a matrix) and a stack of three at N = 600 (17 MB):
+        # two parts at two workers; with PART_BYTES at 1 MiB, three and seven
+        # parts of uneven row counts.  The lock is handed between threads as
+        # often as the interpreter allows
+        rng = np.random.default_rng(36)
+        builds = split_fill_builds(rng, 1100)
+        ops, wp = stack([rand_op(rng, 2, 1) for _ in range(3)]), WeightParam(-0.9)
+        builds += (lambda: gram_matrix(ops, wp, 600),)
+        got = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for count, part_bytes in ((1, operators.PART_BYTES), (2, operators.PART_BYTES), (3, 1 << 20), (7, 1 << 20)):
+                pin_workers(count)
+                monkeypatch.setattr(operators, "PART_BYTES", part_bytes)
+                got.add(tuple(hashlib.sha256(build()).hexdigest() for build in builds))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 1
+
+    def test_small_matrices_start_no_thread(self, monkeypatch, pin_workers):
+        # N = 512 (4.2 MB), and a stack of three of them, are one part each
+        class Started(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Started
+
+        pin_workers(2)
+        monkeypatch.setattr(parts.threading, "Thread", refuse)
+        rng = np.random.default_rng(37)
+        for build in split_fill_builds(rng, 512):
+            assert build().shape == (513, 513)
+        assert gram_matrix(stack([rand_op(rng, 2, 1) for _ in range(3)]), WeightParam(0.0), 512).shape == (3, 513, 513)
+        # the patch reaches the runner: N = 1100 is two parts
+        with pytest.raises(Started):
+            split_fill_builds(rng, 1100)[0]()
+
+    def test_no_thread_outlives_a_split_call(self, monkeypatch, pin_workers):
+        # a helper not joined would still be sleeping, and counted
+        started = []
+
+        class Slow(threading.Thread):
+            def run(self):
+                started.append(self)
+                time.sleep(0.02)
+                super().run()
+
+        pin_workers(3)
+        monkeypatch.setattr(parts.threading, "Thread", Slow)
+        before = threading.active_count()
+        for build in split_fill_builds(np.random.default_rng(38), 1100):
+            build()
+            assert threading.active_count() == before
+        assert len(started) == 3
 
 
 class TestClassify:

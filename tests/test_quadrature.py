@@ -1,5 +1,4 @@
 import functools
-import subprocess
 import sys
 import threading
 import time
@@ -275,7 +274,13 @@ def assert_reproduce_is_the_pointwise_sum(f, w, wp, grid):
     within 3 pi k u of k phi; cos and sin within an ulp each add 2 u and the
     complex product with a_k sqrt 5 u.  Each rotated coefficient is so within
     (3 pi k + 5) u |a_k| of a_k e^(ik phi), and the two routes' within twice
-    that, summed against |K| r^k."""
+    that, summed against |K| r^k.
+
+    The pointwise route raises r omega_j to the k-th power, and the stored
+    omega_j is up to 4.4 u from e^(2 pi ij/M) (against mpmath at M = 1000 and
+    1001), whose powers the transform's twiddles stand for.  So its a_k z^k
+    is within 4.4 k u |a_k| r^k more of the exact term: a_k weighted by 5k,
+    summed against |K| r^k."""
     n, m = len(f.coeffs), grid.angular_points
     k = np.arange(n)
     rho = KernelPoint(abs(w.w))
@@ -291,10 +296,13 @@ def assert_reproduce_is_the_pointwise_sum(f, w, wp, grid):
     # the same sum with a_k weighted by 2 (3 pi k + 5)
     rotated = CoeffVector(2.0 * (3.0 * np.pi * k + 5.0) * np.abs(f.coeffs))
     rotation = integrate(lambda z: np.abs(kernel_eval(z, rho, wp)) * rotated(np.abs(z)), grid).real
+    # the same sum with a_k weighted by 5k
+    powered = CoeffVector(5.0 * k * np.abs(f.coeffs))
+    circle = integrate(lambda z: np.abs(kernel_eval(z, rho, wp)) * powered(np.abs(z)), grid).real
     u = np.finfo(float).eps / 2
     bound = np.sqrt(2.0) * (3 * n + m + 4 * np.log2(m) + grid.radial_points + 8) * u * absolute
     bound += ((wp.xi + 2.0) * (4.0 * absolute + 30.0 * spread) + 24.0 * absolute) * u
-    bound += rotation * u
+    bound += (rotation + circle) * u
     assert abs(reproduce(f, w, wp, grid) - pointwise) <= bound
 
 
@@ -386,42 +394,16 @@ class TestBlockedIntegrate:
         assert str(err.value) == f"integrand gave shape {shape} on a block of shape (24, 1000)"
 
 
-def pin_workers(monkeypatch, count):
-    """Split every walk into min(count, blocks) parts."""
-    monkeypatch.setattr(quadrature, "_workers", lambda: count)
-
-
 class TestParallelWalk:
     """integrate and reproduce walk their blocks in parts, one per CPU the
-    process may run on up to ``MAX_PARTS``; the tests pin that count through
-    ``_workers``, past the cap where they test the walk itself."""
-
-    def test_parts_are_capped_at_the_measured_count(self, monkeypatch):
-        # a 64-CPU host still walks in two parts: one helper thread per call
-        monkeypatch.setattr(quadrature.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        assert quadrature._workers() == quadrature.MAX_PARTS == 2
-        grid = QuadratureGrid(WeightParam(0.0), 1024, 4096)
-        before = threading.active_count()
-        seen = []
-
-        def record(z):
-            seen.append(threading.active_count())
-            return np.ones_like(z)
-
-        assert integrate(record, grid) == pytest.approx(1.0, abs=1e-12)
-        assert len(seen) == len(quadrature._blocks(grid, grid.angular_points)) > 2
-        assert max(seen) <= before + 1
-        monkeypatch.setattr(quadrature.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert quadrature._workers() == 1
-        monkeypatch.delattr(quadrature.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(quadrature.os, "cpu_count", lambda: 64)
-        assert quadrature._workers() == 2
+    process may run on up to ``parts.MAX_PARTS``; the tests pin that count
+    (``pin_workers``), past the cap where they test the walk itself."""
 
     # the ids are those the three grids had when the test ran seven
     @pytest.mark.parametrize(
         "r, m, xis", [(100, 1000, (0.7,)), (37, 3000, (0.7,)), (64, 256, (-0.9, 0.0, 2.5, 40.0))], ids=["size0", "size1", "size4"]
     )
-    def test_same_bits_at_any_worker_count(self, r, m, xis, monkeypatch):
+    def test_same_bits_at_any_worker_count(self, r, m, xis, monkeypatch, pin_workers):
         # two grids of several default blocks, so of several parts, at one xi,
         # and verify's default grid (one block) from xi near -1 to 40; each in
         # blocks of one row, of 7 rows (a ragged split) and of the default, at
@@ -445,16 +427,16 @@ class TestParallelWalk:
                 for points in (m, 7 * m, quadrature.BLOCK_POINTS):
                     monkeypatch.setattr(quadrature, "BLOCK_POINTS", points)
                     for count in (1, 2, 3):
-                        pin_workers(monkeypatch, count)
+                        pin_workers(count)
                         values = [integrate(lambda z: np.abs(f(z)) ** 2, grid), reproduce(f, w, wp, grid)]
                         got.add(np.array([*values, integrate(unitarity, grid)]).tobytes())
             finally:
                 sys.setswitchinterval(interval)
             assert len(got) == 1
 
-    def test_error_in_a_helper_reaches_the_caller(self, monkeypatch):
+    def test_error_in_a_helper_reaches_the_caller(self, pin_workers):
         grid = QuadratureGrid(WeightParam(0.0), 100, 1000)
-        pin_workers(monkeypatch, 2)
+        pin_workers(2)
         caller = threading.get_ident()
         raised = []
 
@@ -472,7 +454,7 @@ class TestParallelWalk:
             integrate(last_block_fails, grid)
         assert len(raised) == 1 and raised[0] != caller
 
-    def test_earlier_rows_error_wins(self, monkeypatch):
+    def test_earlier_rows_error_wins(self, pin_workers):
         # first layout: row 5 is in the first block (the caller's part), row
         # 95 in the last (a helper's); with a helper the caller's part is held
         # back, so the helper fails first, and still the serial walk's error
@@ -494,13 +476,13 @@ class TestParallelWalk:
 
             messages = []
             for count in (1, 2):
-                pin_workers(monkeypatch, count)
+                pin_workers(count)
                 with pytest.raises(ValueError) as err:
                     integrate(two_bad_blocks, grid)
                 messages.append(str(err.value))
             assert messages == [f"non-finite sample at quadrature node z={grid.radii[first[0]] * grid.circle[first[1]]}"] * 2
 
-    def test_earlier_rows_overflow_wins_in_reproduce(self, monkeypatch):
+    def test_earlier_rows_overflow_wins_in_reproduce(self, pin_workers):
         # conj(K) f overflows on the outer rows, from row 167 on: in the
         # second of three parts (rows 95-189, one block of 257-value half
         # rows) and in the third
@@ -509,7 +491,7 @@ class TestParallelWalk:
         f, w = CoeffVector([1e250, 1e250]), KernelPoint(0.99)
         messages = []
         for count in (1, 3):
-            pin_workers(monkeypatch, count)
+            pin_workers(count)
             with pytest.raises(ValueError, match="row of radius") as err:
                 reproduce(f, w, wp, grid)
             messages.append(str(err.value))
@@ -518,11 +500,11 @@ class TestParallelWalk:
         assert len(blocks) == 3 and blocks[1][0] <= first_bad < blocks[2][0]
         assert messages[0] == messages[1]
 
-    def test_helpers_run_under_the_callers_errstate(self, monkeypatch):
+    def test_helpers_run_under_the_callers_errstate(self, pin_workers):
         # tier-1 turns RuntimeWarnings into errors, so a helper that ignored
         # the caller's np.errstate would raise on the division
         grid = QuadratureGrid(WeightParam(0.0), 100, 1000)
-        pin_workers(monkeypatch, 2)
+        pin_workers(2)
         caller = threading.get_ident()
         divided = []
 
@@ -537,10 +519,10 @@ class TestParallelWalk:
         with pytest.raises(RuntimeWarning, match="divide by zero"):
             integrate(divides_by_zero_in_a_helper, grid)
 
-    def test_no_thread_outlives_a_call(self, monkeypatch):
+    def test_no_thread_outlives_a_call(self, pin_workers):
         wp = WeightParam(0.0)
         grid = QuadratureGrid(wp, 100, 1000)
-        pin_workers(monkeypatch, 3)
+        pin_workers(3)
         caller = threading.get_ident()
         threads = set()
 
@@ -562,18 +544,6 @@ class TestParallelWalk:
         with pytest.raises(ValueError):
             reproduce(CoeffVector([1e300, 1e300]), KernelPoint(0.99), hot, QuadratureGrid(hot, 256, 512))
         assert threading.active_count() == before
-
-    def test_walk_imports_no_executor(self):
-        # concurrent.futures costs milliseconds of import (logging); the walk
-        # uses threading, which numpy has loaded already
-        code = (
-            "import sys, numpy as np; from bergman11 import quadrature as q; "
-            "from bergman11.weights import WeightParam; q._workers = lambda: 2; "
-            "q.integrate(lambda z: np.ones_like(z), q.QuadratureGrid(WeightParam(0.0), 100, 1000)); "
-            "print('concurrent.futures' in sys.modules)"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 class TestKernel:
@@ -731,7 +701,7 @@ class TestReproduce:
         assert np.all(np.isfinite(kernel_eval(nodes, w, wp)))
         assert np.isfinite(reproduce(f, w, wp, grid))
 
-    def test_memory_is_a_few_blocks_whatever_the_degree(self, monkeypatch):
+    def test_memory_is_a_few_blocks_whatever_the_degree(self, pin_workers):
         # degree R - 4 > 500 bins: neither an R x M array (16 MiB) nor an
         # R x (deg f + 1) table of powers (4 MiB) may appear
         r, m = 512, 2048
@@ -744,7 +714,7 @@ class TestReproduce:
         # and numpy's transform plan comes on top: 3.6 blocks of complex
         # values at the peak with one part, 7.0 with two
         for workers in (1, 2):
-            monkeypatch.setattr(quadrature, "_workers", lambda: workers)
+            pin_workers(workers)
             tracemalloc.start()
             try:
                 reproduce(f, KernelPoint(0.3 - 0.2j), wp, grid)
