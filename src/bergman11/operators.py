@@ -17,8 +17,9 @@ so its matrix is the Gram matrix of that operator, exact at any coefficient
 degree.
 
 Both builders and ``TriDiag.to_dense`` copy bands computed in the caller into
-fresh zeros (``_dense``), in row parts from ``PART_BYTES`` up, so that the CPUs
-fault in the pages at once; a part computes nothing, so no bit depends on parts.
+fresh zeros (``_dense``), in the row parts of ``parts.run`` from ``PART_BYTES``
+up, so that the CPUs fault in the pages at once; a part computes nothing, so
+no bit depends on parts.
 
 A ``FirstOrderOp`` holds f and g with the coefficient index last; leading
 axes are a batch of operators at one xi, and a single operator is a batch of
@@ -124,19 +125,17 @@ def _band_matrix(op: FirstOrderOp, xi: WeightParam, degree: int) -> np.ndarray:
 def _dense(lead: tuple, size: int, bands: dict) -> np.ndarray:
     """Complex zeros of shape lead + (size, size) with bands[k][..., j] at row
     max(0, k) + j, column max(0, -k) + j, copied as strided slices of the flat
-    matrix in min(``parts.workers()``, nbytes // ``PART_BYTES``) row parts, at least one."""
+    matrix in the row parts of ``parts.run``, at most nbytes // ``PART_BYTES``."""
     m = np.zeros(lead + (size, size), dtype=np.complex128)
     flat, step = m.reshape(lead + (size * size,)), size + 1
-    count = min(parts.workers(), max(1, m.nbytes // PART_BYTES))
 
-    def fill(part):
-        rows = (part * size // count, (part + 1) * size // count)
+    def fill(first, last):
         for k, values in bands.items():
-            lo, hi = (min(max(0, row - max(0, k)), values.shape[-1]) for row in rows)
+            lo, hi = (min(max(0, row - max(0, k)), values.shape[-1]) for row in (first, last))
             start = max(0, k) * size + max(0, -k)
             flat[..., start + lo * step : start + hi * step : step] = values[..., lo:hi]
 
-    parts.run(fill, count)
+    parts.run(fill, size, m.nbytes // PART_BYTES)
     return m
 
 

@@ -1,11 +1,14 @@
-"""Work split into parts, one per CPU the process may run on, at most ``MAX_PARTS``.
+"""Rows 0..n-1 split into contiguous parts, one per CPU the process may run
+on, at most ``MAX_PARTS``.
 
-``run(work, count)`` calls work(0) in the caller's thread and each other
-work(k) on a helper thread started for this call, under a copy of the
-caller's context (which carries ``np.errstate``).  It joins every helper,
-then raises the parts' errors in part order.  Parts run at once, in no fixed
-order, so each writes only what no other reads or writes.  ``threading`` is
-loaded by numpy already; ``concurrent.futures`` would import logging.
+``run(work, n, most)`` splits the rows into count = max(1, min(workers(),
+most, n)) ranges with bounds k * n // count, and calls work(start, stop) for
+the first range in the caller's thread and for each other on a helper thread
+started for this call, under a copy of the caller's context (which carries
+``np.errstate``).  It joins every helper, then raises the parts' errors in
+part order.  Parts run at once, in no fixed order, so each writes only what
+no other reads or writes.  ``threading`` is loaded by numpy already;
+``concurrent.futures`` would import logging.
 """
 
 import contextvars
@@ -26,13 +29,16 @@ def workers() -> int:
     return min(MAX_PARTS, cpus)
 
 
-def run(work, count: int) -> None:
-    """Call work(k) for k = 0..count-1 as the module docstring says."""
+def run(work, n: int, most: int) -> None:
+    """Call work(start, stop) over at most ``most`` parts of rows 0..n-1, as
+    the module docstring says."""
+    count = max(1, min(workers(), most, n))
+    bounds = [k * n // count for k in range(count + 1)]
     errors = [None] * count
 
     def part(k):
         try:
-            work(k)
+            work(bounds[k], bounds[k + 1])
         except BaseException as error:  # raised by the caller once every part has joined
             errors[k] = error
 
@@ -42,7 +48,7 @@ def run(work, count: int) -> None:
             helper = threading.Thread(target=contextvars.copy_context().run, args=(part, k))
             helper.start()
             helpers.append(helper)
-        work(0)
+        work(bounds[0], bounds[1])
     finally:
         for helper in helpers:
             helper.join()

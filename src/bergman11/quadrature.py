@@ -12,9 +12,9 @@ theta_j = 2 pi j/M (M values).  The circle is mirrored by construction:
 omega_0 = 1, omega_(M-j) = conj(omega_j) exactly, and omega_(M/2) = -1 for
 even M.
 
-The walk.  ``integrate`` and ``reproduce`` walk the grid one block of whole
-rows at a time (``_blocks``), in contiguous parts that ``parts.run`` runs,
-each in buffers of its own (``_walk``); they hold no R x M array, which
+The walk.  ``integrate`` and ``reproduce`` split the grid's rows into the
+contiguous parts of ``parts.run``, and each part walks its rows in blocks of
+whole rows, in buffers of its own (``_walk``); they hold no R x M array, which
 ``QuadratureGrid.nodes`` builds on request.  So an integrand may be called
 from several threads at once, on disjoint read-only blocks, in no fixed
 order; every integrand in this package is safe for that.
@@ -285,31 +285,22 @@ class QuadratureGrid:
         return nodes
 
 
-def _blocks(grid: QuadratureGrid, row_length: int) -> list[tuple[int, int]]:
-    """The row ranges (start, stop) of the blocks of whole radial rows that
-    ``integrate`` and ``reproduce`` walk, when a row holds ``row_length``
-    values: ``BLOCK_POINTS`` values a block, or one row when a row is longer.
-    Only the last block may be shorter, so each part of a walk (see ``_walk``)
-    sizes its block buffers by its first block and reuses them for the rest: a
-    fresh 384 KiB array per block is mapped and faulted in anew, which costs
-    more than filling it."""
-    step = max(1, BLOCK_POINTS // row_length)
-    return [(start, min(start + step, grid.radial_points)) for start in range(0, grid.radial_points, step)]
+def _walk(grid: QuadratureGrid, walk, row_length: int) -> complex:
+    """The radial sum of the row sums that ``walk`` writes, when a row holds
+    ``row_length`` values: the walk, the sum order and the error order of the
+    module docstring.
 
-
-def _walk(grid: QuadratureGrid, walk_part, row_length: int) -> complex:
-    """The radial sum of the row sums that ``walk_part`` writes, with the
-    grid's blocks (``_blocks`` of ``row_length``) walked in parts: the walk,
-    the sum order and the error order of the module docstring.
-
-    ``walk_part(blocks, rows)`` walks one part's blocks in order in buffers
-    of its own, writes each block's row sums to rows[start:stop] and raises
-    at its first bad block; the parts are min(``parts.workers()``, blocks)."""
-    blocks = _blocks(grid, row_length)
-    count = min(parts.workers(), len(blocks))
-    split = [blocks[k * len(blocks) // count : (k + 1) * len(blocks) // count] for k in range(count)]
-    rows = np.empty(grid.radial_points, dtype=np.complex128)
-    parts.run(lambda k: walk_part(split[k], rows), count)
+    A block is step = max(1, ``BLOCK_POINTS`` // row_length) whole rows, and the
+    parts are at most ceil(R / step), so a grid of one block starts no thread.
+    ``walk(first, last, step, rows)`` walks rows first..last-1 in blocks of
+    ``step`` rows in order, writes each block's row sums to rows[start:stop]
+    and raises at its first bad block.  It sizes its buffers by its first
+    block and reuses them for the rest (only the last block may be shorter):
+    a fresh 384 KiB array per block is mapped and faulted in anew, which
+    costs more than filling it."""
+    r, step = grid.radial_points, max(1, BLOCK_POINTS // row_length)
+    rows = np.empty(r, dtype=np.complex128)
+    parts.run(lambda first, last: walk(first, last, step, rows), r, -(-r // step))
     return _radial_sum(rows, grid)
 
 
@@ -335,21 +326,20 @@ def integrate(F, grid: QuadratureGrid) -> complex:
     """Approximate the integral of F over the disc against d(nu_xi).
 
     F is an elementwise callable on complex arrays, such as a CoeffVector.
-    It is called once per block of whole radial rows (``BLOCK_POINTS`` nodes,
-    or one row when a row is longer), never on the full grid, so its
-    temporaries stay in cache; the nodes are read-only, formed from the
-    grid's factors in one buffer per part.  A result not of its block's
-    shape raises ValueError.  The walk, the sum order and the errors are
-    those of the module docstring: a non-finite row sum names the block's
-    first non-finite node if a sample is not finite (earlier blocks hold
-    none), and else the radius of the row whose finite samples overflowed
-    their sum.
+    It is called once per block of whole radial rows (see ``_walk``), never
+    on the full grid, so its temporaries stay in cache; the nodes are
+    read-only, formed from the grid's factors in one buffer per part.  A
+    result not of its block's shape raises ValueError.  The walk, the sum
+    order and the errors are those of the module docstring: a non-finite row
+    sum names the block's first non-finite node if a sample is not finite
+    (earlier blocks hold none), and else the radius of the row whose finite
+    samples overflowed their sum.
     """
 
-    def walk(blocks, rows):
-        start, stop = blocks[0]
-        nodes = np.empty((stop - start, grid.angular_points), dtype=np.complex128)
-        for start, stop in blocks:
+    def walk(first, last, step, rows):
+        nodes = np.empty((min(step, last - first), grid.angular_points), dtype=np.complex128)
+        for start in range(first, last, step):
+            stop = min(start + step, last)
             block = grid._rows(start, stop, nodes[: stop - start])
             block.flags.writeable = False
             samples = np.asarray(F(block), dtype=np.complex128)
@@ -510,11 +500,12 @@ def reproduce(f: CoeffVector, w: KernelPoint, xi: WeightParam, grid: QuadratureG
     re_v, im_v = rho * arc.real, rho * arc.imag
     p = -(xi.xi + 2.0)
 
-    def walk(blocks, rows):
-        start, stop = blocks[0]
-        scratch = np.empty((3, stop - start, half))
-        kernel = np.empty((stop - start, half), dtype=np.complex128)
-        for start, stop in blocks:
+    def walk(first, last, step, rows):
+        height = min(step, last - first)
+        scratch = np.empty((3, height, half))
+        kernel = np.empty((height, half), dtype=np.complex128)
+        for start in range(first, last, step):
+            stop = min(start + step, last)
             count = stop - start
             radii = grid.radii[start:stop, None]
             b = scratch[:, :count]

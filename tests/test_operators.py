@@ -1,7 +1,5 @@
 import hashlib
 import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -245,24 +243,6 @@ class TestSplitFill:
         # the patch reaches the runner: N = 1100 is two parts
         with pytest.raises(Started):
             split_fill_builds(rng, 1100)[0]()
-
-    def test_no_thread_outlives_a_split_call(self, monkeypatch, pin_workers):
-        # a helper not joined would still be sleeping, and counted
-        started = []
-
-        class Slow(threading.Thread):
-            def run(self):
-                started.append(self)
-                time.sleep(0.02)
-                super().run()
-
-        pin_workers(3)
-        monkeypatch.setattr(parts.threading, "Thread", Slow)
-        before = threading.active_count()
-        for build in split_fill_builds(np.random.default_rng(38), 1100):
-            build()
-            assert threading.active_count() == before
-        assert len(started) == 3
 
 
 class TestClassify:

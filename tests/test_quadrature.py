@@ -1,14 +1,15 @@
 import functools
 import sys
-import threading
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
-from bergman11 import su11, verification
-from bergman11.weights import CoeffVector, WeightParam, basis_scales, monomial_norms_sq
+from bergman11 import parts, su11, verification
+from bergman11.weights import CoeffVector, WeightParam, basis_scales
 from bergman11.quadrature import KernelPoint, QuadratureGrid, gauss_jacobi, integrate, kernel_eval, reproduce
 from bergman11 import quadrature
 
@@ -33,11 +34,6 @@ class TestGridConstruction:
             QuadratureGrid(WeightParam(0.0), radial_points=4)
         with pytest.raises(ValueError):
             QuadratureGrid(WeightParam(0.0), angular_points=8)
-
-    @pytest.mark.parametrize("x", [-0.5, 0.0, 1.0, 2.5])
-    def test_probability_mass(self, x):
-        grid = QuadratureGrid(WeightParam(x))
-        assert abs(np.sum(grid.radial_weights) - 1.0) <= 1e-12
 
     def test_arrays_are_read_only(self, grid0):
         # verify shares one grid between properties
@@ -91,7 +87,6 @@ class TestGaussJacobi:
 
     @pytest.mark.parametrize("x", GJ_XIS)
     def test_nodes_match_reference_rule(self, x):
-        special = pytest.importorskip("scipy.special")
         for n in GJ_SIZES:
             s, w = gauss_jacobi(n, x)
             ref, _ = special.roots_jacobi(n, x, 0.0)
@@ -100,12 +95,10 @@ class TestGaussJacobi:
             # at xi = 98, n = 1024 the smallest weight is 1e-257
             assert np.all(np.isfinite(w)) and np.all(w > 0)
 
-    @pytest.mark.parametrize("x", GJ_XIS)
+    @pytest.mark.parametrize("x", GJ_XIS + (1.0, 2.0))
     def test_radial_moments_exact(self, x):
         # the reference rule is rescaled to the exact mass, this one is not;
         # both must integrate s^j, j < 2n, to their rounding level
-        special = pytest.importorskip("scipy.special")
-        mpmath = pytest.importorskip("mpmath")
         for n in GJ_SIZES:
             s, w = gauss_jacobi(n, x)
             ref_x, ref_w = special.roots_jacobi(n, x, 0.0)
@@ -130,7 +123,6 @@ class TestGaussJacobi:
         # stopping after one pass leaves steps of ~2e-3 node spacings; the
         # weight formula is then carried to the moved nodes by a second-order
         # Taylor step (a first-order one is off by ~2e-5 here)
-        special = pytest.importorskip("scipy.special")
         monkeypatch.setattr(quadrature, "STEP_TOL", 1e-2)
         n, x = 64, 2.35
         s, w = gauss_jacobi(n, x)
@@ -205,16 +197,6 @@ class TestIntegrate:
         rng = np.random.default_rng(11)
         samples = rng.normal(size=(64, 256)) + 1j * rng.normal(size=(64, 256))
         assert integrate(lambda z: samples, grid0) == one_pass(samples, grid0)
-
-    @pytest.mark.parametrize("x", [0.0, 1.0, 2.0])
-    def test_radial_exactness_against_beta_values(self, x):
-        # the radial rule must hit k!/(xi+2)_k = (xi+1) B(k+1, xi+1) exactly
-        wp = WeightParam(x)
-        grid = QuadratureGrid(wp, radial_points=64)
-        norms = monomial_norms_sq(wp, 60)
-        for k in range(0, 60, 3):
-            approx = float(np.sum(grid.radial_weights * grid.radial_nodes**k))
-            assert approx == pytest.approx(norms[k], abs=1e-9)
 
     def test_angular_exactness(self, grid0):
         for k in (1, 3, 100, 255):
@@ -373,9 +355,11 @@ class TestBlockedIntegrate:
 
         assert integrate(record, grid) == pytest.approx(1.0, abs=1e-12)
         # in whatever order the parts of the walk called it, the integrand saw
-        # each block of whole rows once: BLOCK_POINTS nodes, or one row
-        step = max(1, quadrature.BLOCK_POINTS // m)
-        assert sorted(seen, key=lambda rows: rows.start) == [slice(i, min(i + step, r)) for i in range(0, r, step)]
+        # each row once, in blocks of whole rows: at most BLOCK_POINTS nodes,
+        # or one row
+        seen.sort(key=lambda rows: rows.start)
+        assert [rows.start for rows in seen] == [0] + [rows.stop for rows in seen[:-1]] and seen[-1].stop == r
+        assert max(rows.stop - rows.start for rows in seen) <= max(1, quadrature.BLOCK_POINTS // m)
         # the full arrays, kept for the benchmark's tracer
         assert grid.nodes.tobytes() == outer.tobytes()
         assert np.array_equal(grid.weights, np.outer(grid.radial_weights / m, np.ones(m)))
@@ -395,9 +379,10 @@ class TestBlockedIntegrate:
 
 
 class TestParallelWalk:
-    """integrate and reproduce walk their blocks in parts, one per CPU the
-    process may run on up to ``parts.MAX_PARTS``; the tests pin that count
-    (``pin_workers``), past the cap where they test the walk itself."""
+    """integrate and reproduce walk their rows in parts, one per CPU the
+    process may run on up to ``parts.MAX_PARTS`` and at most one per block;
+    the tests pin that count (``pin_workers``), past the cap where they test
+    the walk itself."""
 
     # the ids are those the three grids had when the test ran seven
     @pytest.mark.parametrize(
@@ -434,37 +419,18 @@ class TestParallelWalk:
                 sys.setswitchinterval(interval)
             assert len(got) == 1
 
-    def test_error_in_a_helper_reaches_the_caller(self, pin_workers):
-        grid = QuadratureGrid(WeightParam(0.0), 100, 1000)
-        pin_workers(2)
-        caller = threading.get_ident()
-        raised = []
-
-        class Failure(Exception):
-            pass
-
-        def last_block_fails(z):
-            # the last block belongs to the last part, which a helper walks
-            if grid_rows(grid, z).stop == grid.radial_points:
-                raised.append(threading.get_ident())
-                raise Failure
-            return np.ones_like(z)
-
-        with pytest.raises(Failure):
-            integrate(last_block_fails, grid)
-        assert len(raised) == 1 and raised[0] != caller
-
     def test_earlier_rows_error_wins(self, pin_workers):
-        # first layout: row 5 is in the first block (the caller's part), row
-        # 95 in the last (a helper's); with a helper the caller's part is held
+        # first layout: row 5 is in the caller's part (rows 0-49), row 95 in
+        # the helper's (rows 50-99); with a helper the caller's part is held
         # back, so the helper fails first, and still the serial walk's error
         # is raised.
-        # Second layout: rows 0-47 are clean, and the NaN at row 50 comes
-        # before the inf at row 80, in a later block of the helper's part
+        # Second layout: rows 0-49 are clean, and the NaN at row 50, in the
+        # first block of the helper's part, comes before the inf at row 80,
+        # in its second
         grid = QuadratureGrid(WeightParam(0.0), 100, 1000)
         for first, second in (((5, 7), (95, 3)), ((50, 7), (80, 3))):
 
-            def two_bad_blocks(z):
+            def two_bad_rows(z):
                 rows = grid_rows(grid, z)
                 if rows.start == 0 and count > 1:
                     time.sleep(0.05)
@@ -478,14 +444,14 @@ class TestParallelWalk:
             for count in (1, 2):
                 pin_workers(count)
                 with pytest.raises(ValueError) as err:
-                    integrate(two_bad_blocks, grid)
+                    integrate(two_bad_rows, grid)
                 messages.append(str(err.value))
             assert messages == [f"non-finite sample at quadrature node z={grid.radii[first[0]] * grid.circle[first[1]]}"] * 2
 
     def test_earlier_rows_overflow_wins_in_reproduce(self, pin_workers):
         # conj(K) f overflows on the outer rows, from row 167 on: in the
-        # second of three parts (rows 95-189, one block of 257-value half
-        # rows) and in the third
+        # second of three parts (rows 85-169, of 95-row blocks of 257-value
+        # half rows) and in the third
         wp = WeightParam(98.0)
         grid = QuadratureGrid(wp, 256, 512)
         f, w = CoeffVector([1e250, 1e250]), KernelPoint(0.99)
@@ -495,55 +461,29 @@ class TestParallelWalk:
             with pytest.raises(ValueError, match="row of radius") as err:
                 reproduce(f, w, wp, grid)
             messages.append(str(err.value))
-        blocks = quadrature._blocks(grid, grid.angular_points // 2 + 1)
         first_bad = np.flatnonzero(grid.radii == float(messages[0].rsplit("=", 1)[1]))[0]
-        assert len(blocks) == 3 and blocks[1][0] <= first_bad < blocks[2][0]
+        assert 85 <= first_bad < 170
         assert messages[0] == messages[1]
 
-    def test_helpers_run_under_the_callers_errstate(self, pin_workers):
-        # tier-1 turns RuntimeWarnings into errors, so a helper that ignored
-        # the caller's np.errstate would raise on the division
-        grid = QuadratureGrid(WeightParam(0.0), 100, 1000)
+    def test_one_block_grids_start_no_thread(self, monkeypatch, pin_workers):
+        # verify's default grids, 64 x 256 and 96 x 256, are one block each in
+        # integrate and in reproduce, so one part at any worker count
+        class Started(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Started
+
         pin_workers(2)
-        caller = threading.get_ident()
-        divided = []
-
-        def divides_by_zero_in_a_helper(z):
-            if threading.get_ident() != caller:
-                divided.append(np.isinf(np.divide(1.0, np.zeros(z.shape[0]))).all())
-            return np.ones_like(z)
-
-        with np.errstate(divide="ignore"):
-            assert integrate(divides_by_zero_in_a_helper, grid) == pytest.approx(1.0, abs=1e-12)
-        assert divided and all(divided)
-        with pytest.raises(RuntimeWarning, match="divide by zero"):
-            integrate(divides_by_zero_in_a_helper, grid)
-
-    def test_no_thread_outlives_a_call(self, pin_workers):
-        wp = WeightParam(0.0)
-        grid = QuadratureGrid(wp, 100, 1000)
-        pin_workers(3)
-        caller = threading.get_ident()
-        threads = set()
-
-        def ones(z):
-            threads.add(threading.get_ident())
-            if threading.get_ident() != caller:
-                # a helper not joined would still be running, and counted
-                time.sleep(0.02)
-            return np.ones_like(z)
-
-        before = threading.active_count()
-        integrate(ones, grid)
-        assert len(threads) == 3 and threading.active_count() == before
-        with pytest.raises(ValueError):
-            integrate(lambda z: np.full(z.shape, np.nan), grid)
-        assert threading.active_count() == before
-        reproduce(CoeffVector([1.0, 2.0]), KernelPoint(0.5), wp, grid)
-        hot = WeightParam(98.0)
-        with pytest.raises(ValueError):
-            reproduce(CoeffVector([1e300, 1e300]), KernelPoint(0.99), hot, QuadratureGrid(hot, 256, 512))
-        assert threading.active_count() == before
+        monkeypatch.setattr(parts.threading, "Thread", refuse)
+        f, wp = CoeffVector([1.0, 2.0, 3.0]), WeightParam(0.5)
+        for r in (64, 96):
+            grid = QuadratureGrid(wp, r, 256)
+            assert integrate(f, grid) == pytest.approx(1.0, abs=1e-12)
+            assert reproduce(f, KernelPoint(0.5), wp, grid) == pytest.approx(2.75, rel=1e-12)
+        # the patch reaches the runner: 100 x 1000 is five blocks
+        with pytest.raises(Started):
+            integrate(f, QuadratureGrid(wp, 100, 1000))
 
 
 class TestKernel:
@@ -593,7 +533,6 @@ class TestKernelPrecision:
 
     @pytest.mark.parametrize("x", XIS)
     def test_relative_error_against_mpmath(self, x):
-        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(int(1000 * (x + 1)))
         wp = WeightParam(x)
         worst = 0.0
@@ -613,7 +552,6 @@ class TestKernelPrecision:
         # cos and sin of p*theta come from t = tan(p*theta/2), which has a pole
         # at p*theta = +-pi, +-3pi; z is placed so that p*theta lies within
         # 1e-9 of those and of 0 (as far as |theta| < pi/2 reaches)
-        mpmath = pytest.importorskip("mpmath")
         wp, w = WeightParam(x), KernelPoint(0.95 * np.exp(0.4j))
         p = -(x + 2.0)
         targets = [t for t in (0.0, np.pi, -np.pi, 3 * np.pi, -3 * np.pi) if abs(t / p) < 1.2]
