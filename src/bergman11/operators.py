@@ -17,9 +17,16 @@ so its matrix is the Gram matrix of that operator, exact at any coefficient
 degree.
 
 Both builders and ``TriDiag.to_dense`` copy bands computed in the caller into
-fresh zeros (``_dense``), in the row parts of ``parts.run`` from ``PART_BYTES``
-up, so that the CPUs fault in the pages at once; a part computes nothing, so
-no bit depends on parts.
+fresh zeros (``_dense``).  From ``PART_BYTES`` up the zeros are a private
+anonymous mapping without huge pages, so a band write commits only the 4 KiB
+page it lands in: about 12.6 % of the pages at N = 2048, where a row of 32 KiB
+holds its few band entries in one or two pages.  Every other page reads as
+the kernel's shared zero page, and a caller pays for that later: on one
+N = 2048 Gram matrix the first full read takes about 1.6 times as long as on
+numpy's zeros, as it maps the zero page 4 KiB at a time, and a write into
+every entry about 6 times, as it commits each page then (see CHANGES.md).  No
+caller here writes into a built matrix.  Such matrices are filled in the row
+parts of ``parts.run``; a part computes nothing, so no bit depends on parts.
 
 A ``FirstOrderOp`` holds f and g with the coefficient index last; leading
 axes are a batch of operators at one xi, and a single operator is a batch of
@@ -30,6 +37,9 @@ coefficient batch (or a CoeffVector) through one operator.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import mmap
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,9 +49,10 @@ from . import parts
 from .su11 import BasisCoords, LieElement, bracket, coords
 from .weights import CoeffVector, WeightParam, _coeffs, _derivative, _padded, basis_scales
 
-# A part faults in at least 8 MiB of fresh pages, about 1 ms of the kernel's
-# zeroing, against a median 77 us to start and join a helper thread (2-CPU
-# machine, see CHANGES.md); verify's matrices (at most 4.2 MB) are one part.
+# The size from which a matrix or stack is mapped and split, one part per
+# PART_BYTES.  On the mapped path of a 2-CPU machine (see CHANGES.md) two
+# parts lose to one at N = 724 (8.4 MB) and win from N = 1024 (16.8 MB);
+# verify's matrices (at most 4.2 MB) stay numpy zeros in one part.
 PART_BYTES = 8 << 20
 
 
@@ -125,8 +136,19 @@ def _band_matrix(op: FirstOrderOp, xi: WeightParam, degree: int) -> np.ndarray:
 def _dense(lead: tuple, size: int, bands: dict) -> np.ndarray:
     """Complex zeros of shape lead + (size, size) with bands[k][..., j] at row
     max(0, k) + j, column max(0, -k) + j, copied as strided slices of the flat
-    matrix in the row parts of ``parts.run``, at most nbytes // ``PART_BYTES``."""
-    m = np.zeros(lead + (size, size), dtype=np.complex128)
+    matrix in the row parts of ``parts.run``, at most nbytes // ``PART_BYTES``.
+    From ``PART_BYTES`` up the zeros are a private anonymous mapping without
+    huge pages where mmap has MAP_PRIVATE (not on Windows); below, numpy's."""
+    shape = lead + (size, size)
+    nbytes = 16 * math.prod(shape)
+    if nbytes >= PART_BYTES and hasattr(mmap, "MAP_PRIVATE"):
+        mapping = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        # no MADV_NOHUGEPAGE off Linux; EINVAL from a kernel without huge pages
+        with contextlib.suppress(AttributeError, OSError):
+            mapping.madvise(mmap.MADV_NOHUGEPAGE)
+        m = np.frombuffer(mapping, dtype=np.complex128).reshape(shape)
+    else:
+        m = np.zeros(shape, dtype=np.complex128)
     flat, step = m.reshape(lead + (size * size,)), size + 1
 
     def fill(first, last):
@@ -135,7 +157,7 @@ def _dense(lead: tuple, size: int, bands: dict) -> np.ndarray:
             start = max(0, k) * size + max(0, -k)
             flat[..., start + lo * step : start + hi * step : step] = values[..., lo:hi]
 
-    parts.run(fill, size, m.nbytes // PART_BYTES)
+    parts.run(fill, size, nbytes // PART_BYTES)
     return m
 
 

@@ -1,4 +1,7 @@
+import gc
 import hashlib
+import mmap
+import os
 import sys
 
 import numpy as np
@@ -200,6 +203,22 @@ def split_fill_builds(rng, n):
     )
 
 
+def is_mapped(m) -> bool:
+    """Whether an ``mmap.mmap`` is in m's ``.base`` chain, through a
+    memoryview to the object it exports."""
+    while m is not None:
+        if isinstance(m, mmap.mmap):
+            return True
+        m = m.obj if isinstance(m, memoryview) else getattr(m, "base", None)
+    return False
+
+
+def smaps_rollup_kb() -> dict:
+    """This process's memory totals in kB, by field of /proc/self/smaps_rollup."""
+    with open("/proc/self/smaps_rollup") as f:
+        return {k.rstrip(":"): int(v) for k, v, *unit in map(str.split, f) if unit == ["kB"]}
+
+
 class TestSplitFill:
     """Matrices of at least ``PART_BYTES`` are filled in row parts, one per
     CPU up to ``parts.MAX_PARTS``; the tests pin that count
@@ -225,6 +244,34 @@ class TestSplitFill:
         finally:
             sys.setswitchinterval(interval)
         assert len(got) == 1
+        # the mapped array: C-contiguous, writable complex128, kept alive by
+        # itself alone once the build's locals are gone, and every entry
+        # takes a write
+        m = builds[0]()
+        assert is_mapped(m)
+        assert m.flags.c_contiguous and m.flags.writeable and m.dtype == np.complex128
+        expected = m + 1
+        gc.collect()
+        assert hashlib.sha256(m).hexdigest() == next(iter(got))[0]
+        m += 1
+        assert np.array_equal(m, expected)
+        # an mmap module without MAP_PRIVATE gives numpy zeros, the same bytes
+        monkeypatch.delattr(mmap, "MAP_PRIVATE")
+        m = builds[0]()
+        assert not is_mapped(m)
+        assert hashlib.sha256(m).hexdigest() == next(iter(got))[0]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps_rollup"), reason="reads Linux's smaps_rollup")
+    def test_band_matrix_commits_only_band_pages(self):
+        # N = 2048 (67 MB): a row of 32 KiB holds its three band entries in
+        # one or two 4 KiB pages, and no page is huge.  Adjacent mappings merge
+        # into one smaps entry, so the process's totals are compared
+        form = SymmetricForm(0.3 - 0.8j, 1.2, -0.4, WeightParam(0.7))
+        before = smaps_rollup_kb()
+        m = symmetric_tridiagonal(form, 2048).to_dense()
+        after = smaps_rollup_kb()
+        assert after["Rss"] - before["Rss"] <= m.nbytes // 4 // 1024
+        assert after["AnonHugePages"] == before["AnonHugePages"]
 
     def test_small_matrices_start_no_thread(self, monkeypatch, pin_workers):
         # N = 512 (4.2 MB), and a stack of three of them, are one part each
@@ -237,9 +284,13 @@ class TestSplitFill:
         pin_workers(2)
         monkeypatch.setattr(parts.threading, "Thread", refuse)
         rng = np.random.default_rng(37)
-        for build in split_fill_builds(rng, 512):
-            assert build().shape == (513, 513)
-        assert gram_matrix(stack([rand_op(rng, 2, 1) for _ in range(3)]), WeightParam(0.0), 512).shape == (3, 513, 513)
+        small = [build() for build in split_fill_builds(rng, 512)]
+        small.append(gram_matrix(stack([rand_op(rng, 2, 1) for _ in range(3)]), WeightParam(0.0), 512))
+        assert [m.shape for m in small] == [(513, 513)] * 3 + [(3, 513, 513)]
+        # a single N = 512 matrix is below PART_BYTES: numpy zeros, not a
+        # mapping (the stack of three, 12.6 MB, is mapped)
+        assert not any(map(is_mapped, small[:3]))
+        assert is_mapped(small[3])
         # the patch reaches the runner: N = 1100 is two parts
         with pytest.raises(Started):
             split_fill_builds(rng, 1100)[0]()
