@@ -25,8 +25,8 @@ the kernel's shared zero page, and a caller pays for that later: on one
 N = 2048 Gram matrix the first full read takes about 1.6 times as long as on
 numpy's zeros, as it maps the zero page 4 KiB at a time, and a write into
 every entry about 6 times, as it commits each page then (see CHANGES.md).  No
-caller here writes into a built matrix.  Such matrices are filled in the row
-parts of ``parts.run``; a part computes nothing, so no bit depends on parts.
+caller here writes into a built matrix.  From 2 * ``PART_BYTES`` up the rows
+are filled in the halves of ``parts.run``; no bit depends on the split.
 
 A ``FirstOrderOp`` holds f and g with the coefficient index last; leading
 axes are a batch of operators at one xi, and a single operator is a batch of
@@ -49,10 +49,13 @@ from . import parts
 from .su11 import BasisCoords, LieElement, bracket, coords
 from .weights import CoeffVector, WeightParam, _coeffs, _derivative, _padded, basis_scales
 
-# The size from which a matrix or stack is mapped and split, one part per
-# PART_BYTES.  On the mapped path of a 2-CPU machine (see CHANGES.md) two
-# parts lose to one at N = 724 (8.4 MB) and win from N = 1024 (16.8 MB);
-# verify's matrices (at most 4.2 MB) stay numpy zeros in one part.
+# The size from which a matrix or stack is mapped; from twice it, it is split
+# in two.  On the mapped path of a 2-CPU machine (see CHANGES.md) two parts
+# lose to one at N = 724 (8.4 MB) and win from N = 1024 (16.8 MB).  Below it,
+# mapping loses too: at N = 512 (4.2 MB) the median OperatorScale.run took
+# 6.25 ms with every matrix mapped against 4.81 ms on numpy zeros, slower in
+# 11 of 12 alternating rounds of 200 ops.  So verify's matrices (at most
+# 4.2 MB) stay numpy zeros in one part.
 PART_BYTES = 8 << 20
 
 
@@ -136,7 +139,7 @@ def _band_matrix(op: FirstOrderOp, xi: WeightParam, degree: int) -> np.ndarray:
 def _dense(lead: tuple, size: int, bands: dict) -> np.ndarray:
     """Complex zeros of shape lead + (size, size) with bands[k][..., j] at row
     max(0, k) + j, column max(0, -k) + j, copied as strided slices of the flat
-    matrix in the row parts of ``parts.run``, at most nbytes // ``PART_BYTES``.
+    matrix by ``parts.run``, in two halves from 2 * ``PART_BYTES`` up.
     From ``PART_BYTES`` up the zeros are a private anonymous mapping without
     huge pages where mmap has MAP_PRIVATE (not on Windows); below, numpy's."""
     shape = lead + (size, size)
@@ -157,7 +160,7 @@ def _dense(lead: tuple, size: int, bands: dict) -> np.ndarray:
             start = max(0, k) * size + max(0, -k)
             flat[..., start + lo * step : start + hi * step : step] = values[..., lo:hi]
 
-    parts.run(fill, size, nbytes // PART_BYTES)
+    parts.run(fill, size, nbytes >= 2 * PART_BYTES)
     return m
 
 

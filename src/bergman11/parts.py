@@ -1,56 +1,47 @@
-"""Rows 0..n-1 split into contiguous parts, one per CPU the process may run
-on, at most ``MAX_PARTS``.
+"""Rows 0..n-1 in one part, or in two halves with the second on a helper thread.
 
-``run(work, n, most)`` splits the rows into count = max(1, min(workers(),
-most, n)) ranges with bounds k * n // count, and calls work(start, stop) for
-the first range in the caller's thread and for each other on a helper thread
-started for this call, under a copy of the caller's context (which carries
-``np.errstate``).  It joins every helper, then raises the parts' errors in
-part order.  Parts run at once, in no fixed order, so each writes only what
-no other reads or writes.  ``threading`` is loaded by numpy already;
-``concurrent.futures`` would import logging.
+``run(work, n, split)`` calls work(0, n) unless ``split`` is true, n > 1 and
+``workers()`` is above one; then it calls work(0, n // 2) in the caller's
+thread and work(n // 2, n) on a thread started for this call, under a copy of
+the caller's context (which carries ``np.errstate``).  It joins that thread,
+then raises the caller's error before the helper's.  The halves run at once,
+so each writes only what the other neither reads nor writes.  Two parts, not
+one per CPU: only two were measured against one, on 2 CPUs (see CHANGES.md),
+and the affinity mask does not see a CPU quota.  ``threading`` is loaded by
+numpy already; ``concurrent.futures`` would import logging.
 """
 
 import contextvars
 import os
 import threading
 
-# Measured at one and two parts on a 2-CPU machine (see CHANGES.md); the
-# affinity mask does not see a CPU quota, so more wait on runs that measure them.
-MAX_PARTS = 2
-
 
 def workers() -> int:
-    """The CPUs this process may run on, read at each call, at most ``MAX_PARTS``."""
+    """The CPUs this process may run on, read at each call."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(MAX_PARTS, cpus)
+        return os.cpu_count() or 1
 
 
-def run(work, n: int, most: int) -> None:
-    """Call work(start, stop) over at most ``most`` parts of rows 0..n-1, as
-    the module docstring says."""
-    count = max(1, min(workers(), most, n))
-    bounds = [k * n // count for k in range(count + 1)]
-    errors = [None] * count
+def run(work, n: int, split: bool) -> None:
+    """Call work(start, stop) over rows 0..n-1 as the module docstring says."""
+    if not split or n < 2 or workers() < 2:
+        work(0, n)
+        return
+    half, errors = n // 2, []
 
-    def part(k):
+    def second_half():
         try:
-            work(bounds[k], bounds[k + 1])
-        except BaseException as error:  # raised by the caller once every part has joined
-            errors[k] = error
+            work(half, n)
+        except BaseException as error:  # raised by the caller after the join
+            errors.append(error)
 
-    helpers = []
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(second_half,))
+    helper.start()
     try:
-        for k in range(1, count):
-            helper = threading.Thread(target=contextvars.copy_context().run, args=(part, k))
-            helper.start()
-            helpers.append(helper)
-        work(bounds[0], bounds[1])
+        work(0, half)
     finally:
-        for helper in helpers:
-            helper.join()
-    for error in filter(None, errors):
-        raise error
+        helper.join()
+    if errors:
+        raise errors[0]

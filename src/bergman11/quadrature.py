@@ -12,22 +12,22 @@ theta_j = 2 pi j/M (M values).  The circle is mirrored by construction:
 omega_0 = 1, omega_(M-j) = conj(omega_j) exactly, and omega_(M/2) = -1 for
 even M.
 
-The walk.  ``integrate`` and ``reproduce`` split the grid's rows into the
-contiguous parts of ``parts.run``, and each part walks its rows in blocks of
+The walk.  ``integrate`` and ``reproduce`` split a grid of several blocks in
+the two halves of ``parts.run``, and each part walks its rows in blocks of
 whole rows, in buffers of its own (``_walk``); they hold no R x M array, which
 ``QuadratureGrid.nodes`` builds on request.  So an integrand may be called
-from several threads at once, on disjoint read-only blocks, in no fixed
-order; every integrand in this package is safe for that.
+from two threads at once, on disjoint read-only blocks, in no fixed order;
+every integrand in this package is safe for that.
 
 Rows alone.  Each row is summed over its angles on its own, the row sums go
 through one dot with the radial weights after every part has finished, and
 the total is divided by M: the order of a single pass over the grid.  So
-neither the blocks nor the number of parts change a bit of a result.
+neither the blocks nor the split change a bit of a result.
 
 Errors.  A non-finite row sum raises ValueError at the first block that has
 one, and a non-finite radial total raises ValueError too, so neither
-function returns inf or NaN.  ``parts.run`` raises the parts' errors in
-part order, so the error is the one a serial walk raises.
+function returns inf or NaN.  ``parts.run`` raises the first half's error
+before the second's, so the error is the one a serial walk raises.
 
 ``integrate`` forms the block's nodes r_i omega_j.  ``reproduce`` forms
 none.  The measure is invariant under the rotations z -> e^(i phi) z, so
@@ -291,7 +291,7 @@ def _walk(grid: QuadratureGrid, walk, row_length: int) -> complex:
     module docstring.
 
     A block is step = max(1, ``BLOCK_POINTS`` // row_length) whole rows, and the
-    parts are at most ceil(R / step), so a grid of one block starts no thread.
+    rows split in halves only when R > step: a grid of one block starts no thread.
     ``walk(first, last, step, rows)`` walks rows first..last-1 in blocks of
     ``step`` rows in order, writes each block's row sums to rows[start:stop]
     and raises at its first bad block.  It sizes its buffers by its first
@@ -300,7 +300,7 @@ def _walk(grid: QuadratureGrid, walk, row_length: int) -> complex:
     costs more than filling it."""
     r, step = grid.radial_points, max(1, BLOCK_POINTS // row_length)
     rows = np.empty(r, dtype=np.complex128)
-    parts.run(lambda first, last: walk(first, last, step, rows), r, -(-r // step))
+    parts.run(lambda first, last: walk(first, last, step, rows), r, r > step)
     return _radial_sum(rows, grid)
 
 

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +21,32 @@ def log_norms_ref():
 
 @pytest.fixture
 def pin_workers(monkeypatch):
-    """pin_workers(count) splits work into at most ``count`` parts, past
-    ``parts.MAX_PARTS`` where a test checks the runner's callers themselves."""
+    """pin_workers(count) has ``parts.run`` see ``count`` CPUs."""
 
     def pin(count):
         monkeypatch.setattr(parts, "workers", lambda: count)
 
     return pin
+
+
+@pytest.fixture
+def switch_often():
+    """Hand the interpreter lock between threads as often as it allows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The list of threads that ``parts.run`` starts from now on."""
+    starts = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            starts.append(self)
+            super().start()
+
+    monkeypatch.setattr(parts.threading, "Thread", Counted)
+    return starts

@@ -2,7 +2,6 @@ import gc
 import hashlib
 import mmap
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -220,29 +219,21 @@ def smaps_rollup_kb() -> dict:
 
 
 class TestSplitFill:
-    """Matrices of at least ``PART_BYTES`` are filled in row parts, one per
-    CPU up to ``parts.MAX_PARTS``; the tests pin that count
-    (``pin_workers``), past the cap where they test the fill itself."""
+    """Matrices of at least 2 * ``PART_BYTES`` are filled in two row halves
+    on two CPUs; the tests pin the CPUs ``parts.run`` sees (``pin_workers``)."""
 
-    def test_same_bits_at_any_worker_count(self, monkeypatch, pin_workers):
-        # N = 1100 (19 MB a matrix) and a stack of three at N = 600 (17 MB):
-        # two parts at two workers; with PART_BYTES at 1 MiB, three and seven
-        # parts of uneven row counts.  The lock is handed between threads as
-        # often as the interpreter allows
+    def test_same_bits_at_any_worker_count(self, monkeypatch, pin_workers, switch_often):
+        # N = 1100 (19 MB a matrix, 551 and 550 rows) and a stack of three at
+        # N = 600 (17 MB, rows split mid-matrix for every matrix of the stack):
+        # one part at one worker, two halves at two
         rng = np.random.default_rng(36)
         builds = split_fill_builds(rng, 1100)
         ops, wp = stack([rand_op(rng, 2, 1) for _ in range(3)]), WeightParam(-0.9)
         builds += (lambda: gram_matrix(ops, wp, 600),)
         got = set()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for count, part_bytes in ((1, operators.PART_BYTES), (2, operators.PART_BYTES), (3, 1 << 20), (7, 1 << 20)):
-                pin_workers(count)
-                monkeypatch.setattr(operators, "PART_BYTES", part_bytes)
-                got.add(tuple(hashlib.sha256(build()).hexdigest() for build in builds))
-        finally:
-            sys.setswitchinterval(interval)
+        for count in (1, 2):
+            pin_workers(count)
+            got.add(tuple(hashlib.sha256(build()).hexdigest() for build in builds))
         assert len(got) == 1
         # the mapped array: C-contiguous, writable complex128, kept alive by
         # itself alone once the build's locals are gone, and every entry
@@ -260,6 +251,12 @@ class TestSplitFill:
         m = builds[0]()
         assert not is_mapped(m)
         assert hashlib.sha256(m).hexdigest() == next(iter(got))[0]
+        # each half writes its own rows alone: a build that runs one half
+        # leaves the other's rows zero
+        for lo, hi in ((0, 1101 // 2), (1101 // 2, 1101)):
+            monkeypatch.setattr(parts, "run", lambda work, n, split: work(lo, hi))
+            half = builds[0]()
+            assert np.array_equal(half[lo:hi], m[lo:hi]) and not half[:lo].any() and not half[hi:].any()
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/smaps_rollup"), reason="reads Linux's smaps_rollup")
     def test_band_matrix_commits_only_band_pages(self):
@@ -273,16 +270,10 @@ class TestSplitFill:
         assert after["Rss"] - before["Rss"] <= m.nbytes // 4 // 1024
         assert after["AnonHugePages"] == before["AnonHugePages"]
 
-    def test_small_matrices_start_no_thread(self, monkeypatch, pin_workers):
-        # N = 512 (4.2 MB), and a stack of three of them, are one part each
-        class Started(Exception):
-            pass
-
-        def refuse(*args, **kwargs):
-            raise Started
-
+    def test_small_matrices_start_no_thread(self, pin_workers, thread_starts):
+        # N = 512 (4.2 MB), and a stack of three of them (12.6 MB), are below
+        # 2 * PART_BYTES: one part each
         pin_workers(2)
-        monkeypatch.setattr(parts.threading, "Thread", refuse)
         rng = np.random.default_rng(37)
         small = [build() for build in split_fill_builds(rng, 512)]
         small.append(gram_matrix(stack([rand_op(rng, 2, 1) for _ in range(3)]), WeightParam(0.0), 512))
@@ -291,9 +282,10 @@ class TestSplitFill:
         # mapping (the stack of three, 12.6 MB, is mapped)
         assert not any(map(is_mapped, small[:3]))
         assert is_mapped(small[3])
-        # the patch reaches the runner: N = 1100 is two parts
-        with pytest.raises(Started):
-            split_fill_builds(rng, 1100)[0]()
+        assert thread_starts == []
+        # the count reaches the runner: N = 1100 is two halves
+        split_fill_builds(rng, 1100)[0]()
+        assert len(thread_starts) == 1
 
 
 class TestClassify:

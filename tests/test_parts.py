@@ -1,7 +1,9 @@
+import re
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,49 +12,51 @@ from bergman11 import parts
 
 
 def test_parts_are_capped_at_the_measured_count(monkeypatch):
-    # a 64-CPU host still runs two parts: one helper thread per call
-    monkeypatch.setattr(parts.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert parts.workers() == parts.MAX_PARTS == 2
-    seen = []
-    parts.run(lambda start, stop: seen.append((start, stop)), 100, 100)
-    assert sorted(seen) == [(0, 50), (50, 100)]
-    monkeypatch.setattr(parts.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert parts.workers() == 1
+    # 64 CPUs run two halves and one CPU one part; without the affinity call
+    # the CPUs are counted
+    for cpus, expected in ((range(64), [(0, 50), (50, 100)]), ({0}, [(0, 100)])):
+        monkeypatch.setattr(parts.os, "sched_getaffinity", lambda pid, cpus=cpus: set(cpus), raising=False)
+        seen = []
+        parts.run(lambda start, stop: seen.append((start, stop)), 100, True)
+        assert parts.workers() == len(cpus) and sorted(seen) == expected
     monkeypatch.delattr(parts.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(parts.os, "cpu_count", lambda: 64)
-    assert parts.workers() == 2
+    assert parts.workers() == 64
 
 
-# (n, most): fewer rows than workers, a cap of zero (one part), a cap below,
-# at and above the workers, and ragged splits of 100 and 1000 rows
-@pytest.mark.parametrize("n, most", [(1, 5), (2, 5), (10, 0), (10, 1), (10, 2), (100, 3), (1000, 7), (37, 100)])
-def test_parts_are_contiguous_ranges_and_the_first_runs_in_the_caller(n, most, pin_workers):
+# (n, split): one row, which never splits, the smallest split, no split, an
+# even and a ragged split; the ids are the (n, most) of the part-count runner
+@pytest.mark.parametrize(
+    "n, split", [(1, True), (2, True), (10, False), (10, True), (37, True)], ids=["1-5", "2-5", "10-0", "10-2", "37-100"]
+)
+def test_parts_are_contiguous_ranges_and_the_first_runs_in_the_caller(n, split, pin_workers, thread_starts):
     # the thread objects, not their idents, which a later helper may reuse
     caller = threading.current_thread()
-    for workers in (1, 2, 3, 7):
+    for workers in (1, 2, 64):
         pin_workers(workers)
-        count = max(1, min(workers, most, n))
+        halves = split and n > 1 and workers > 1
         seen = {}
-        parts.run(lambda start, stop: seen.setdefault((start, stop), threading.current_thread()), n, most)
-        assert sorted(seen) == [(k * n // count, (k + 1) * n // count) for k in range(count)]
-        threads = [seen[bounds] for bounds in sorted(seen)]
-        assert threads[0] is caller and len(set(threads)) == count
+        thread_starts.clear()
+        parts.run(lambda start, stop: seen.setdefault((start, stop), threading.current_thread()), n, split)
+        assert sorted(seen) == ([(0, n // 2), (n // 2, n)] if halves else [(0, n)])
+        assert [seen[bounds] for bounds in sorted(seen)] == [caller, *thread_starts] and len(thread_starts) == halves
 
 
 class Failure(Exception):
     pass
 
 
+# half k is row k, run after delays[k]; the ids are those of the three-part cases
 @pytest.mark.parametrize(
     "delays, failing",
-    [((0.0, 0.06, 0.03), (1, 2)), ((0.06, 0.0, 0.03), (0, 1, 2)), ((0.0, 0.06, 0.03), (0,))],
+    [((0.06, 0.0), (1,)), ((0.06, 0.0), (0, 1)), ((0.0, 0.06), (0,))],
     ids=["helpers_fail_the_later_part_first", "the_caller_fails_last", "the_caller_fails_first"],
 )
 def test_errors_are_raised_in_part_order_after_every_join(delays, failing, pin_workers):
-    # three parts of one row each, part k after delays[k]: the first error in
-    # part order is raised, not the first to happen, and only once every
-    # part has finished and no helper thread is left
-    pin_workers(3)
+    # only the helper fails; the helper fails first and the caller's later
+    # error wins; only the caller fails, first.  Each is raised once both
+    # halves have finished and no helper is left
+    pin_workers(2)
     finished = []
 
     def work(start, stop):
@@ -63,15 +67,15 @@ def test_errors_are_raised_in_part_order_after_every_join(delays, failing, pin_w
 
     before = threading.active_count()
     with pytest.raises(Failure) as err:
-        parts.run(work, 3, 3)
+        parts.run(work, 2, True)
     assert err.value.args == (failing[0],)
-    assert sorted(finished) == [0, 1, 2] and threading.active_count() == before
+    assert sorted(finished) == [0, 1] and threading.active_count() == before
 
 
 def test_helpers_run_under_the_callers_errstate(pin_workers):
     # tier-1 turns RuntimeWarnings into errors, so a helper that ignored the
     # caller's np.errstate would raise on the division
-    pin_workers(3)
+    pin_workers(2)
     seen = []
 
     def divide(start, stop):
@@ -79,17 +83,23 @@ def test_helpers_run_under_the_callers_errstate(pin_workers):
         np.divide(1.0, np.zeros(stop - start))
 
     with np.errstate(divide="ignore"):
-        parts.run(divide, 3, 3)
-    assert seen == ["ignore"] * 3
+        parts.run(divide, 2, True)
+    assert seen == ["ignore"] * 2
     with pytest.raises(RuntimeWarning, match="divide by zero"):
-        parts.run(divide, 3, 3)
+        parts.run(divide, 2, True)
+
+
+def test_parts_is_the_one_thread_runner():
+    pattern = re.compile(r"\b(threading|concurrent\.futures|multiprocessing)\b")
+    modules = sorted(Path(parts.__file__).parent.glob("*.py"))
+    assert [path.name for path in modules if pattern.search(path.read_text())] == ["parts.py"]
 
 
 def test_walk_imports_no_executor():
     # concurrent.futures costs milliseconds of import (logging); the runner
     # uses threading, which numpy has loaded already.  Both callers split:
-    # the grid has several blocks, and the 1101 x 1101 matrix (19 MB) is two
-    # parts of at least PART_BYTES
+    # the grid has several blocks, and the 1101 x 1101 matrix (19 MB) is at
+    # least twice PART_BYTES
     code = (
         "import sys, numpy as np; from bergman11 import operators as o, parts, quadrature as q; "
         "from bergman11.weights import WeightParam; parts.workers = lambda: 2; "

@@ -1,5 +1,4 @@
 import functools
-import sys
 import time
 import tracemalloc
 
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from bergman11 import parts, su11, verification
+from bergman11 import su11, verification
 from bergman11.weights import CoeffVector, WeightParam, basis_scales
 from bergman11.quadrature import KernelPoint, QuadratureGrid, gauss_jacobi, integrate, kernel_eval, reproduce
 from bergman11 import quadrature
@@ -341,7 +340,8 @@ class TestBlockedIntegrate:
             assert_reproduce_is_the_pointwise_sum(f, w, wp, grid)
 
     @pytest.mark.parametrize("size", BLOCKED_SIZES + [(128, 512), (512, 2048)])
-    def test_blocks_are_the_outer_product_bit_for_bit(self, size):
+    def test_blocks_are_the_outer_product_bit_for_bit(self, size, pin_workers):
+        pin_workers(2)
         grid = QuadratureGrid(WeightParam(0.7), *size)
         r, m = size
         outer = np.sqrt(grid.radial_nodes)[:, None] * mirrored_circle(m)[None, :]
@@ -354,7 +354,7 @@ class TestBlockedIntegrate:
             return np.ones_like(z)
 
         assert integrate(record, grid) == pytest.approx(1.0, abs=1e-12)
-        # in whatever order the parts of the walk called it, the integrand saw
+        # in whatever order the two halves of the walk called it, the integrand saw
         # each row once, in blocks of whole rows: at most BLOCK_POINTS nodes,
         # or one row
         seen.sort(key=lambda rows: rows.start)
@@ -379,21 +379,19 @@ class TestBlockedIntegrate:
 
 
 class TestParallelWalk:
-    """integrate and reproduce walk their rows in parts, one per CPU the
-    process may run on up to ``parts.MAX_PARTS`` and at most one per block;
-    the tests pin that count (``pin_workers``), past the cap where they test
-    the walk itself."""
+    """integrate and reproduce walk their rows in two halves on two CPUs when
+    the grid has more than one block; the tests pin the CPUs ``parts.run``
+    sees (``pin_workers``)."""
 
     # the ids are those the three grids had when the test ran seven
     @pytest.mark.parametrize(
         "r, m, xis", [(100, 1000, (0.7,)), (37, 3000, (0.7,)), (64, 256, (-0.9, 0.0, 2.5, 40.0))], ids=["size0", "size1", "size4"]
     )
-    def test_same_bits_at_any_worker_count(self, r, m, xis, monkeypatch, pin_workers):
-        # two grids of several default blocks, so of several parts, at one xi,
+    def test_same_bits_at_any_worker_count(self, r, m, xis, monkeypatch, pin_workers, switch_often):
+        # two grids of several default blocks, so of two halves, at one xi,
         # and verify's default grid (one block) from xi near -1 to 40; each in
-        # blocks of one row, of 7 rows (a ragged split) and of the default, at
-        # one worker and at more workers than a two-CPU machine has; the lock
-        # is handed between threads as often as the interpreter allows.  Each
+        # blocks of one row, of 7 rows (halves that split a block) and of the
+        # default, at one worker and at two.  Each
         # row is transformed and summed alone, so reproduce has the same bits
         # at every xi, and so has verify's |pi(g) f|^2, which writes into the
         # group action's own buffer
@@ -406,17 +404,12 @@ class TestParallelWalk:
             wp = WeightParam(x)
             grid = QuadratureGrid(wp, r, m)
             got = set()
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                for points in (m, 7 * m, quadrature.BLOCK_POINTS):
-                    monkeypatch.setattr(quadrature, "BLOCK_POINTS", points)
-                    for count in (1, 2, 3):
-                        pin_workers(count)
-                        values = [integrate(lambda z: np.abs(f(z)) ** 2, grid), reproduce(f, w, wp, grid)]
-                        got.add(np.array([*values, integrate(unitarity, grid)]).tobytes())
-            finally:
-                sys.setswitchinterval(interval)
+            for points in (m, 7 * m, quadrature.BLOCK_POINTS):
+                monkeypatch.setattr(quadrature, "BLOCK_POINTS", points)
+                for count in (1, 2):
+                    pin_workers(count)
+                    values = [integrate(lambda z: np.abs(f(z)) ** 2, grid), reproduce(f, w, wp, grid)]
+                    got.add(np.array([*values, integrate(unitarity, grid)]).tobytes())
             assert len(got) == 1
 
     def test_earlier_rows_error_wins(self, pin_workers):
@@ -449,41 +442,35 @@ class TestParallelWalk:
             assert messages == [f"non-finite sample at quadrature node z={grid.radii[first[0]] * grid.circle[first[1]]}"] * 2
 
     def test_earlier_rows_overflow_wins_in_reproduce(self, pin_workers):
-        # conj(K) f overflows on the outer rows, from row 167 on: in the
-        # second of three parts (rows 85-169, of 95-row blocks of 257-value
-        # half rows) and in the third
+        # conj(K) f overflows on the outer rows, from row 106 on: in the second
+        # 95-row block (of 257-value half rows) of the caller's half, rows
+        # 0-127, and from the first block of the helper's, rows 128-255
         wp = WeightParam(98.0)
         grid = QuadratureGrid(wp, 256, 512)
-        f, w = CoeffVector([1e250, 1e250]), KernelPoint(0.99)
+        f, w = CoeffVector([1e290, 1e290]), KernelPoint(0.99)
         messages = []
-        for count in (1, 3):
+        for count in (1, 2):
             pin_workers(count)
             with pytest.raises(ValueError, match="row of radius") as err:
                 reproduce(f, w, wp, grid)
             messages.append(str(err.value))
         first_bad = np.flatnonzero(grid.radii == float(messages[0].rsplit("=", 1)[1]))[0]
-        assert 85 <= first_bad < 170
+        assert 95 <= first_bad < 128
         assert messages[0] == messages[1]
 
-    def test_one_block_grids_start_no_thread(self, monkeypatch, pin_workers):
+    def test_one_block_grids_start_no_thread(self, pin_workers, thread_starts):
         # verify's default grids, 64 x 256 and 96 x 256, are one block each in
         # integrate and in reproduce, so one part at any worker count
-        class Started(Exception):
-            pass
-
-        def refuse(*args, **kwargs):
-            raise Started
-
         pin_workers(2)
-        monkeypatch.setattr(parts.threading, "Thread", refuse)
         f, wp = CoeffVector([1.0, 2.0, 3.0]), WeightParam(0.5)
         for r in (64, 96):
             grid = QuadratureGrid(wp, r, 256)
             assert integrate(f, grid) == pytest.approx(1.0, abs=1e-12)
             assert reproduce(f, KernelPoint(0.5), wp, grid) == pytest.approx(2.75, rel=1e-12)
-        # the patch reaches the runner: 100 x 1000 is five blocks
-        with pytest.raises(Started):
-            integrate(f, QuadratureGrid(wp, 100, 1000))
+        assert thread_starts == []
+        # the count reaches the runner: 100 x 1000 is five blocks
+        integrate(f, QuadratureGrid(wp, 100, 1000))
+        assert len(thread_starts) == 1
 
 
 class TestKernel:
